@@ -88,6 +88,13 @@ class SufficientStatistics:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
+        if not (
+            math.isfinite(self.sum_sq)
+            and math.isfinite(self.sum_lag)
+            and math.isfinite(self.first)
+            and math.isfinite(self.last)
+        ):
+            raise ConfigError("sufficient statistics must be finite")
         # These hold exactly for sums folded from real data (non-negative
         # increments; termwise Cauchy-Schwarz with boundary slack).
         if self.sum_sq < self.first_sq or self.sum_sq < self.last_sq:
@@ -105,17 +112,28 @@ class SufficientStatistics:
 
     @classmethod
     def from_series(cls, samples) -> "SufficientStatistics":
-        """Batch statistics, implemented as the literal fold of stream_update.
+        """Batch statistics, bit-identical to the ``stream_update`` fold."""
+        samples = _coerce_samples(samples)
+        sum_sq, sum_lag = _running_sums(samples)
+        first, last = float(samples[0]), float(samples[-1])
+        return cls(float(sum_sq), float(sum_lag), first, last, samples.size)
 
-        This guarantees bit-equality between batch and streaming paths.
-        """
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 1:
-            raise ConfigError("samples must be a non-empty 1-D array")
-        state = None
-        for y in samples:
-            state = stream_update(state, float(y))
-        return state
+
+def _running_sums(samples: np.ndarray):
+    """Energy sum(y**2) and lag-1 sum(y[i]*y[i+1]) along the last axis; cumsum
+    adds left to right from the same 0.0 as stream_update, so bit-identical."""
+    lag = np.zeros_like(samples)
+    lag[..., 1:] = samples[..., :-1] * samples[..., 1:]
+    sum_sq = np.cumsum(samples * samples, axis=-1)[..., -1]
+    return sum_sq, np.cumsum(lag, axis=-1)[..., -1]
+
+
+def batch_statistics(spec: "DetectorSpec", samples: np.ndarray) -> np.ndarray:
+    """Statistic of each row of a (trials, n) matrix, bit-identical to
+    ``detect_simplified`` on ``SufficientStatistics.from_series`` of the row."""
+    sum_sq, sum_lag = _running_sums(samples)
+    edges = samples[:, 0] * samples[:, 0] + samples[:, -1] * samples[:, -1]
+    return spec.energy_coef * sum_sq + spec.lag_coef * sum_lag + spec.edge_coef * edges
 
 
 def stream_update(
@@ -235,8 +253,8 @@ def _coerce_samples(y) -> np.ndarray:
     if isinstance(y, MeasurementSeries):
         return y.samples
     samples = np.asarray(y, dtype=float)
-    if samples.ndim != 1 or samples.size < 1:
-        raise ConfigError("series must be a non-empty 1-D array")
+    if samples.ndim != 1 or samples.size < 1 or not np.isfinite(samples).all():
+        raise ConfigError("series must be a non-empty 1-D array of finite values")
     return samples
 
 
@@ -322,16 +340,11 @@ def fit_class_statistics(series_set) -> ClassStatistics:
     so each pooled moment is unbiased before the ratio is taken; dividing
     both by n would bias rho_hat low by a factor (n-1)/n.
     """
-    sum_sq = 0.0
-    sum_lag = 0.0
-    n_sq = 0
-    n_lag = 0
-    for series in series_set:
-        samples = _coerce_samples(series)
-        sum_sq += float(samples @ samples)
-        sum_lag += float(samples[:-1] @ samples[1:])
-        n_sq += samples.size
-        n_lag += samples.size - 1
+    pooled = [SufficientStatistics.from_series(series) for series in series_set]
+    sum_sq = sum(s.sum_sq for s in pooled)
+    sum_lag = sum(s.sum_lag for s in pooled)
+    n_sq = sum(s.count for s in pooled)
+    n_lag = n_sq - len(pooled)
     if n_sq < 2:
         raise ConfigError("need at least two samples in total to fit")
     if sum_sq <= 0.0:

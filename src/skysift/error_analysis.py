@@ -503,7 +503,8 @@ class ErrorSurface:
 
     def write_csv(self, path) -> None:
         """Matrix CSV: rows are mass ratios, columns gain ratios, cells
-        log10 of the total error."""
+        log10 of the total error; a cell whose error is 0.0 is left blank,
+        so the file carries no non-finite value."""
         import csv
 
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -511,11 +512,9 @@ class ErrorSurface:
             writer.writerow(
                 ["mass_ratio\\gain_ratio"] + [repr(float(g)) for g in self.gain_ratios]
             )
-            for i, mr in enumerate(self.mass_ratios):
-                writer.writerow(
-                    [repr(float(mr))]
-                    + [repr(float(np.log10(e))) for e in self.total_errors[i]]
-                )
+            for mr, errors in zip(self.mass_ratios, self.total_errors):
+                cells = [repr(float(np.log10(e))) if e > 0 else "" for e in errors]
+                writer.writerow([repr(float(mr))] + cells)
 
 
 def error_surface(

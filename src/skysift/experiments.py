@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .detector import (
-    SufficientStatistics,
+    batch_statistics,
     detect_simplified,
     detector_from_scenario,
     roc_sweep,
@@ -176,20 +176,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _batch_statistics(config: ExperimentConfig, batch: TrialBatch):
-    """Vectorized decision statistics for a full batch (matches detect_full
-    to rounding; detection-path equivalence is covered by the test suite)."""
+    """Decision statistics for a full batch, each equal bit for bit to
+    ``detect_simplified`` on that trial's ``SufficientStatistics.from_series``."""
     detector = detector_from_scenario(config.scenario)
     samples = np.stack([series.samples for _, series in batch.trials])
-    s0 = np.einsum("ij,ij->i", samples, samples)
-    s1 = np.einsum("ij,ij->i", samples[:, :-1], samples[:, 1:])
-    edges = samples[:, 0] ** 2 + samples[:, -1] ** 2
-    statistics = (
-        detector.energy_coef * s0
-        + detector.lag_coef * s1
-        + detector.edge_coef * edges
-    )
-    z = threshold(detector, samples.shape[1])
-    return statistics, z
+    return batch_statistics(detector, samples), threshold(detector, samples.shape[1])
 
 
 def run_scatter(config: ExperimentConfig) -> RunManifest:

@@ -88,18 +88,17 @@ def _draw_bits(rng: np.random.Generator, size) -> np.ndarray:
     return rng.integers(0, 2**53, size=size).astype(float)
 
 
-def _ar1_from_normals(alpha: float, rho, normals: np.ndarray) -> np.ndarray:
+def _ar1_from_normals(alpha, rho, normals: np.ndarray) -> np.ndarray:
     """Run the exact AR(1) recursion on pre-drawn standard normals.
 
-    Works on one series (1-D) or a stack of series (2-D, one per row); ``rho``
-    may be a per-row vector in the stacked case.  The elementwise operation
-    order matches the scalar recursion, so stacked and one-at-a-time
-    generation agree bitwise.
+    Works on one series (1-D) or a stack of series (2-D, one per row);
+    ``alpha`` and ``rho`` may be per-row vectors in the stacked case.  The
+    elementwise operation order matches the scalar recursion, so stacked and
+    one-at-a-time generation agree bitwise.
     """
-    rho = np.asarray(rho, dtype=float)
     innovation = np.sqrt(alpha * (1.0 - rho * rho))
     out = np.empty_like(normals)
-    out[..., 0] = math.sqrt(alpha) * normals[..., 0]
+    out[..., 0] = np.sqrt(alpha) * normals[..., 0]
     for k in range(1, normals.shape[-1]):
         out[..., k] = rho * out[..., k - 1] + innovation * normals[..., k]
     return out
@@ -153,13 +152,9 @@ def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBat
     for i in range(n_trials):
         bits[i] = _draw_bits(np.random.default_rng(children[i + 1]), horizon)
     normals = _standard_normals_from_bits(bits)
-    alpha = np.where(labels == 1, stats[1].alpha, stats[2].alpha)[:, None]
-    rho = np.where(labels == 1, stats[1].rho, stats[2].rho)[:, None]
-    innovation = np.sqrt(alpha * (1.0 - rho * rho))
-    samples = np.empty_like(normals)
-    samples[:, 0] = np.sqrt(alpha[:, 0]) * normals[:, 0]
-    for k in range(1, horizon):
-        samples[:, k] = rho[:, 0] * samples[:, k - 1] + innovation[:, 0] * normals[:, k]
+    alpha = np.where(labels == 1, stats[1].alpha, stats[2].alpha)
+    rho = np.where(labels == 1, stats[1].rho, stats[2].rho)
+    samples = _ar1_from_normals(alpha, rho, normals)
 
     period = sampling.period
     trials = tuple(

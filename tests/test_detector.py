@@ -165,6 +165,12 @@ def test_streaming_prefix_consistency(default_scenario):
         full = detect_full(spec, y[:n])
         simp = detect_simplified(spec, state)
         assert abs(full.statistic - simp.statistic) <= 1e-9 * (1 + abs(full.statistic))
+    # one long series: the vectorized fold still equals the streamed one
+    y = np.random.default_rng(43).normal(size=100_001)
+    state = None
+    for v in y:
+        state = stream_update(state, float(v))
+    assert SufficientStatistics.from_series(y) == state
 
 
 def test_stream_start_state():
@@ -184,6 +190,18 @@ def test_sufficient_statistics_validation():
         SufficientStatistics(sum_sq=1.0, sum_lag=0.0, first=1.0, last=1.0, count=0)
     with pytest.raises(ConfigError):
         SufficientStatistics.from_series(np.zeros((2, 2)))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            stream_update(stream_update(None, 0.1), bad)
+        with pytest.raises(ConfigError):
+            SufficientStatistics(sum_sq=1.0, sum_lag=bad, first=0.5, last=0.5, count=2)
+        with pytest.raises(ConfigError):
+            SufficientStatistics.from_series([0.1, bad, 0.2])
+    spec = build_detector(
+        sk.ClassStatistics(alpha=0.5, rho=0.5), sk.ClassStatistics(alpha=0.2, rho=0.3)
+    )
+    with pytest.raises(ConfigError):
+        detect_full(spec, np.array([0.1, math.nan, 0.2]))
 
 
 def test_exact_tie_decides_class_one():

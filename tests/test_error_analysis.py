@@ -9,6 +9,7 @@ import skysift as sk
 from skysift.detector import detector_from_scenario, threshold
 from skysift.error_analysis import (
     AccuracyBudget,
+    ErrorSurface,
     QuadFormSpectrum,
     _inversion_sum,
     accuracy_budget,
@@ -373,3 +374,11 @@ def test_error_surface_csv(tmp_path, default_scenario):
         assert float(cells[0]) == ratios[i]
         for j, cell in enumerate(cells[1:]):
             assert float(cell) == math.log10(surface.total_errors[i, j])
+    # a total error clamped to 0.0 has no finite log10: the cell stays blank
+    ErrorSurface(
+        gain_ratios=np.array([1.0, 3.0]),
+        mass_ratios=np.array([1.0]),
+        total_errors=np.array([[0.5, 0.0]]),
+    ).write_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == f"1.0,{math.log10(0.5)!r},"

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import skysift as sk
-from skysift.detector import detect_full, detector_from_scenario, threshold
+from skysift.detector import (
+    SufficientStatistics,
+    detect_full,
+    detect_simplified,
+    detector_from_scenario,
+    threshold,
+)
 from skysift.errors import ConfigError
 from skysift.experiments import (
     EXPERIMENT_NAMES,
@@ -69,6 +75,10 @@ def test_run_scatter(tmp_path):
             detect_full(spec, series).statistic, rel=1e-12
         )
         assert float(row[3]) == threshold(spec)
+    # and equals the detect path bit for bit, on every row
+    for row in rows:
+        stats = SufficientStatistics.from_series(batch.trials[int(row[0])][1].samples)
+        assert float(row[2]) == detect_simplified(spec, stats).statistic
 
     summary = json.loads((cfg.out_dir / "scatter_summary.json").read_text())
     confusion = summary["confusion"]
