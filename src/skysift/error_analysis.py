@@ -15,6 +15,15 @@ into a directly-summed head and a tail evaluated exactly-in-effect by
 expanding the characteristic function asymptotically in 1/omega and reducing
 each order to a pinned power sum (see :mod:`skysift._powersum`).  The split
 is validated against brute-force partial sums in the test suite.
+
+The spectrum itself costs O(n) per hypothesis and builds no n x n array.
+Both covariances are Kac-Murdock-Szego matrices, so both inverses are
+tridiagonal with Toeplitz interiors, and the pencil (Q, Sigma_h^-1) with
+Q = Sigma1^-1 - Sigma2^-1 has eigenvectors x_k = sin(k*theta + phi): the
+eigenvalues are the AR(1) spectral-density ratio at n angles, and the angles
+are the roots of one increasing scalar function (Kac, Murdock and Szego
+1953; Grenander and Szego, *Toeplitz Forms*, 1958).  The derivation and the
+proof that it yields exactly n roots are in :func:`q_sigma_eigenvalues`.
 """
 
 import logging
@@ -27,7 +36,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from ._powersum import pinned_power_sum
 from .detector import build_detector, threshold
-from .kms import KmsMatrix, kms_cholesky_factor, kms_inverse_apply
 from .model import ClassStatistics, Scenario
 
 __all__ = [
@@ -57,6 +65,10 @@ _HEAD_MIN = 1 << 12
 _HEAD_MAX = 1 << 26
 _TAIL_MAX_ORDER = 16
 _CHUNK = 1 << 20
+# (eigenvalue, grid point) pairs per _phi_arrays block: cache-sized, and no
+# larger than the one-grid-row temporaries that a grid of this size needs
+_PHI_BLOCK = 1 << 15
+_NEWTON_MAX_ITER = 100  # safeguarded Newton on the eigen-angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,42 +166,148 @@ def q_sigma_eigenvalues(
     horizon: int,
     hypothesis: int,
 ) -> QuadFormSpectrum:
-    """Spectrum of (inverse-cov difference) times the hypothesis covariance.
+    """Spectrum of Q * Sigma_h, Q = Sigma1^-1 - Sigma2^-1, in O(n).
 
-    Computed on the symmetric similar matrix L' (Sigma1^-1 - Sigma2^-1) L,
-    where L is the analytic Cholesky factor of the hypothesis covariance.
-    Similarity preserves the spectrum while the symmetric eigensolver
-    guarantees real eigenvalues; the nonsymmetric product would return
-    spurious imaginary parts.
+    These are the eigenvalues of the symmetric-definite pencil
+    Q x = lam * Sigma_h^-1 x, so they are real.  Write P = rho1 * rho2 and
+    u_i(theta) = ((1 - rho_i)**2 + 4 * rho_i * sin(theta/2)**2) / (1 - rho_i**2),
+    so that u_i / alpha_i = 1 / f_i is the inverse AR(1) spectral density;
+    this form has no cancellation as rho_i -> 1.
+
+    * rho1 == rho2, or n == 1: Q = alpha_h * (1/alpha1 - 1/alpha2) * Sigma_h^-1,
+      so all n eigenvalues equal alpha_h * (1/alpha1 - 1/alpha2), exactly
+      0.0 for identical classes.
+    * Otherwise lam_m = (alpha_h / u_h) * (u1 / alpha1 - u2 / alpha2) at
+      theta_m, m = 1..n, where theta_m in (0, pi) is the root of
+
+          g(theta) = (n - 1) * theta + 2 * atan2(y, x) = m * pi,
+          y = (1 - P) * sin(theta),
+          x = (1 - rho1) * (1 - rho2) - 2 * (1 + P) * sin(theta/2)**2.
+
+    Why: each inverse is c_i * ((1 + rho_i**2) I - rho_i S - rho_i**2 E)
+    with c_i = 1 / (alpha_i * (1 - rho_i**2)), S the off-diagonal ones and E
+    the two corners, so Q - lam * Sigma_h^-1 = a I + b S + c E.  Its
+    interior rows vanish on x_k = sin(k*theta + phi) exactly when
+    a + 2 b cos(theta) = 0, which is lam = (u1/alpha1 - u2/alpha2) * alpha_h / u_h.
+    Row 0 then reduces to c sin(phi) = b sin(phi - theta); on that curve
+    b : c = (1 - P) : (rho1 + rho2 - 2 P cos(theta)) whatever the alphas and
+    the hypothesis, which gives phi = atan2(y, x).  The last row, by the
+    reflection k -> n - 1 - k, requires (n - 1) * theta + 2 * phi = m * pi.
+
+    Exactly n roots: g(0+) = 0, g(pi-) = (n + 1) * pi, and
+    g' = (n - 1) + 2 (1 - P)(1 + P - (rho1 + rho2) cos(theta)) / (x**2 + y**2)
+    is positive because 1 + P - (rho1 + rho2) cos(theta) >= (1 - rho1)(1 - rho2).
+    So g crosses each m * pi, m = 1..n, once, there is no root outside
+    (0, pi), and theta_m lies in [(m - 2) pi / (n - 1), m pi / (n - 1)]
+    because 0 < atan2(y, x) < pi.  The n sine vectors with distinct angles
+    are independent, so they are all the eigenvectors.  The angles depend
+    on rho1, rho2 and n alone: both hypotheses share them.
+
+    With d = -2 (rho1 - rho2) x / ((1 - rho1**2)(1 - rho2**2)) = u1 - u2,
+    the eigenvalue is evaluated as
+    (alpha_h / u_h) * (d / alpha_hi + u_lo * (1/alpha1 - 1/alpha2)), where
+    alpha_hi is the larger alpha and u_lo the symbol of the other class.
+    Both terms shrink as the classes coincide, and together they are at
+    most twice the size of u1/alpha1 and u2/alpha2, so the difference keeps
+    its accuracy relative to the largest eigenvalue.  Returned in ascending
+    order.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if hypothesis not in (1, 2):
         raise ConfigError(f"hypothesis must be 1 or 2, got {hypothesis}")
-    stats_h = stats1 if hypothesis == 1 else stats2
-    lower = kms_cholesky_factor(KmsMatrix(stats_h.alpha, stats_h.rho, horizon))
-    m1 = KmsMatrix(stats1.alpha, stats1.rho, horizon)
-    m2 = KmsMatrix(stats2.alpha, stats2.rho, horizon)
-    q_lower = kms_inverse_apply(m1, lower) - kms_inverse_apply(m2, lower)
-    sym = lower.T @ q_lower
-    sym = (sym + sym.T) / 2.0  # remove rounding asymmetry before eigvalsh
-    return QuadFormSpectrum(eigenvalues=np.linalg.eigvalsh(sym), horizon=horizon)
+    a1, r1 = stats1.alpha, stats1.rho
+    a2, r2 = stats2.alpha, stats2.rho
+    a_h = a1 if hypothesis == 1 else a2
+    # 1/alpha1 - 1/alpha2; differencing the alphas first is exact when they are close
+    inverse_gap = (a2 - a1) / a1 / a2
+    if r1 == r2 or horizon == 1:
+        eigs = np.full(horizon, a_h * inverse_gap)
+        return QuadFormSpectrum(eigenvalues=eigs, horizon=horizon)
+    half_sin = np.sin(0.5 * _eigen_angles(r1, r2, horizon))
+    w = half_sin * half_sin
+    x = (1.0 - r1) * (1.0 - r2) - 2.0 * (1.0 + r1 * r2) * w
+    u1 = _inverse_symbol(r1, w)
+    u2 = _inverse_symbol(r2, w)
+    d = -2.0 * (r1 - r2) * x / ((1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2))
+    u_h = u1 if hypothesis == 1 else u2
+    u_lo = u1 if a1 <= a2 else u2
+    eigs = a_h / u_h * (d / max(a1, a2) + u_lo * inverse_gap)
+    return QuadFormSpectrum(eigenvalues=np.sort(eigs), horizon=horizon)
+
+
+def _inverse_symbol(rho: float, w: np.ndarray) -> np.ndarray:
+    """u(theta) = alpha / f(theta) for AR(1), as a function of w = sin(theta/2)**2."""
+    return ((1.0 - rho) ** 2 + 4.0 * rho * w) / ((1.0 - rho) * (1.0 + rho))
+
+
+def _eigen_angles(rho1: float, rho2: float, n: int) -> np.ndarray:
+    """The n roots theta_m of g(theta) = m * pi (see q_sigma_eigenvalues).
+
+    Newton on all m at once from theta_m = m pi / (n + 1), kept inside a
+    bracket that starts at [(m - 2) pi / (n - 1), m pi / (n - 1)] and shrinks
+    with the sign of each residual; a step that would leave it bisects
+    instead.  A root is done, and frozen, once its step is below four ulps
+    or below the rounding of its residual, whose terms are all under
+    (m + 2) pi.  The stop tests the step, not the bracket width: a bracket
+    test can bounce forever between two adjacent floats.
+    """
+    eps = np.finfo(float).eps
+    p = rho1 * rho2
+    corner = (1.0 - rho1) * (1.0 - rho2)
+    m = np.arange(1, n + 1, dtype=float)
+    target = m * math.pi
+    noise = 8.0 * eps * (target + 2.0 * math.pi)
+    theta = target / (n + 1)
+    lo = np.maximum(target - 2.0 * math.pi, 0.0) / (n - 1)
+    hi = np.minimum(target / (n - 1), math.pi)
+    done = np.zeros(n, dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        half_sin = np.sin(0.5 * theta)
+        w = half_sin * half_sin
+        y = 2.0 * (1.0 - p) * half_sin * np.cos(0.5 * theta)  # (1 - P) sin(theta)
+        x = corner - 2.0 * (1.0 + p) * w
+        resid = (n - 1) * theta + 2.0 * np.arctan2(y, x) - target
+        # 1 + P - (rho1 + rho2) cos(theta), written without cancellation
+        slope = (n - 1) + 2.0 * (1.0 - p) * (corner + 2.0 * (rho1 + rho2) * w) / (
+            x * x + y * y
+        )
+        lo = np.where(resid < 0.0, theta, lo)
+        hi = np.where(resid > 0.0, theta, hi)
+        new = theta - resid / slope
+        new = np.where((new <= lo) | (new >= hi), 0.5 * (lo + hi), new)
+        new = np.where(done, theta, new)
+        done |= np.abs(new - theta) <= 4.0 * eps * theta + noise / slope
+        theta = new
+        if done.all():
+            return theta
+    raise NumericalError(
+        f"eigen-angle solve did not converge in {_NEWTON_MAX_ITER} steps "
+        f"(rho1={rho1!r}, rho2={rho2!r}, n={n})"
+    )
 
 
 def _phi_arrays(eigenvalues: np.ndarray, u: np.ndarray):
     """log-magnitude and phase of the characteristic function on a grid.
 
-    Accumulated per eigenvalue as -1/4 * log1p(4 u^2 lam^2) and
-    1/2 * atan(2 u lam): log-polar form never touches a complex square
+    Summed over eigenvalues as -1/4 * log1p(4 u^2 lam^2) and
+    1/2 * atan(2 u lam), a block of eigenvalues at a time: a block holds at
+    most _PHI_BLOCK (eigenvalue, grid point) pairs, or one eigenvalue on a
+    larger grid, so the temporaries stay at three grid rows as in a loop
+    over single eigenvalues.  Log-polar form never touches a complex square
     root, so there are no branch-cut discontinuities to manage.
     """
-    logmag = np.zeros_like(u)
-    phase = np.zeros_like(u)
-    for lam in eigenvalues:
-        x = 2.0 * u * lam
-        logmag -= 0.25 * np.log1p(x * x)
-        phase += 0.5 * np.arctan(x)
-    return logmag, phase
+    log_sum = np.zeros_like(u)
+    atan_sum = np.zeros_like(u)
+    rows = max(1, _PHI_BLOCK // u.size)
+    for start in range(0, eigenvalues.size, rows):
+        x = np.multiply.outer(2.0 * eigenvalues[start : start + rows], u)
+        square = x * x
+        atan_sum += np.arctan(x, out=x).sum(axis=0)
+        log_sum += np.log1p(square, out=square).sum(axis=0)
+    log_sum *= -0.25  # scaling by a power of two is exact
+    atan_sum *= 0.5
+    return log_sum, atan_sum
 
 
 def characteristic_function(spectrum: QuadFormSpectrum, omega: float) -> complex:
@@ -513,7 +631,7 @@ class ErrorSurface:
                 ["mass_ratio\\gain_ratio"] + [repr(float(g)) for g in self.gain_ratios]
             )
             for mr, errors in zip(self.mass_ratios, self.total_errors):
-                cells = [repr(float(np.log10(e))) if e > 0 else "" for e in errors]
+                cells = [repr(math.log10(e)) if e > 0 else "" for e in errors]
                 writer.writerow([repr(float(mr))] + cells)
 
 

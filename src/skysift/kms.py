@@ -102,8 +102,9 @@ def kms_cholesky_factor(m: KmsMatrix) -> np.ndarray:
     """Dense lower Cholesky factor, written entrywise from the AR(1) structure.
 
     Column 0 is sqrt(alpha) * rho**i; column j >= 1 is
-    sqrt(alpha * (1 - rho**2)) * rho**(i - j) for i >= j.  Used by the
-    eigenvalue path (which is dense anyway), not by the detector.
+    sqrt(alpha * (1 - rho**2)) * rho**(i - j) for i >= j.  O(n^2) memory:
+    neither the detector nor the error analysis uses it; the tests build
+    their dense eigenvalue oracle from it.
     """
     n, rho = m.dim, m.rho
     i = np.arange(n)

@@ -115,8 +115,8 @@ def covariance_matrix(stats: ClassStatistics, horizon: int) -> np.ndarray:
     """Dense covariance of the sampled series: entry (i, j) = alpha * rho**|i-j|.
 
     Symmetric Toeplitz with exponentially decaying bands; positive definite
-    for 0 < rho < 1.  Intended for oracles and eigenvalue work, not for the
-    detector path, which never materializes the dense matrix.
+    for 0 < rho < 1.  Intended for test oracles: neither the detector nor
+    the error analysis materializes the dense matrix.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")

@@ -1,17 +1,23 @@
 import cmath
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import skysift as sk
+from skysift import error_analysis
 from skysift.detector import detector_from_scenario, threshold
 from skysift.error_analysis import (
     AccuracyBudget,
     ErrorSurface,
     QuadFormSpectrum,
     _inversion_sum,
+    _phi_arrays,
     accuracy_budget,
     cdf_quadratic_form,
     cdf_quadratic_form_raw,
@@ -21,6 +27,7 @@ from skysift.error_analysis import (
     total_error,
 )
 from skysift.errors import ConfigError, NumericalError
+from skysift.kms import KmsMatrix, kms_cholesky_factor, kms_inverse_apply
 from skysift.simulator import _sample_matrix
 
 # Frozen fixtures for the default scenario (horizon 20), cross-checked against
@@ -50,6 +57,88 @@ def closed_form_cdf_pair(eigenvalue: float, z: float) -> float:
     return math.exp(-z / (2 * eigenvalue)) if z < 0 else 1.0
 
 
+# the default error-surface grid: class 2 as these ratios of class 1's
+# mass and gain
+SURFACE_RATIOS = [float(r) for r in np.geomspace(0.25, 4.0, 5)]
+
+
+def dense_spectrum(stats1, stats2, horizon, hypothesis):
+    """Dense oracle: eigvalsh of the symmetric similar matrix L' Q L, where
+    L is the analytic Cholesky factor of the hypothesis covariance and
+    Q = Sigma1^-1 - Sigma2^-1 is applied column by column.  O(n^3)."""
+    stats_h = stats1 if hypothesis == 1 else stats2
+    lower = kms_cholesky_factor(KmsMatrix(stats_h.alpha, stats_h.rho, horizon))
+    q_lower = kms_inverse_apply(
+        KmsMatrix(stats1.alpha, stats1.rho, horizon), lower
+    ) - kms_inverse_apply(KmsMatrix(stats2.alpha, stats2.rho, horizon), lower)
+    sym = lower.T @ q_lower
+    return np.linalg.eigvalsh((sym + sym.T) / 2.0)
+
+
+def pencil_count_below(stats1, stats2, horizon, hypothesis, sigmas, dps=40):
+    """Exact-count oracle: the number of eigenvalues below each sigma.
+
+    Sigma_h^-1 is positive definite, so by Sylvester's law of inertia that
+    number is the count of negative pivots in the LDL' factorization of the
+    tridiagonal Q - sigma * Sigma_h^-1.  The pivots are computed in 40-digit
+    arithmetic from the exact binary inputs, so the count is exact for any
+    sigma not within ~1e-30 of an eigenvalue.
+    """
+    with mpmath.workdps(dps):
+        coefs = []
+        for stats in (stats1, stats2):
+            a, r = mpmath.mpf(stats.alpha), mpmath.mpf(stats.rho)
+            c = 1 / (a * (1 - r * r))
+            # each inverse: c * ((1 + r^2) I - r S - r^2 E)
+            coefs.append((c * (1 + r * r), -c * r, -c * r * r))
+        h = coefs[hypothesis - 1]
+        counts = []
+        for sigma in sigmas:
+            s = mpmath.mpf(float(sigma))
+            diag, off, corner = (
+                coefs[0][i] - coefs[1][i] - s * h[i] for i in range(3)
+            )
+            count, pivot = 0, None
+            for k in range(horizon):
+                entry = diag + corner * ((k == 0) + (k == horizon - 1))
+                pivot = entry if pivot is None else entry - off * off / pivot
+                if pivot == 0:
+                    pivot = mpmath.mpf(10) ** (-dps)
+                count += pivot < 0
+            counts.append(count)
+        return counts
+
+
+def _inverse_density(stats, w):
+    """1 / f(theta) for the AR(1) spectral density f, at w = sin(theta/2)^2."""
+    rho = stats.rho
+    return ((1 - rho) ** 2 + 4 * rho * w) / (stats.alpha * (1 - rho * rho))
+
+
+def symbol_range(stats1, stats2, hypothesis):
+    """Range over theta of (1/f1 - 1/f2) * f_h: a ratio of two linear
+    functions of sin(theta/2)^2, so its extremes sit at theta = 0 and pi."""
+    stats_h = stats1 if hypothesis == 1 else stats2
+    ends = [
+        (_inverse_density(stats1, w) - _inverse_density(stats2, w))
+        / _inverse_density(stats_h, w)
+        for w in (0.0, 1.0)
+    ]
+    return min(ends), max(ends)
+
+
+def term_scale(stats1, stats2, hypothesis):
+    """Largest eigenvalue of either term of Q * Sigma_h, Sigma_i^-1 * Sigma_h,
+    which lies in the range of f_h / f_i.  An oracle that forms Q rounds
+    relative to this size, however small the difference is."""
+    stats_h = stats1 if hypothesis == 1 else stats2
+    return max(
+        _inverse_density(stats, w) / _inverse_density(stats_h, w)
+        for stats in (stats1, stats2)
+        for w in (0.0, 1.0)
+    )
+
+
 def spectra_for(scenario, kf=None):
     kf = kf or scenario.sampling.horizon
     st1, st2 = scenario.stats1(), scenario.stats2()
@@ -72,28 +161,152 @@ def test_spectrum_trace_closed_form(default_scenario):
     over the tridiagonal bands with closed-form band sums.
     """
     st1, st2 = default_scenario.stats1(), default_scenario.stats2()
-    n = default_scenario.sampling.horizon
     a1, r1 = st1.alpha, st1.rho
     a2, r2 = st2.alpha, st2.rho
-    diag = (2.0 + (n - 2) * (1.0 + r2 * r2)) * a1
-    off = 2.0 * (n - 1) * r2 * (a1 * r1)
-    expected = n - (diag - off) / (a2 * (1.0 - r2 * r2))
-    sp1, _ = spectra_for(default_scenario)
-    assert float(np.sum(sp1.eigenvalues)) == pytest.approx(expected, rel=1e-12)
+    for n in (default_scenario.sampling.horizon, 100_000):
+        diag = (2.0 + (n - 2) * (1.0 + r2 * r2)) * a1
+        off = 2.0 * (n - 1) * r2 * (a1 * r1)
+        expected = n - (diag - off) / (a2 * (1.0 - r2 * r2))
+        started = time.perf_counter()
+        sp1 = q_sigma_eigenvalues(st1, st2, n, hypothesis=1)
+        elapsed = time.perf_counter() - started
+        assert float(np.sum(sp1.eigenvalues)) == pytest.approx(expected, rel=1e-12)
+    # the long horizon: O(n), and every eigenvalue inside the symbol's range
+    assert elapsed < 1.0, f"horizon 100000 took {elapsed:.2f}s"
+    lo, hi = symbol_range(st1, st2, 1)
+    slack = 1e-12 * max(abs(lo), abs(hi))
+    assert lo - slack <= sp1.eigenvalues[0] and sp1.eigenvalues[-1] <= hi + slack
 
 
-@pytest.mark.parametrize("kf", [1, 2, 5, 17, 40])
+@pytest.mark.parametrize("kf", [1, 2, 3, 5, 17, 20, 40, 200, 400])
 def test_spectra_match_dense_eigensolve(default_scenario, kf):
-    st1, st2 = default_scenario.stats1(), default_scenario.stats2()
-    q = np.linalg.inv(sk.covariance_matrix(st1, kf)) - np.linalg.inv(
-        sk.covariance_matrix(st2, kf)
+    """Every cell of the default error-surface grid, both hypotheses,
+    against the dense L' Q L oracle, to 1e-12 of the largest eigenvalue or,
+    where the classes nearly coincide and the eigenvalues are tiny, of the
+    terms the oracle subtracts (see term_scale)."""
+    base = default_scenario.to_dict()
+    for mass_ratio in SURFACE_RATIOS:
+        for gain_ratio in SURFACE_RATIOS:
+            cell = sk.Scenario.from_dict(
+                dict(
+                    base,
+                    m2=base["m1"] * mass_ratio,
+                    k2=base["k1"] * gain_ratio,
+                    kf=kf,
+                )
+            )
+            st1, st2 = cell.stats1(), cell.stats2()
+            for hyp in (1, 2):
+                dense = dense_spectrum(st1, st2, kf, hyp)
+                analytic = q_sigma_eigenvalues(st1, st2, kf, hypothesis=hyp)
+                error = np.max(np.abs(analytic.eigenvalues - dense))
+                scale = max(np.max(np.abs(dense)), term_scale(st1, st2, hyp))
+                assert error <= 1e-12 * scale, (
+                    mass_ratio,
+                    gain_ratio,
+                    hyp,
+                )
+
+
+_ALPHAS = st.floats(min_value=1e-3, max_value=1e3)
+_RHOS = st.floats(min_value=1e-4, max_value=0.9999)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha1=_ALPHAS,
+    rho1=_RHOS,
+    alpha2=_ALPHAS,
+    rho2=_RHOS,
+    horizon=st.integers(min_value=1, max_value=60),
+    hypothesis=st.sampled_from([1, 2]),
+)
+def test_spectrum_matches_exact_eigenvalue_counts(
+    alpha1, rho1, alpha2, rho2, horizon, hypothesis
+):
+    """Each sorted eigenvalue lies within 1e-12 of the largest |eigenvalue|
+    of the exact one: the exact-count oracle puts at most m eigenvalues
+    below lam_m - tol and at least m + 1 below lam_m + tol.  The dense
+    oracle cannot serve here: at rho1 ~ rho2 ~ 0.9999 it is itself off by
+    up to ~6e-10 of the largest eigenvalue (checked against 40-digit
+    eigensolves)."""
+    st1 = sk.ClassStatistics(alpha=alpha1, rho=rho1)
+    st2 = sk.ClassStatistics(alpha=alpha2, rho=rho2)
+    eigs = q_sigma_eigenvalues(st1, st2, horizon, hypothesis).eigenvalues
+    assert np.all(np.diff(eigs) >= 0.0)
+    # an exactly zero spectrum (equal alphas with equal rhos, or at horizon
+    # 1) is checked to 1e-25 of the terms, far above the oracle's rounding
+    tol = max(
+        1e-12 * float(np.max(np.abs(eigs))),
+        1e-25 * term_scale(st1, st2, hypothesis),
     )
-    for hyp, stats in ((1, st1), (2, st2)):
-        dense = np.sort(np.linalg.eigvals(q @ sk.covariance_matrix(stats, kf)).real)
-        analytic = np.sort(
-            q_sigma_eigenvalues(st1, st2, kf, hypothesis=hyp).eigenvalues
+    below_lo = pencil_count_below(st1, st2, horizon, hypothesis, eigs - tol)
+    below_hi = pencil_count_below(st1, st2, horizon, hypothesis, eigs + tol)
+    m = np.arange(horizon)
+    assert np.all(np.array(below_lo) <= m)
+    assert np.all(np.array(below_hi) >= m + 1)
+
+
+def test_one_ulp_alpha_pair_converges():
+    """The surface cell with mass ratio 2 and gain ratio 1/2: the alphas
+    differ by one ulp while the rhos differ, so the angle solve must stop on
+    its step size.  At horizon 1 the eigenvalue takes that one-ulp
+    difference exactly."""
+    base = sk.Scenario.default().to_dict()
+    s = sk.Scenario.from_dict(
+        dict(base, m2=base["m1"] * SURFACE_RATIOS[3], k2=base["k1"] * SURFACE_RATIOS[1])
+    )
+    st1, st2 = s.stats1(), s.stats2()
+    assert st2.alpha == np.nextafter(st1.alpha, math.inf)
+    assert st1.rho != st2.rho
+    for hyp, alpha_h in ((1, st1.alpha), (2, st2.alpha)):
+        dense = dense_spectrum(st1, st2, 20, hyp)
+        got = q_sigma_eigenvalues(st1, st2, 20, hypothesis=hyp).eigenvalues
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+        scalar = q_sigma_eigenvalues(st1, st2, 1, hypothesis=hyp).eigenvalues[0]
+        assert scalar == alpha_h * (st2.alpha - st1.alpha) / st1.alpha / st2.alpha
+        assert scalar > 0.0
+
+
+def test_equal_rho_gives_equal_eigenvalues():
+    """Equal rhos make Q a multiple of Sigma_h^-1: one eigenvalue, n times."""
+    st1 = sk.ClassStatistics(alpha=0.4, rho=0.3)
+    st2 = sk.ClassStatistics(alpha=0.7, rho=0.3)
+    for hyp, alpha_h in ((1, 0.4), (2, 0.7)):
+        sp = q_sigma_eigenvalues(st1, st2, 12, hypothesis=hyp)
+        assert np.all(sp.eigenvalues == sp.eigenvalues[0])
+        assert sp.eigenvalues[0] == pytest.approx(
+            alpha_h * (1 / 0.4 - 1 / 0.7), rel=1e-15
         )
-        np.testing.assert_allclose(analytic, dense, atol=1e-9)
+        np.testing.assert_allclose(
+            sp.eigenvalues, dense_spectrum(st1, st2, 12, hyp), rtol=1e-12
+        )
+
+
+def test_angle_solve_cap_raises(monkeypatch, default_scenario):
+    monkeypatch.setattr(error_analysis, "_NEWTON_MAX_ITER", 1)
+    st1, st2 = default_scenario.stats1(), default_scenario.stats2()
+    with pytest.raises(NumericalError):
+        q_sigma_eigenvalues(st1, st2, 20, hypothesis=1)
+
+
+def test_phi_arrays_blocks_match_per_eigenvalue_loop(monkeypatch, default_scenario):
+    """The blocked accumulation equals the one-eigenvalue-at-a-time loop up
+    to summation order, whatever the block shape."""
+    sp1, _ = spectra_for(default_scenario)
+    eigs = sp1.eigenvalues
+    u = np.linspace(0.0, 40.0, 301)
+    logmag_ref = np.zeros_like(u)
+    phase_ref = np.zeros_like(u)
+    for lam in eigs:
+        x = 2.0 * u * lam
+        logmag_ref -= 0.25 * np.log1p(x * x)
+        phase_ref += 0.5 * np.arctan(x)
+    for block in (1, 7 * u.size, error_analysis._PHI_BLOCK):
+        monkeypatch.setattr(error_analysis, "_PHI_BLOCK", block)
+        logmag, phase = _phi_arrays(eigs, u)
+        np.testing.assert_allclose(logmag, logmag_ref, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(phase, phase_ref, rtol=1e-13, atol=1e-13)
 
 
 def test_hypothesis1_eigenvalues_below_one():
