@@ -11,12 +11,16 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .detector import (
-    SufficientStatistics,
+    _conditional_error_from_margin,
+    batch_statistics,
     detect_simplified,
     detector_from_scenario,
     fit_class_statistics,
     stream_update,
+    threshold,
 )
 from .error_analysis import error_surface, total_error
 from .errors import ConfigError, NumericalError
@@ -104,20 +108,26 @@ def _cmd_simulate(scenario: Scenario, args) -> None:
 def _cmd_detect(scenario: Scenario, args) -> None:
     batch = read_batch_csv(args.input, period=scenario.sampling.period)
     detector = detector_from_scenario(scenario)
-    lines = []
-    for i, (_, series) in enumerate(batch.trials):
-        report = detect_simplified(detector, SufficientStatistics.from_series(series.samples))
-        lines.append(
-            json.dumps(
+    lengths = np.array([len(series) for _, series in batch.trials])
+    lines = [""] * lengths.size
+    for n in np.unique(lengths).tolist():
+        trials = np.flatnonzero(lengths == n)
+        samples = np.stack([batch.trials[i][1].samples for i in trials])
+        z = threshold(detector, n)
+        statistics = batch_statistics(detector, samples)
+        if not np.isfinite(statistics).all():
+            bad = trials[np.argmin(np.isfinite(statistics))]
+            raise ConfigError(f"trial {bad}: decision statistic overflows")
+        for i, statistic in zip(trials.tolist(), statistics.tolist()):
+            lines[i] = json.dumps(
                 {
                     "trial": i,
-                    "decision": report.decision,
-                    "statistic": report.statistic,
-                    "z": report.threshold,
-                    "conditional_error": report.conditional_error,
+                    "decision": 1 if statistic <= z else 2,  # as detector._report
+                    "statistic": statistic,
+                    "z": z,
+                    "conditional_error": _conditional_error_from_margin(z - statistic),
                 }
             )
-        )
     _emit("\n".join(lines) + "\n", args.out)
 
 

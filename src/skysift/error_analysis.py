@@ -212,28 +212,36 @@ def q_sigma_eigenvalues(
     its accuracy relative to the largest eigenvalue.  Returned in ascending
     order.
     """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if hypothesis not in (1, 2):
         raise ConfigError(f"hypothesis must be 1 or 2, got {hypothesis}")
+    return _spectra(stats1, stats2, horizon)[hypothesis - 1]
+
+
+def _spectra(stats1: ClassStatistics, stats2: ClassStatistics, horizon: int):
+    """Both hypotheses' spectra (see q_sigma_eigenvalues) from one angle solve."""
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     a1, r1 = stats1.alpha, stats1.rho
     a2, r2 = stats2.alpha, stats2.rho
-    a_h = a1 if hypothesis == 1 else a2
     # 1/alpha1 - 1/alpha2; differencing the alphas first is exact when they are close
     inverse_gap = (a2 - a1) / a1 / a2
     if r1 == r2 or horizon == 1:
-        eigs = np.full(horizon, a_h * inverse_gap)
-        return QuadFormSpectrum(eigenvalues=eigs, horizon=horizon)
+        return tuple(
+            QuadFormSpectrum(np.full(horizon, a_h * inverse_gap), horizon)
+            for a_h in (a1, a2)
+        )
     half_sin = np.sin(0.5 * _eigen_angles(r1, r2, horizon))
     w = half_sin * half_sin
     x = (1.0 - r1) * (1.0 - r2) - 2.0 * (1.0 + r1 * r2) * w
     u1 = _inverse_symbol(r1, w)
     u2 = _inverse_symbol(r2, w)
     d = -2.0 * (r1 - r2) * x / ((1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2))
-    u_h = u1 if hypothesis == 1 else u2
     u_lo = u1 if a1 <= a2 else u2
-    eigs = a_h / u_h * (d / max(a1, a2) + u_lo * inverse_gap)
-    return QuadFormSpectrum(eigenvalues=np.sort(eigs), horizon=horizon)
+    gap = d / max(a1, a2) + u_lo * inverse_gap
+    return tuple(
+        QuadFormSpectrum(np.sort(a_h / u_h * gap), horizon)
+        for a_h, u_h in ((a1, u1), (a2, u2))
+    )
 
 
 def _inverse_symbol(rho: float, w: np.ndarray) -> np.ndarray:
@@ -567,8 +575,7 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     p1, p2 = sampling.prior1, sampling.prior2
     kf = sampling.horizon
 
-    spectrum1 = q_sigma_eigenvalues(stats1, stats2, kf, hypothesis=1)
-    spectrum2 = q_sigma_eigenvalues(stats1, stats2, kf, hypothesis=2)
+    spectrum1, spectrum2 = _spectra(stats1, stats2, kf)
 
     if spectrum1.kept().size == 0 or spectrum2.kept().size == 0:
         # degenerate pair: the statistic carries no information

@@ -14,8 +14,8 @@ stream.  Standard normals are produced by inverse-CDF transform
 archived CSV fixtures depend on it bit for bit.
 """
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +47,7 @@ class MeasurementSeries:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise ConfigError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise ConfigError("samples must all be finite")
         if not (math.isfinite(self.period) and self.period > 0):
             raise ConfigError(f"period must be positive and finite, got {self.period}")
@@ -165,47 +165,85 @@ def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBat
 
 
 def write_batch_csv(batch: TrialBatch, path) -> None:
-    """Write trials as CSV with header ``trial,label,k,y``, one row per sample."""
+    """Write trials as CSV with header ``trial,label,k,y``, one row per sample.
+
+    Lines end in CRLF, and ``y`` is the ``repr`` of the sample, which
+    round-trips exactly.
+    """
+    lengths = np.array([len(series) for _, series in batch.trials])
+    starts = np.cumsum(lengths) - lengths
+    trial = np.repeat(np.arange(lengths.size), lengths)
+    k = np.arange(trial.size) - np.repeat(starts, lengths)
+    label = np.repeat(batch.labels(), lengths)
+    y = np.concatenate([series.samples for _, series in batch.trials])
+    columns = zip(trial.tolist(), label.tolist(), k.tolist(), y.tolist())
+    rows = [f"{t},{lab},{i},{v!r}\r\n" for t, lab, i, v in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for trial_idx, (label, series) in enumerate(batch.trials):
-            for k, y in enumerate(series.samples):
-                # repr of a Python float round-trips exactly
-                writer.writerow([trial_idx, label, k, repr(float(y))])
+        fh.write(",".join(CSV_HEADER) + "\r\n" + "".join(rows))
+
+
+_CSV_ROW = np.dtype(
+    [("trial", np.int64), ("label", np.int64), ("k", np.int64), ("y", float)]
+)
+
+
+def _parse_rows(fh, path) -> np.ndarray:
+    """Parse the data rows after the header into a structured array."""
+    with warnings.catch_warnings():
+        # older numpy parses "1.0" into an integer field via float and only
+        # warns; make that a refusal, as int() refuses it
+        warnings.simplefilter("error", DeprecationWarning)
+        # input with no data rows warns; the caller refuses it
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(
+                fh,
+                dtype=_CSV_ROW,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                usecols=(0, 1, 2, 3),
+                ndmin=1,
+            )
+        except (ValueError, DeprecationWarning) as exc:
+            raise ConfigError(f"{path}: malformed row: {exc}") from exc
 
 
 def read_batch_csv(path, period: float = 1.0) -> TrialBatch:
     """Read trials written by :func:`write_batch_csv`.
 
+    Rows may come in any order; trials are returned in ascending trial id,
+    renumbered from 0, with samples in ``k`` order.  Blank lines are skipped
+    and fields after ``y`` ignored.  Refused with ``ConfigError``: a wrong
+    header, no data rows, a malformed or short row, a label other than 1 or
+    2 or two labels in one trial, ``k`` not exactly 0..n-1 within a trial,
+    and a non-finite ``y``.
+
     The CSV carries no sampling period; pass one if downstream code needs it
     (the detector itself never does).
     """
-    rows_by_trial: dict[int, list] = {}
-    labels: dict[int, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if tuple(header) != CSV_HEADER:
             raise ConfigError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                trial, label, k, y = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"{path}: malformed row {row!r}") from exc
-            if labels.setdefault(trial, label) != label:
-                raise ConfigError(f"{path}: trial {trial} has inconsistent labels")
-            rows_by_trial.setdefault(trial, []).append((k, y))
-    if not rows_by_trial:
+        rows = _parse_rows(fh, path)
+    if rows.size == 0:
         raise ConfigError(f"{path}: no data rows")
-    trials = []
-    for trial in sorted(rows_by_trial):
-        rows = sorted(rows_by_trial[trial])
-        ks = [k for k, _ in rows]
-        if ks != list(range(len(ks))):
-            raise ConfigError(f"{path}: trial {trial} has non-contiguous sample indices")
-        samples = np.array([y for _, y in rows])
-        trials.append((labels[trial], MeasurementSeries(samples=samples, period=period)))
-    return TrialBatch(trials=tuple(trials), seed=None)
+    rows = rows[np.lexsort((rows["k"], rows["trial"]))]
+    trial, label, k, y = rows["trial"], rows["label"], rows["k"], rows["y"]
+    starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
+    lengths = np.diff(starts, append=trial.size)
+    first = np.repeat(starts, lengths)
+
+    def refuse(bad: np.ndarray, problem: str) -> None:
+        if bad.any():
+            raise ConfigError(f"{path}: trial {trial[np.argmax(bad)]} {problem}")
+
+    refuse(label != label[first], "has inconsistent labels")
+    refuse(k != np.arange(trial.size) - first, "has non-contiguous sample indices")
+    refuse(~np.isfinite(y), "has a non-finite sample")
+    trials = tuple(
+        (lab, MeasurementSeries(samples=y[lo : lo + n], period=period))
+        for lab, lo, n in zip(label[starts].tolist(), starts.tolist(), lengths.tolist())
+    )
+    return TrialBatch(trials=trials, seed=None)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from skysift.cli import main
@@ -10,7 +12,12 @@ from skysift.detector import (
     detector_from_scenario,
 )
 from skysift.model import Scenario
-from skysift.simulator import TrialBatch, simulate_batch, write_batch_csv
+from skysift.simulator import (
+    MeasurementSeries,
+    TrialBatch,
+    simulate_batch,
+    write_batch_csv,
+)
 
 TOTAL_ERROR = 0.08114205761444201  # defaults, accuracy 1e-6
 
@@ -63,9 +70,57 @@ def test_detect_matches_library(tmp_path):
             detector, SufficientStatistics.from_series(series.samples)
         )
         assert record["decision"] == report.decision
-        assert record["statistic"] == pytest.approx(report.statistic, rel=1e-12)
+        assert record["statistic"] == report.statistic
         assert record["z"] == report.threshold
         assert 0 < record["conditional_error"] <= 0.5
+
+
+def test_simulate_and_detect_bytes_pinned(tmp_path):
+    """Digests of the seed-1, 1000-trial CSV and of its detect output."""
+    csv_path = tmp_path / "trials.csv"
+    out = tmp_path / "decisions.jsonl"
+    assert run("--seed", 1, "simulate", "--trials", 1000, "--out", csv_path) == 0
+    assert run("detect", "--input", csv_path, "--out", out) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "2d2ecaccf9918841ab0d01bd6544825b8f9409ee5e593c333b441fc6ba6c543e"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "33ea6601ecc769d4fd9faba9c7d52bb67439a7218739a0116c582b2d688193fd"
+    )
+
+
+def test_detect_ragged_trials(tmp_path):
+    rng = np.random.default_rng(5)
+    lengths = (3, 5, 5, 3, 5)
+    trials = tuple(
+        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n), period=1.0))
+        for i, n in enumerate(lengths)
+    )
+    csv_path = tmp_path / "ragged.csv"
+    out = tmp_path / "decisions.jsonl"
+    write_batch_csv(TrialBatch(trials=trials), csv_path)
+    assert run("detect", "--input", csv_path, "--out", out) == 0
+
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    detector = detector_from_scenario(Scenario.default())
+    assert [r["trial"] for r in records] == list(range(len(lengths)))
+    for record, (_, series) in zip(records, trials):
+        report = detect_simplified(
+            detector, SufficientStatistics.from_series(series.samples)
+        )
+        assert record["decision"] == report.decision
+        assert record["statistic"] == report.statistic
+        assert record["z"] == report.threshold
+        assert record["conditional_error"] == report.conditional_error
+
+
+def test_detect_overflowing_statistic_exits_2(tmp_path):
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text(
+        "trial,label,k,y\n0,1,0,1e200\n0,1,1,1e200\n", encoding="utf-8"
+    )
+    with np.errstate(over="ignore"):
+        assert run("detect", "--input", csv_path) == 2
 
 
 def test_detect_stdout(tmp_path, capsys):

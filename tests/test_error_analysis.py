@@ -208,6 +208,65 @@ def test_spectra_match_dense_eigensolve(default_scenario, kf):
                 )
 
 
+
+def one_hypothesis_spectrum(stats1, stats2, horizon, hypothesis):
+    """The spectrum formula of q_sigma_eigenvalues, evaluated for one
+    hypothesis with its own angle solve."""
+    a1, r1 = stats1.alpha, stats1.rho
+    a2, r2 = stats2.alpha, stats2.rho
+    a_h = a1 if hypothesis == 1 else a2
+    inverse_gap = (a2 - a1) / a1 / a2
+    if r1 == r2 or horizon == 1:
+        return np.full(horizon, a_h * inverse_gap)
+    half_sin = np.sin(0.5 * error_analysis._eigen_angles(r1, r2, horizon))
+    w = half_sin * half_sin
+    x = (1.0 - r1) * (1.0 - r2) - 2.0 * (1.0 + r1 * r2) * w
+    u1 = error_analysis._inverse_symbol(r1, w)
+    u2 = error_analysis._inverse_symbol(r2, w)
+    d = -2.0 * (r1 - r2) * x / ((1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2))
+    u_h = u1 if hypothesis == 1 else u2
+    u_lo = u1 if a1 <= a2 else u2
+    return np.sort(a_h / u_h * (d / max(a1, a2) + u_lo * inverse_gap))
+
+
+@pytest.mark.parametrize("kf", [1, 20, 400])
+def test_shared_angle_solve_is_bit_identical(default_scenario, kf):
+    """Both spectra of a report come from one angle solve, bit for bit equal
+    to solving once per hypothesis, on every cell of the surface grid."""
+    base = default_scenario.to_dict()
+    for mass_ratio in SURFACE_RATIOS:
+        for gain_ratio in SURFACE_RATIOS:
+            cell = sk.Scenario.from_dict(
+                dict(
+                    base,
+                    m2=base["m1"] * mass_ratio,
+                    k2=base["k1"] * gain_ratio,
+                    kf=kf,
+                )
+            )
+            st1, st2 = cell.stats1(), cell.stats2()
+            both = error_analysis._spectra(st1, st2, kf)
+            for hyp in (1, 2):
+                expected = one_hypothesis_spectrum(st1, st2, kf, hyp).tobytes()
+                assert both[hyp - 1].eigenvalues.tobytes() == expected
+                single = q_sigma_eigenvalues(st1, st2, kf, hypothesis=hyp)
+                assert single.eigenvalues.tobytes() == expected
+
+
+def test_total_error_solves_angles_once(monkeypatch, default_scenario):
+    expected = total_error(default_scenario).total_error
+    calls = []
+    solve = error_analysis._eigen_angles
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(error_analysis, "_eigen_angles", counted)
+    report = total_error(default_scenario)
+    assert len(calls) == 1
+    assert report.total_error == expected
+
 _ALPHAS = st.floats(min_value=1e-3, max_value=1e3)
 _RHOS = st.floats(min_value=1e-4, max_value=0.9999)
 

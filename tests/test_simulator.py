@@ -127,37 +127,52 @@ def test_csv_roundtrip_exact(tmp_path):
 
 
 def test_csv_read_validation(tmp_path):
-    good = "trial,label,k,y\n0,1,0,0.5\n0,1,1,0.25\n"
+    header = "trial,label,k,y\n"
+    good = header + "0,1,0,0.5\n0,1,1,0.25\n"
 
-    p = tmp_path / "header.csv"
-    p.write_text("trial,label,t,y\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        read_batch_csv(p)
-
-    p = tmp_path / "empty.csv"
-    p.write_text("trial,label,k,y\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        read_batch_csv(p)
-
-    p = tmp_path / "label.csv"
-    p.write_text(good + "0,2,2,0.1\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        read_batch_csv(p)
-
-    p = tmp_path / "gap.csv"
-    p.write_text("trial,label,k,y\n0,1,0,0.5\n0,1,2,0.25\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        read_batch_csv(p)
-
-    p = tmp_path / "mangled.csv"
-    p.write_text("trial,label,k,y\n0,1,zero,0.5\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        read_batch_csv(p)
+    refused = {
+        "header": "trial,label,t,y\n",
+        "empty": header,
+        "label": good + "0,2,2,0.1\n",  # two labels in one trial
+        "label3": header + "0,3,0,0.5\n",
+        "gap": header + "0,1,0,0.5\n0,1,2,0.25\n",
+        "duplicate_k": header + "0,1,0,0.5\n0,1,1,0.25\n0,1,1,0.75\n",
+        "mangled": header + "0,1,zero,0.5\n",
+        "three_fields": good + "0,1,2\n",
+        "int_half": header + "0,1,0,0.5\n0,1,1.5,0.25\n",
+        "int_float": header + "0,1,0,0.5\n0,1,1.0,0.25\n",
+        "nan": good + "0,1,2,nan\n",
+        "inf": good + "0,1,2,inf\n",
+    }
+    for name, text in refused.items():
+        p = tmp_path / f"{name}.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            read_batch_csv(p)
 
     p = tmp_path / "good.csv"
     p.write_text(good, encoding="utf-8")
     batch = read_batch_csv(p, period=0.5)
     assert batch.trials[0][1].period == 0.5
+
+    # blank lines are skipped and extra trailing fields ignored
+    p = tmp_path / "loose.csv"
+    p.write_text(header + "\n0,1,0,0.5,note\n\n0,1,1,0.25\n\n", encoding="utf-8")
+    batch = read_batch_csv(p)
+    assert batch.labels().tolist() == [1]
+    np.testing.assert_array_equal(batch.trials[0][1].samples, [0.5, 0.25])
+
+    # rows in any order come back in trial, then k order; trial ids {3, 7}
+    # are renumbered 0, 1
+    p = tmp_path / "shuffled.csv"
+    p.write_text(
+        header + "7,2,1,-1.5\n3,1,2,0.3\n7,2,0,2.5\n3,1,0,0.1\n3,1,1,0.2\n",
+        encoding="utf-8",
+    )
+    batch = read_batch_csv(p)
+    assert batch.labels().tolist() == [1, 2]
+    np.testing.assert_array_equal(batch.trials[0][1].samples, [0.1, 0.2, 0.3])
+    np.testing.assert_array_equal(batch.trials[1][1].samples, [2.5, -1.5])
 
 
 def test_measurement_series_validation():
