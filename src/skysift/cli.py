@@ -15,6 +15,7 @@ import numpy as np
 
 from .detector import (
     _conditional_error_from_margin,
+    _length_groups,
     batch_statistics,
     detect_simplified,
     detector_from_scenario,
@@ -108,12 +109,9 @@ def _cmd_simulate(scenario: Scenario, args) -> None:
 def _cmd_detect(scenario: Scenario, args) -> None:
     batch = read_batch_csv(args.input, period=scenario.sampling.period)
     detector = detector_from_scenario(scenario)
-    lengths = np.array([len(series) for _, series in batch.trials])
-    lines = [""] * lengths.size
-    for n in np.unique(lengths).tolist():
-        trials = np.flatnonzero(lengths == n)
-        samples = np.stack([batch.trials[i][1].samples for i in trials])
-        z = threshold(detector, n)
+    lines = [""] * len(batch.trials)
+    for trials, samples in _length_groups(batch):
+        z = threshold(detector, samples.shape[1])
         statistics = batch_statistics(detector, samples)
         if not np.isfinite(statistics).all():
             bad = trials[np.argmin(np.isfinite(statistics))]

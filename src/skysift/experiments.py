@@ -6,7 +6,6 @@ bit-identically.  Plotting itself is out of scope; the column contracts are
 documented per run function.
 """
 
-import csv
 import hashlib
 import json
 import time
@@ -17,17 +16,18 @@ import numpy as np
 
 from . import __version__
 from .detector import (
+    _full_statistics,
+    _roc_points,
     batch_statistics,
     detect_simplified,
     detector_from_scenario,
-    roc_sweep,
     stream_update,
     threshold,
 )
 from .error_analysis import error_surface, total_error
 from .errors import ConfigError
 from .model import Scenario
-from .simulator import TrialBatch, simulate_batch
+from .simulator import _simulate_samples
 
 __all__ = [
     "ExperimentConfig",
@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.name!r}; choose from {EXPERIMENT_NAMES}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_trials is not None and self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if not (0.0 < self.accuracy < 1.0):
@@ -157,29 +159,24 @@ def _prepare(config: ExperimentConfig) -> float:
     return time.monotonic()
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _cell(v) -> str:
     # None becomes an empty cell: outputs carry no non-finite values
+    if v is None:
+        return ""
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """CSV with CRLF line ends, floats written as their ``repr``."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    ""
-                    if v is None
-                    else repr(float(v))
-                    if isinstance(v, float)
-                    else v
-                    for v in row
-                ]
-            )
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _batch_statistics(config: ExperimentConfig, batch: TrialBatch):
-    """Decision statistics for a full batch, each equal bit for bit to
-    ``detect_simplified`` on that trial's ``SufficientStatistics.from_series``."""
+def _batch_statistics(config: ExperimentConfig, samples: np.ndarray):
+    """Decision statistics of a (trials, n) matrix, each equal bit for bit to
+    ``detect_simplified`` on that row's ``SufficientStatistics.from_series``."""
     detector = detector_from_scenario(config.scenario)
-    samples = np.stack([series.samples for _, series in batch.trials])
     return batch_statistics(detector, samples), threshold(detector, samples.shape[1])
 
 
@@ -190,9 +187,8 @@ def run_scatter(config: ExperimentConfig) -> RunManifest:
     scatter_summary.json with the empirical confusion matrix.
     """
     started = _prepare(config)
-    batch = simulate_batch(config.scenario, config.trials(), config.seed)
-    statistics, z = _batch_statistics(config, batch)
-    labels = batch.labels()
+    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
+    statistics, z = _batch_statistics(config, samples)
     decisions = np.where(statistics <= z, 1, 2)
 
     csv_path = config.out_dir / "scatter.csv"
@@ -200,8 +196,10 @@ def run_scatter(config: ExperimentConfig) -> RunManifest:
         csv_path,
         ("trial", "label", "statistic", "z"),
         (
-            (i, int(labels[i]), float(statistics[i]), float(z))
-            for i in range(labels.size)
+            (i, label, statistic, z)
+            for i, (label, statistic) in enumerate(
+                zip(labels.tolist(), statistics.tolist())
+            )
         ),
     )
     summary = {
@@ -230,28 +228,26 @@ def run_streaming(config: ExperimentConfig) -> RunManifest:
     streaming_summary.json with the stabilization horizon.
     """
     started = _prepare(config)
-    batch = simulate_batch(config.scenario, config.trials(), config.seed)
-    trial_idx = next(
-        (i for i, (label, _) in enumerate(batch.trials) if label == 2), None
-    )
-    if trial_idx is None:
+    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
+    class2 = np.flatnonzero(labels == 2)
+    if class2.size == 0:
         raise ConfigError(
             "no class-2 trial in the batch; increase n_trials or change the seed"
         )
-    label, series = batch.trials[trial_idx]
+    trial_idx = int(class2[0])
     detector = detector_from_scenario(config.scenario)
 
     rows = []
     decisions = []
     state = None
-    for k, y in enumerate(series.samples):
-        state = stream_update(state, float(y))
+    for k, y in enumerate(samples[trial_idx].tolist()):
+        state = stream_update(state, y)
         report = detect_simplified(detector, state)
         decisions.append(report.decision)
         rows.append(
             (
                 k,
-                float(y),
+                y,
                 report.statistic,
                 report.threshold,
                 report.decision,
@@ -269,7 +265,7 @@ def run_streaming(config: ExperimentConfig) -> RunManifest:
         stable_from -= 1
     summary = {
         "trial": trial_idx,
-        "true_label": label,
+        "true_label": 2,
         "final_decision": final,
         "stabilized_from_count": stable_from + 1,  # samples needed, 1-based
     }
@@ -290,9 +286,8 @@ def run_mc_vs_exact(config: ExperimentConfig) -> RunManifest:
     """
     started = _prepare(config)
     report = total_error(config.scenario, config.accuracy)
-    batch = simulate_batch(config.scenario, config.trials(), config.seed)
-    statistics, z = _batch_statistics(config, batch)
-    labels = batch.labels()
+    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
+    statistics, z = _batch_statistics(config, samples)
     wrong = (np.where(statistics <= z, 1, 2) != labels).astype(float)
 
     n = labels.size
@@ -399,9 +394,10 @@ def run_roc(config: ExperimentConfig) -> RunManifest:
     points.
     """
     started = _prepare(config)
-    batch = simulate_batch(config.scenario, config.trials(), config.seed)
+    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
     detector = detector_from_scenario(config.scenario)
-    statistics, z = _batch_statistics(config, batch)
+    statistics = _full_statistics(detector, samples)
+    z = threshold(detector, samples.shape[1])
     sweep = np.unique(
         np.concatenate(
             [
@@ -410,7 +406,7 @@ def run_roc(config: ExperimentConfig) -> RunManifest:
             ]
         )
     )
-    points = roc_sweep(detector, batch, sweep)
+    points = _roc_points(labels, statistics, sweep)
     csv_path = config.out_dir / "roc.csv"
     _write_csv(
         csv_path,

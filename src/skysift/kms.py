@@ -90,10 +90,16 @@ def kms_quadratic_form(m: KmsMatrix, v: np.ndarray) -> float:
     v = _check_shape(m, v)
     if v.ndim != 1:
         raise ConfigError("quadratic form expects a single vector")
-    rho = m.rho
     s0 = float(v @ v)
     s1 = float(v[:-1] @ v[1:])
     edge = v[0] * v[0] + v[-1] * v[-1]
+    return _quadratic_form_from_sums(m, s0, s1, edge)
+
+
+def _quadratic_form_from_sums(m: KmsMatrix, s0, s1, edge):
+    """The quadratic form from its sums; arrays of sums give one form per
+    vector, each rounded exactly as :func:`kms_quadratic_form` rounds it."""
+    rho = m.rho
     num = (1.0 + rho * rho) * s0 - rho * rho * edge - 2.0 * rho * s1
     return num / (m.alpha * (1.0 - rho * rho))
 

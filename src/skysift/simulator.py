@@ -12,9 +12,19 @@ reproducible and trials could be generated concurrently without sharing a
 stream.  Standard normals are produced by inverse-CDF transform
 (``scipy.special.ndtri``) of 53-bit uniforms; this choice is fixed because
 archived CSV fixtures depend on it bit for bit.
+
+How the contract is realised: child 0 draws the labels through numpy's
+``default_rng``.  The trial streams, children 1..n, are not built one
+``Generator`` at a time; :func:`_raw_streams` computes the raw PCG64 output
+of every child in one vectorised pass (the ``SeedSequence`` hash, PCG64
+seeding and its output function, all fixed-width integer arithmetic), and
+each 53-bit draw is the top 53 bits of one raw output, exactly what
+``Generator.integers(0, 2**53)`` returns.  :func:`simulate_trajectory`
+still draws through numpy itself; the tests hold the two to bit equality.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -88,6 +98,153 @@ def _draw_bits(rng: np.random.Generator, size) -> np.ndarray:
     return rng.integers(0, 2**53, size=size).astype(float)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+# SeedSequence hash constants (numpy/random/bit_generator.pyx); all of its
+# arithmetic is on uint32 and wraps
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+# (trial, draw) cells per block of the output grid, to bound the temporaries
+_GRID_BLOCK = 1 << 18
+
+
+def _child_seed_words(seed: int, keys: np.ndarray) -> list:
+    """``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)`` for
+    every k in ``keys`` (uint32), as four uint64 arrays."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    # the seed's 32-bit words, little end first, zero-padded to the pool
+    # size because a spawn key follows; then the key itself
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    entropy = [np.full(keys.shape, w, dtype=np.uint32) for w in words] + [keys]
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
+
+
+def _const128(value: int) -> tuple:
+    """A 128-bit constant as (hi, lo) one-element uint64 arrays."""
+    return (
+        np.array([value >> 64], dtype=np.uint64),
+        np.array([value & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+    )
+
+
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products x * y of uint64 arrays."""
+    x0, x1 = x & _MASK32, x >> 32
+    y0, y1 = y & _MASK32, y >> 32
+    low_cross = x1 * y0
+    mid = x0 * y1 + (x0 * y0 >> 32) + (low_cross & _MASK32)  # < 2**64
+    return x1 * y1 + (low_cross >> 32) + (mid >> 32)
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """a * b mod 2**128 of 128-bit values held as (hi, lo) uint64 arrays."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    """a + b mod 2**128 of 128-bit values held as (hi, lo) uint64 arrays."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _raw_streams(seed: int, n_trials: int, horizon: int) -> np.ndarray:
+    """Raw PCG64 outputs, shape (n_trials, horizon), of the trial streams.
+
+    Row i equals ``np.random.PCG64(children[i + 1]).random_raw(horizon)``
+    with ``children = np.random.SeedSequence(seed).spawn(n_trials + 1)``,
+    for seeds >= 0 and ``n_trials < 2**32 - 1`` (larger spawn keys take two
+    words).  Every step is fixed-width integer arithmetic, vectorised over
+    the trials:
+
+    1. ``SeedSequence`` (numpy's hash of the entropy words plus the spawn
+       key into a four-word pool, then ``generate_state(4, uint64)``) gives
+       the 128-bit initial state s = w0:w1 and sequence q = w2:w3.
+    2. PCG64 seeding (O'Neill 2014, *PCG: a family of simple fast
+       space-efficient statistically good algorithms for random number
+       generation*): increment c = 2q + 1 and state step(u), u = c + s,
+       where step(x) = M x + c mod 2**128.
+    3. Draw j (j = 1..horizon) is the XSL-RR output of step^(j+1)(u); XSL-RR
+       rotates hi ^ lo right by the top six bits of the state.  L steps at
+       once are step^L(x) = M**L x + (1 + M + ... + M**(L-1)) c, so states
+       0..L-1 give states L..2L-1 in one pass, and log2(horizon) passes
+       give them all.
+
+    ``Generator.integers(0, 2**53)`` draws with Lemire's (2019, *Fast random
+    integer generation in an interval*) method; for a range of 2**53 its
+    rejection threshold 2**64 mod 2**53 is 0, so each draw is exactly
+    ``raw >> 11``, one raw output per draw.
+    """
+    s_hi, s_lo, q_hi, q_lo = _child_seed_words(
+        seed, np.arange(1, n_trials + 1, dtype=np.uint32)
+    )
+    c = (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1)
+    u = _add128(c, (s_hi, s_lo))
+
+    raw = np.empty((n_trials, horizon), dtype=np.uint64)
+    rows = max(1, _GRID_BLOCK // horizon)
+    for first in range(0, n_trials, rows):
+        block = slice(first, first + rows)
+        # step^i(u) for i = 0..horizon+1, one row per i, so that each pass
+        # reads and writes whole rows
+        hi = np.empty((horizon + 2, u[0][block].size), dtype=np.uint64)
+        lo = np.empty_like(hi)
+        hi[0], lo[0] = u[0][block], u[1][block]
+        done, power, total = 1, _PCG_MULT, 1  # M**done, 1 + ... + M**(done-1)
+        while done < horizon + 2:
+            k = min(done, horizon + 2 - done)
+            hi[done : done + k], lo[done : done + k] = _add128(
+                _mul128(_const128(power), (hi[:k], lo[:k])),
+                _mul128(_const128(total), (c[0][block], c[1][block])),
+            )
+            total = total * (1 + power) & _MASK128
+            power = power * power & _MASK128
+            done *= 2
+        hi, lo = hi[2:], lo[2:]
+        value = hi ^ lo
+        rot = hi >> 58
+        raw[block] = (value >> rot | value << ((64 - rot) & 63)).T
+    return raw
+
+
 def _ar1_from_normals(alpha, rho, normals: np.ndarray) -> np.ndarray:
     """Run the exact AR(1) recursion on pre-drawn standard normals.
 
@@ -115,6 +272,7 @@ def simulate_trajectory(
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    _check_seed(rng_seed)
     rng = np.random.default_rng(rng_seed)
     normals = _standard_normals_from_bits(_draw_bits(rng, horizon))
     samples = _ar1_from_normals(stats.alpha, stats.rho, normals)
@@ -133,33 +291,38 @@ def _sample_matrix(
     return _ar1_from_normals(stats.alpha, stats.rho, normals)
 
 
+def _simulate_samples(scenario: Scenario, n_trials: int, rng_seed: int) -> tuple:
+    """Labels (1 or 2) and the (n_trials, horizon) samples of
+    :func:`simulate_batch`, as arrays."""
+    seed = operator.index(rng_seed)
+    _check_seed(seed)
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    if n_trials >= 2**32 - 1:
+        raise ConfigError(f"n_trials must be < 2**32 - 1, got {n_trials}")
+    sampling = scenario.sampling
+    stats = {1: scenario.stats1(), 2: scenario.stats2()}
+    label_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    labels = np.where(label_rng.random(n_trials) < sampling.prior1, 1, 2)
+
+    bits = (_raw_streams(seed, n_trials, sampling.horizon) >> 11).astype(float)
+    normals = _standard_normals_from_bits(bits)
+    alpha = np.where(labels == 1, stats[1].alpha, stats[2].alpha)
+    rho = np.where(labels == 1, stats[1].rho, stats[2].rho)
+    return labels, _ar1_from_normals(alpha, rho, normals)
+
+
 def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBatch:
     """Generate labeled trials: class drawn Bernoulli(prior1), then a trajectory.
 
     Child stream 0 of the seed draws the labels; child i+1 drives trial i, so
     trial i's samples depend only on (seed, i, its label's statistics).
     """
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    sampling = scenario.sampling
-    stats = {1: scenario.stats1(), 2: scenario.stats2()}
-    children = np.random.SeedSequence(rng_seed).spawn(n_trials + 1)
-    label_rng = np.random.default_rng(children[0])
-    labels = np.where(label_rng.random(n_trials) < sampling.prior1, 1, 2)
-
-    horizon = sampling.horizon
-    bits = np.empty((n_trials, horizon))
-    for i in range(n_trials):
-        bits[i] = _draw_bits(np.random.default_rng(children[i + 1]), horizon)
-    normals = _standard_normals_from_bits(bits)
-    alpha = np.where(labels == 1, stats[1].alpha, stats[2].alpha)
-    rho = np.where(labels == 1, stats[1].rho, stats[2].rho)
-    samples = _ar1_from_normals(alpha, rho, normals)
-
-    period = sampling.period
+    labels, samples = _simulate_samples(scenario, n_trials, rng_seed)
+    period = scenario.sampling.period
     trials = tuple(
-        (int(labels[i]), MeasurementSeries(samples=samples[i], period=period))
-        for i in range(n_trials)
+        (label, MeasurementSeries(samples=row, period=period))
+        for label, row in zip(labels.tolist(), samples)
     )
     return TrialBatch(trials=trials, seed=rng_seed)
 

@@ -89,6 +89,42 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "name, output, digest",
+    [
+        (
+            "mc-vs-exact",
+            "mc_vs_exact.csv",
+            "12a234db755a1d2dd41afa9f73c72339a6453d44ca2f3bd54d40eeb65302a92b",
+        ),
+        (
+            "scatter",
+            "scatter.csv",
+            "60fa09a36f12ba0ff105e4fc50fbe0bd4d0785836c2c6e828f2f7193733634a9",
+        ),
+        (
+            "streaming",
+            "streaming.csv",
+            "7dc4458909d2687a0309d9b20d7d69211567ff390ab8a2e2664c21521a4fa8f3",
+        ),
+    ],
+)
+def test_experiment_bytes_pinned(tmp_path, name, output, digest):
+    """Digests of the seed-1, 1000-trial experiment CSVs."""
+    argv = ("--seed", 1, "--out-dir", tmp_path, "experiment", name, "--trials", 1000)
+    assert run(*argv) == 0
+    assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [("simulate",), ("experiment", "mc-vs-exact")])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    assert run("--seed", -1, "--out-dir", tmp_path, *command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_detect_ragged_trials(tmp_path):
     rng = np.random.default_rng(5)
     lengths = (3, 5, 5, 3, 5)

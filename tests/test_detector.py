@@ -9,6 +9,7 @@ import skysift as sk
 from skysift.detector import (
     DetectionReport,
     SufficientStatistics,
+    _full_statistics,
     build_detector,
     conditional_error,
     detect_full,
@@ -277,6 +278,33 @@ def test_roc_sweep_extremes_and_monotonicity(default_scenario):
     tprs = [p.true_positive_rate for p in points]
     assert fprs == sorted(fprs, reverse=True)
     assert tprs == sorted(tprs, reverse=True)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 20, 1000])
+def test_full_statistics_bit_identical_to_detect_full(default_detector, horizon):
+    rng = np.random.default_rng(horizon)
+    samples = rng.normal(size=(40, horizon)) * rng.uniform(0.1, 10.0, size=(40, 1))
+    got = _full_statistics(default_detector, samples)
+    expected = np.array([detect_full(default_detector, row).statistic for row in samples])
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_roc_sweep_ragged_batch(default_detector):
+    """Trials of different lengths: every rate is the detect_full count."""
+    rng = np.random.default_rng(3)
+    lengths = (7, 20, 7, 1, 20, 2, 7)
+    trials = tuple(
+        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n), period=1.0))
+        for i, n in enumerate(lengths)
+    )
+    batch = sk.TrialBatch(trials=trials)
+    stats = np.array([detect_full(default_detector, s).statistic for _, s in trials])
+    is2 = batch.labels() == 2
+    thresholds = np.concatenate([stats, [-np.inf, 0.0, np.inf]])
+    points = roc_sweep(default_detector, batch, thresholds)
+    for thr, point in zip(thresholds, points):
+        assert point.false_positive_rate == (stats[~is2] > thr).mean()
+        assert point.true_positive_rate == (stats[is2] > thr).mean()
 
 
 def test_roc_map_point_matches_exact_rates(default_scenario):

@@ -50,6 +50,8 @@ def test_config_validation(tmp_path):
         make_config(tmp_path, "scatter", n_trials=0)
     with pytest.raises(ConfigError):
         make_config(tmp_path, "scatter", accuracy=0.0)
+    with pytest.raises(ConfigError):
+        make_config(tmp_path, "scatter", seed=-1)
     cfg = make_config(tmp_path, "scatter")
     assert cfg.trials() == 500
     assert make_config(tmp_path, "mc-vs-exact").trials() == 5000
@@ -209,6 +211,25 @@ def test_run_roc(tmp_path):
     assert all(b <= a for a, b in zip(tpr, tpr[1:]))
     z = threshold(detector_from_scenario(cfg.scenario))
     assert any(t == z for t in thresholds)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_run_roc_one_statistic_path(tmp_path, seed):
+    """Sweep points and rates come from the same statistics: no trial exceeds
+    the point at the largest statistic, and every rate recomputes exactly."""
+    cfg = make_config(tmp_path, "roc", n_trials=500, seed=seed)
+    run_roc(cfg)
+    _, rows = read_csv(cfg.out_dir / "roc.csv")
+    batch = simulate_batch(cfg.scenario, 500, seed)
+    spec = detector_from_scenario(cfg.scenario)
+    statistics = np.array([detect_full(spec, s).statistic for _, s in batch.trials])
+    is2 = batch.labels() == 2
+    assert float(rows[-2][0]) == statistics.max()
+    assert rows[-2][1:] == ["0.0", "0.0"]
+    for thr, fpr, tpr in rows:
+        called2 = statistics > float(thr)
+        assert float(fpr) == called2[~is2].mean()
+        assert float(tpr) == called2[is2].mean()
 
 
 def test_run_experiment_dispatch(tmp_path):

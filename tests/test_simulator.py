@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import skysift as sk
@@ -10,6 +12,7 @@ from skysift.simulator import (
     CSV_HEADER,
     MeasurementSeries,
     TrialBatch,
+    _raw_streams,
     _sample_matrix,
     read_batch_csv,
     simulate_batch,
@@ -49,16 +52,68 @@ def test_trajectory_rejects_bad_horizon():
         simulate_trajectory(sk.ClassStatistics(alpha=0.5, rho=0.6), 0, 1)
 
 
+def test_negative_seed_refused():
+    with pytest.raises(ConfigError):
+        simulate_trajectory(sk.ClassStatistics(alpha=0.5, rho=0.6), 5, -1)
+    with pytest.raises(ConfigError):
+        simulate_batch(sk.Scenario.default(), 5, -1)
+
+
+KERNEL_SEEDS = (0, 1, 7, 123, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**100 + 12345)
+
+
+def numpy_streams(seed, n, horizon):
+    """Per-trial oracle: numpy's own SeedSequence, PCG64 and Generator."""
+    children = np.random.SeedSequence(seed).spawn(n + 1)[1:]
+    raw = np.array([np.random.PCG64(c).random_raw(horizon) for c in children])
+    draws = np.array(
+        [np.random.default_rng(c).integers(0, 2**53, size=horizon) for c in children]
+    )
+    return raw.reshape(n, horizon), draws.reshape(n, horizon)
+
+
+@pytest.mark.parametrize("seed", KERNEL_SEEDS)
+def test_raw_streams_match_numpy(seed):
+    """Every row is its child's raw PCG64 output, and its top 53 bits are
+    the child's ``integers(0, 2**53)`` draws; trial streams do not depend on
+    the batch size, so each (n, horizon) is a corner of the largest."""
+    raw, draws = numpy_streams(seed, 1000, 200)
+    np.testing.assert_array_equal(raw >> 11, draws)
+    for n in (1, 2, 1000):
+        for horizon in (1, 20, 200):
+            got = _raw_streams(seed, n, horizon)
+            assert got.dtype == np.uint64 and got.shape == (n, horizon)
+            np.testing.assert_array_equal(got, raw[:n, :horizon])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**160),
+    n=st.integers(1, 40),
+    horizon=st.integers(1, 40),
+)
+def test_raw_streams_match_numpy_property(seed, n, horizon):
+    raw, draws = numpy_streams(seed, n, horizon)
+    got = _raw_streams(seed, n, horizon)
+    np.testing.assert_array_equal(got, raw)
+    np.testing.assert_array_equal(got >> 11, draws)
+
+
 def test_batch_matches_per_trial_streams():
     """Vectorized batch generation is bitwise equal to one-at-a-time draws."""
     scenario = sk.Scenario.default()
-    batch = simulate_batch(scenario, 8, 2024)
-    children = np.random.SeedSequence(2024).spawn(9)
     stats = {1: scenario.stats1(), 2: scenario.stats2()}
-    for i, (label, series) in enumerate(batch.trials):
-        solo = simulate_trajectory(stats[label], scenario.sampling.horizon, children[i + 1])
-        np.testing.assert_array_equal(series.samples, solo.samples)
-        assert series.period == scenario.sampling.period
+    for seed in (2024, 2**40 + 5):
+        batch = simulate_batch(scenario, 300, seed)
+        children = np.random.SeedSequence(seed).spawn(301)
+        class1 = np.random.default_rng(children[0]).random(300) < scenario.sampling.prior1
+        assert batch.labels().tolist() == np.where(class1, 1, 2).tolist()
+        for i, (label, series) in enumerate(batch.trials):
+            solo = simulate_trajectory(
+                stats[label], scenario.sampling.horizon, children[i + 1]
+            )
+            np.testing.assert_array_equal(series.samples, solo.samples)
+            assert series.period == scenario.sampling.period
 
 
 def test_batch_determinism_and_label_distribution():
@@ -76,6 +131,9 @@ def test_batch_determinism_and_label_distribution():
 def test_batch_rejects_bad_trial_count():
     with pytest.raises(ConfigError):
         simulate_batch(sk.Scenario.default(), 0, 1)
+    # spawn keys past 2**32 - 2 would take two words; refused before any work
+    with pytest.raises(ConfigError):
+        simulate_batch(sk.Scenario.default(), 2**32 - 1, 1)
 
 
 def test_sampled_law_moments():
