@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import time
 
@@ -340,6 +341,8 @@ def test_equal_rho_gives_equal_eigenvalues():
         np.testing.assert_allclose(
             sp.eigenvalues, dense_spectrum(st1, st2, 12, hyp), rtol=1e-12
         )
+    # the closed form handles equal rhos too
+    assert_log_phi_matches_eigen_sum(0.4, 0.3, 0.7, 0.3, 60)
 
 
 def test_angle_solve_cap_raises(monkeypatch, default_scenario):
@@ -368,6 +371,81 @@ def test_phi_arrays_blocks_match_per_eigenvalue_loop(monkeypatch, default_scenar
         np.testing.assert_allclose(phase, phase_ref, rtol=1e-13, atol=1e-13)
 
 
+def assert_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon):
+    """_log_phi's closed form against the eigen-sum _phi_arrays, both
+    hypotheses, on a grid up to 50 / max|lam|: |phi| to 1e-10, and the phase
+    mod 2 pi to 1e-10 wherever |phi| > 1e-12."""
+    st1 = sk.ClassStatistics(alpha=alpha1, rho=rho1)
+    st2 = sk.ClassStatistics(alpha=alpha2, rho=rho2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(error_analysis, "_CLOSED_FORM_MIN", 3)
+        for spectrum in error_analysis._spectra(st1, st2, horizon):
+            eigs = spectrum.eigenvalues
+            u = np.linspace(0.0, 50.0 / (np.max(np.abs(eigs)) or 1.0), 257)
+            logmag_ref, phase_ref = _phi_arrays(eigs, u)
+            logmag, phase = error_analysis._log_phi(spectrum, u)
+            phi_ref = np.exp(logmag_ref + 1j * phase_ref)
+            assert np.max(np.abs(np.exp(logmag + 1j * phase) - phi_ref)) <= 1e-10
+            shown = np.abs(phi_ref) > 1e-12
+            turn = (phase - phase_ref + math.pi) % (2.0 * math.pi) - math.pi
+            assert np.all(np.abs(turn[shown]) <= 1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha1=_ALPHAS,
+    rho1=_RHOS,
+    alpha2=_ALPHAS,
+    rho2=_RHOS,
+    horizon=st.integers(min_value=3, max_value=2000),
+)
+def test_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon):
+    assert_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=_ALPHAS,
+    rho=st.floats(min_value=1e-4, max_value=0.9999 / (1 + 1e-5)),
+    horizon=st.integers(min_value=3, max_value=2000),
+)
+def test_log_phi_matches_eigen_sum_near_identical(alpha, rho, horizon):
+    """Class 2 at alpha ratio 1 + 1e-4 and rho ratio 1 + 1e-5: the
+    differences of the two inverses must not be formed as plain differences."""
+    assert_log_phi_matches_eigen_sum(
+        alpha, rho, alpha * (1 + 1e-4), rho * (1 + 1e-5), horizon
+    )
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_log_phi_crossover(monkeypatch, default_scenario, offset):
+    """At _CLOSED_FORM_MIN the closed form runs, one horizon below it the
+    eigen-sum, unchanged; both agree with the oracle."""
+    horizon = error_analysis._CLOSED_FORM_MIN + offset
+    st1, st2 = default_scenario.stats1(), default_scenario.stats2()
+    assert_log_phi_matches_eigen_sum(st1.alpha, st1.rho, st2.alpha, st2.rho, horizon)
+    calls = []
+    eigen_sum = error_analysis._phi_arrays
+
+    def counted(*args):
+        calls.append(args)
+        return eigen_sum(*args)
+
+    monkeypatch.setattr(error_analysis, "_phi_arrays", counted)
+    sp1, _ = spectra_for(default_scenario, horizon)
+    u = np.linspace(0.0, 10.0, 101)
+    logmag, phase = error_analysis._log_phi(sp1, u)
+    assert len(calls) == (offset < 0)
+    if calls:
+        expected = eigen_sum(sp1.eigenvalues, u)
+        assert logmag.tobytes() == expected[0].tobytes()
+        assert phase.tobytes() == expected[1].tobytes()
+    # a bare spectrum of the same eigenvalues always takes the eigen-sum
+    bare = QuadFormSpectrum(sp1.eigenvalues, horizon)
+    error_analysis._log_phi(bare, u)
+    assert len(calls) == 1 + (offset < 0)
+
+
 def test_hypothesis1_eigenvalues_below_one():
     rng = np.random.default_rng(55)
     from conftest import make_scenario
@@ -394,6 +472,11 @@ def test_identical_classes_zero_spectrum():
     sp = q_sigma_eigenvalues(st, st, 10, hypothesis=1)
     assert np.all(sp.eigenvalues == 0.0)
     assert sp.kept().size == 0
+    # phi is exactly 1 along the closed-form path as well
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(error_analysis, "_CLOSED_FORM_MIN", 3)
+        logmag, phase = error_analysis._log_phi(sp, np.linspace(0.0, 50.0, 11))
+    assert np.all(logmag == 0.0) and np.all(phase == 0.0)
 
 
 def test_spectrum_validation():
@@ -427,12 +510,15 @@ def test_characteristic_function_single_eigenvalue_closed_form():
 
 
 def test_characteristic_function_matches_product_form(default_scenario):
-    sp1, _ = spectra_for(default_scenario)
-    for omega in (0.2, 1.1, 4.0):
-        product = complex(1.0)
-        for lam in sp1.eigenvalues:
-            product *= (1.0 - 2j * omega * lam) ** -0.5
-        assert characteristic_function(sp1, omega) == pytest.approx(product, rel=1e-10)
+    """kf 20 sums over the eigenvalues, kf 200 takes the closed form."""
+    for kf in (20, 200):
+        sp1, _ = spectra_for(default_scenario, kf)
+        for omega in (0.2, 1.1, 4.0):
+            product = complex(1.0)
+            for lam in sp1.eigenvalues:
+                product *= (1.0 - 2j * omega * lam) ** -0.5
+            phi = characteristic_function(sp1, omega)
+            assert phi == pytest.approx(product, rel=1e-10)
 
 
 def test_budget_frozen_values(default_scenario):
@@ -582,6 +668,36 @@ def test_total_error_frozen_values(default_scenario):
     assert d["prior1"] == 0.5
 
 
+@pytest.mark.parametrize("kf", [200, 1000, 10_000])
+@pytest.mark.parametrize("cell", [{}, {"m2": 1.0, "k2": 4.0}], ids=["default", "m1k4"])
+def test_total_error_closed_form_matches_eigen_sum(
+    monkeypatch, default_scenario, kf, cell
+):
+    """The default pair and the surface cell (mass 1, gain 4): the report
+    through the closed form agrees with the eigen-sum's within the target,
+    on identical budgets."""
+    s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=kf, **cell))
+    closed = total_error(s)
+    monkeypatch.setattr(error_analysis, "_CLOSED_FORM_MIN", kf + 1)
+    summed = total_error(s)
+    assert closed.budget_given_1 == summed.budget_given_1
+    assert closed.budget_given_2 == summed.budget_given_2
+    for name in ("total_error", "raw_cdf_given_1", "raw_cdf_given_2"):
+        assert abs(getattr(closed, name) - getattr(summed, name)) <= 1e-6, name
+
+
+def test_total_error_long_horizon():
+    """The surface cell (mass 1, gain 4) at kf = 1e5: O(1) per grid point."""
+    s = sk.Scenario.from_dict({"kf": 100_000, "m2": 1.0, "k2": 4.0})
+    started = time.perf_counter()
+    report = total_error(s)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"kf 1e5 took {elapsed:.2f}s"
+    floor = min(s.sampling.prior1, s.sampling.prior2)
+    assert math.isfinite(report.total_error)
+    assert 0.0 <= report.total_error <= floor + 1e-6
+
+
 def test_total_error_degenerate_path():
     s = sk.Scenario.from_dict({"m2": 1.0, "k2": 1.0, "prior1": 0.3})
     report = total_error(s)
@@ -637,6 +753,10 @@ def test_error_surface_csv(tmp_path, default_scenario):
     surface = error_surface(default_scenario, ratios, ratios)
     path = tmp_path / "surface.csv"
     surface.write_csv(path)
+    # the bytes the csv-module writer produced
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f610fb6c7bb1c000bb6b0e978fa0af2b9f940b96245a9f95a49108c15e50c84e"
+    )
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "mass_ratio\\gain_ratio"
