@@ -19,6 +19,11 @@ any 0 <= a <= b, using whichever of four methods fits the regime:
   iterated forward-difference tables at both boundaries, whose residual
   shrinks like (s)_d * (a+1/2)**-(s+d-1) / |q-1|**d, q = exp(-1j*w).
 
+The two series methods do work in proportion to the depth or order at
+which they stop, not to their caps: summation by parts finds its stop depth
+from the residual bound before building any table, and Euler-Maclaurin
+builds its derivative polynomials one correction at a time.
+
 The half-offset indices make frequency reduction clean: adding 2*pi to w
 multiplies every term by exp(-1j*pi*(2i+1)) = -1, so w is first folded into
 (-pi, pi] with a sign flip per wrap.  The mpmath branches run at 60 digits
@@ -26,6 +31,7 @@ because the boundary phases w*b mod 2*pi need ~13 integer digits of the
 argument cancelled before any fractional precision remains.
 """
 
+import logging
 import math
 
 import mpmath as mp
@@ -35,6 +41,8 @@ from scipy.special import zeta as hurwitz_zeta
 from .errors import NumericalError
 
 __all__ = ["pinned_power_sum"]
+
+logger = logging.getLogger(__name__)
 
 _MP_DPS = 60
 _SBP_MAX_DEPTH = 26
@@ -51,6 +59,10 @@ def pinned_power_sum(
 
     Raises NumericalError if no method can certify the tolerance (which only
     happens for tolerances near or below machine precision of the result).
+    At DEBUG level it logs the branch that ran (zeta, direct-mp, SBP, EM or
+    a bridge into SBP or direct-mp) and, for SBP and EM, the depth or order
+    at which it stopped with the residual there: SBP's residual bound, or
+    the last Euler-Maclaurin correction.
     """
     if not exponent > 1.0:
         raise NumericalError(f"power-sum exponent must exceed 1, got {exponent}")
@@ -64,26 +76,32 @@ def pinned_power_sum(
     sign = -1.0 if wraps % 2 else 1.0
 
     if f == 0.0:
+        branch, halt = "zeta", None
         value = complex(
             hurwitz_zeta(exponent, start + 0.5) - hurwitz_zeta(exponent, stop + 1.5)
         )
-        return sign * value
-
-    flip = f < 0.0
-    value = _dispatch(exponent, start, stop, abs(f), tol)
-    if flip:
-        value = value.conjugate()
+    else:
+        branch, value, halt = _dispatch(exponent, start, stop, abs(f), tol)
+        if f < 0.0:
+            value = value.conjugate()
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "pinned_power_sum(s=%r, [%d, %d], freq=%r, tol=%.3g): %s%s",
+            exponent, start, stop, freq, tol, branch,
+            "" if halt is None else ", stopped at %d, residual %.3g" % halt,
+        )
     return sign * value
 
 
-def _dispatch(s: float, a: int, b: int, f: float, tol: float) -> complex:
+def _dispatch(s: float, a: int, b: int, f: float, tol: float):
+    """(branch name, P, (stop depth or order, residual) or None)."""
     gap = 2.0 * math.sin(0.5 * f)  # |q - 1|
     if b - a <= _DIRECT_MAX:
-        return _direct_sum_mp(s, a, b, f)
+        return "direct-mp", _direct_sum_mp(s, a, b, f), None
     if (a + 0.5) * gap >= _SBP_MIN_PHASE:
-        return _sbp_sum(s, a, b, f, tol)
+        return "SBP", *_sbp_sum(s, a, b, f, tol)
     if f < _EM_MAX_FREQ:
-        return _euler_maclaurin_sum(s, a, b, f, tol)
+        return "EM", *_euler_maclaurin_sum(s, a, b, f, tol)
     # slow phase at the low end only: push the start index up to where
     # summation by parts converges, summing the short gap directly.
     # Here a < 50/|q-1|, so every phase f*x in the gap stays below
@@ -91,8 +109,9 @@ def _dispatch(s: float, a: int, b: int, f: float, tol: float) -> complex:
     a2 = min(int(math.ceil(_SBP_MIN_PHASE / gap)), b)
     head = _direct_sum_np(s, a, a2 - 1, f) if a2 > a else 0.0
     if b - a2 <= _DIRECT_MAX:
-        return head + _direct_sum_mp(s, a2, b, f)
-    return head + _sbp_sum(s, a2, b, f, tol)
+        return "bridge+direct-mp", head + _direct_sum_mp(s, a2, b, f), None
+    value, halt = _sbp_sum(s, a2, b, f, tol)
+    return "bridge+SBP", head + value, halt
 
 
 def _direct_sum_np(s: float, a: int, b: int, f: float) -> complex:
@@ -111,12 +130,12 @@ def _direct_sum_mp(s: float, a: int, b: int, f: float) -> complex:
         bet = mp.mpf(f)
         total = mp.mpc(0)
         for i in range(a, b + 1):
-            x = mp.mpf(i) + mp.mpf("0.5")
+            x = mp.mpf(2 * i + 1) / 2
             total += x ** (-sig) * mp.exp(-1j * bet * x)
         return complex(total)
 
 
-def _sbp_sum(s: float, a: int, b: int, f: float, tol: float) -> complex:
+def _sbp_sum(s: float, a: int, b: int, f: float, tol: float):
     """Summation by parts, unrolled with difference tables at both boundaries.
 
     Writing G(h, a, b) = sum h(i) q**i, Abel summation gives
@@ -125,139 +144,119 @@ def _sbp_sum(s: float, a: int, b: int, f: float, tol: float) -> complex:
     by -q/(q-1) and replaces h by dh; the differences of (i+1/2)**(-s) decay
     factorially, so a couple dozen levels suffice whenever (a+1/2)|q-1| is
     comfortably larger than the depth.
+
+    The residual bound depends on s, a and |q-1| alone, so the stop depth D
+    comes first, and the tables hold h at a..a+D and b-D..b and D levels of
+    differences: the work grows with D, not with the cap.  Returns P and
+    (D, residual bound).
     """
     with mp.workdps(_MP_DPS):
         bet = mp.mpf(f)
         q = mp.exp(-1j * bet)
         sig = mp.mpf(s)
-        depth_cap = min(_SBP_MAX_DEPTH, b - a - 2)
-        def h(i):
-            return (mp.mpf(int(i)) + mp.mpf("0.5")) ** (-sig)
+        qm1 = q - 1
+        abs_qm1 = abs(qm1)
+        a_half = mp.mpf(2 * a + 1) / 2
+        for depth in range(min(_SBP_MAX_DEPTH, b - a - 2) + 1):
+            # remainder after unrolling depth+1 levels
+            resid = (
+                mp.rf(sig, depth + 1)
+                * a_half ** (-(sig + depth))
+                / ((sig + depth) * abs_qm1 ** (depth + 1))
+            )
+            if resid <= tol:
+                break
+        else:
+            raise NumericalError(
+                f"summation by parts cannot reach tolerance {tol:g} "
+                f"(s={s}, a={a}, freq={f:g}); residual bound {float(resid):g}"
+            )
 
-        lo = [h(a + t) for t in range(depth_cap + 2)]
-        hi = [h(b - depth_cap - 1 + t) for t in range(depth_cap + 2)]
-        lod = [lo]
-        hid = [hi]
-        for _ in range(depth_cap + 1):
+        lod = [[(mp.mpf(2 * i + 1) / 2) ** (-sig) for i in range(a, a + depth + 1)]]
+        hid = [[(mp.mpf(2 * i + 1) / 2) ** (-sig) for i in range(b - depth, b + 1)]]
+        for _ in range(depth):
             lod.append([x - y for y, x in zip(lod[-1], lod[-1][1:])])
             hid.append([x - y for y, x in zip(hid[-1], hid[-1][1:])])
 
-        qm1 = q - 1
-        abs_qm1 = abs(qm1)
         qa = q**a
         total = mp.mpc(0)
         fac = mp.mpc(1)  # accumulates (-q/(q-1))**d
-        half = mp.mpf("0.5")
-        a_half = mp.mpf(a) + half
-        for d in range(depth_cap + 1):
-            hb = hid[d][depth_cap + 1 - d]
-            ha = lod[d][0]
-            total += fac / qm1 * (hb * q ** (b - d + 1) - ha * qa)
+        for d in range(depth + 1):
+            # hid[d][depth - d] is the d-th difference at b - d
+            total += fac / qm1 * (hid[d][depth - d] * q ** (b - d + 1) - lod[d][0] * qa)
             fac *= -q / qm1
-            # remainder after unrolling d+1 levels
-            resid = (
-                mp.rf(sig, d + 1)
-                * a_half ** (-(sig + d))
-                / ((sig + d) * abs_qm1 ** (d + 1))
-            )
-            if resid <= tol:
-                value = total * mp.exp(-1j * bet * half)
-                return complex(value)
-        raise NumericalError(
-            f"summation by parts cannot reach tolerance {tol:g} "
-            f"(s={s}, a={a}, freq={f:g}); residual bound {float(resid):g}"
-        )
+        return complex(total * mp.exp(-1j * (bet / 2))), (depth, float(resid))
 
 
-def _euler_maclaurin_sum(s: float, a: int, b: int, f: float, tol: float) -> complex:
+def _euler_maclaurin_sum(s: float, a: int, b: int, f: float, tol: float):
     """Euler-Maclaurin for the barely-oscillating regime f << 1.
 
     The integral of y**(-s) exp(-1j f y) is expressed through the upper
-    incomplete gamma function on the imaginary axis; derivative corrections
-    come from the exact recurrence for the derivatives of the summand, built
-    as polynomials in 1/y.
+    incomplete gamma function on the imaginary axis.  The p-th derivative
+    of the summand g(y) is g(y) * Q_p(1/y), where Q_0 = 1 and, by the
+    product and chain rules with v = 1/y,
+    Q_{p+1}(v) = -v**2 dQ_p/dv - (sig*v + 1j*bet) Q_p(v).
+    Q_p does not depend on y, so it is built once, two orders per
+    correction r (which needs Q_{2r-1}), evaluated at both ends by Horner,
+    and only until the corrections converge.  Returns P and (the stop
+    order, the last correction's magnitude).
     """
     with mp.workdps(_MP_DPS):
         sig = mp.mpf(s)
         bet = mp.mpf(f)
-        ya = mp.mpf(a) + mp.mpf("0.5")
-        yb = mp.mpf(b) + mp.mpf("0.5")
+        ya = mp.mpf(2 * a + 1) / 2
+        yb = mp.mpf(2 * b + 1) / 2
+        ga = ya ** (-sig) * mp.exp(-1j * bet * ya)
+        gb = yb ** (-sig) * mp.exp(-1j * bet * yb)
+        total = _oscillatory_integral(sig, bet, ya, yb) + (ga + gb) / 2
 
-        def summand(y):
-            return y ** (-sig) * mp.exp(-1j * bet * y)
-
-        total = _oscillatory_integral(sig, bet, ya, yb) + (
-            summand(ya) + summand(yb)
-        ) / 2
-
-        derivs_a = _summand_derivatives(sig, bet, ya, 2 * _EM_MAX_ORDER - 1)
-        derivs_b = _summand_derivatives(sig, bet, yb, 2 * _EM_MAX_ORDER - 1)
-        correction_ok = False
+        coeffs = [mp.mpc(1)]  # Q_p in ascending powers of v, degree p
         for r in range(1, _EM_MAX_ORDER + 1):
+            while len(coeffs) < 2 * r:  # up to Q_{2r-1}
+                coeffs = [
+                    -1j * bet * c - (sig + t - 1) * lower
+                    for t, (lower, c) in enumerate(zip([0] + coeffs, coeffs + [0]))
+                ]
+            desc = coeffs[::-1]
             term = (
                 mp.bernoulli(2 * r)
                 / mp.factorial(2 * r)
-                * (derivs_b[2 * r - 2] - derivs_a[2 * r - 2])
+                * (gb * mp.polyval(desc, 1 / yb) - ga * mp.polyval(desc, 1 / ya))
             )
             total += term
             if abs(term) <= tol / 4:
-                correction_ok = True
-                break
-        if not correction_ok:
-            raise NumericalError(
-                f"Euler-Maclaurin corrections not converged at order "
-                f"{_EM_MAX_ORDER} (s={s}, a={a}, freq={f:g})"
-            )
-        return complex(total)
+                return complex(total), (r, float(abs(term)))
+        raise NumericalError(
+            f"Euler-Maclaurin corrections not converged at order "
+            f"{_EM_MAX_ORDER} (s={s}, a={a}, freq={f:g})"
+        )
 
 
 def _oscillatory_integral(sig, bet, ya, yb):
     """integral over [ya, yb] of y**(-sig) * exp(-1j*bet*y), bet > 0.
 
     Substituting x = 1j*bet*y gives (1j*bet)**(sig-1) * [Gamma(1-sig, 1j*bet*ya)
-    - Gamma(1-sig, 1j*bet*yb)]; the upper incomplete gamma switches to its
-    large-argument asymptotic series once |x| is big enough for it to
-    converge to full working precision.
+    - Gamma(1-sig, 1j*bet*yb)].
     """
     s1 = 1 - sig
+    return (1j * bet) ** (sig - 1) * (
+        _upper_gamma(s1, 1j * bet * ya) - _upper_gamma(s1, 1j * bet * yb)
+    )
 
-    def upper_gamma(x):
-        if abs(x) < 50:
-            return mp.gammainc(s1, x, mp.inf)
-        acc = mp.mpc(1)
-        term = mp.mpc(1)
+
+def _upper_gamma(s1, x):
+    """Gamma(s1, x) at working precision.
+
+    For |x| >= 50 the large-argument asymptotic series is used when its
+    terms fall below 1e-45 within 39 terms; otherwise (small |x|, or a
+    series that has not converged, as for large -s1 near |x| = 50)
+    mpmath's gammainc.
+    """
+    if abs(x) >= 50:
+        acc = term = mp.mpc(1)
         for t in range(1, 40):
             term *= (s1 - t) / x
             acc += term
             if abs(term) < mp.mpf("1e-45"):
-                break
-        return x ** (s1 - 1) * mp.exp(-x) * acc
-
-    return (1j * bet) ** (sig - 1) * (
-        upper_gamma(1j * bet * ya) - upper_gamma(1j * bet * yb)
-    )
-
-
-def _summand_derivatives(sig, bet, y, pmax):
-    """Derivatives 1..pmax of y**(-sig)*exp(-1j*bet*y) at y, exactly.
-
-    The p-th derivative equals the summand times a polynomial Q_p(1/y):
-    Q_{p+1}(v) = dQ_p/dv * (-v**2) + Q_p * (-sig*v - 1j*bet), from the
-    product/chain rule with v = 1/y.
-    """
-    v = 1 / y
-    value = y ** (-sig) * mp.exp(-1j * bet * y)
-    coeffs = [mp.mpc(1)]  # Q_0 = 1, as coefficients in v
-    out = []
-    for _ in range(pmax):
-        dcoeffs = [coeffs[t] * t for t in range(1, len(coeffs))]
-        new = [mp.mpc(0)] * (len(coeffs) + 2)
-        for t, c in enumerate(dcoeffs):  # dQ/dv * (-v**2): shift by 2, negate
-            new[t + 2] -= c
-        for t, c in enumerate(coeffs):  # Q * (-sig*v)
-            new[t + 1] -= sig * c
-        for t, c in enumerate(coeffs):  # Q * (-1j*bet)
-            new[t] -= 1j * bet * c
-        coeffs = new
-        out.append(value * sum(c * v**t for t, c in enumerate(coeffs)))
-    return out
+                return x ** (s1 - 1) * mp.exp(-x) * acc
+    return mp.gammainc(s1, x, mp.inf)

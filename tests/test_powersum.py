@@ -6,13 +6,14 @@ for short or high-index ranges, chunked float64 where the phases stay small
 enough that its error is provably below the comparison tolerance.
 """
 
+import logging
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from skysift._powersum import pinned_power_sum
+from skysift._powersum import _MP_DPS, _upper_gamma, pinned_power_sum
 from skysift.errors import NumericalError
 
 
@@ -116,3 +117,73 @@ def test_invalid_arguments_raise():
         pinned_power_sum(2.0, 10, 5, 0.1, 1e-10)
     with pytest.raises(NumericalError):
         pinned_power_sum(2.0, 0, 10, 0.1, 0.0)
+
+
+def lerch_oracle(s, a, b, f, dps=40):
+    """P(s,a,b,f) from mpmath's Lerch transcendent, which shares no code with
+    any branch: sum_{i>=a} = e^{-jf(a+1/2)} Phi(e^{-jf}, s, a+1/2)."""
+    with mp.workdps(dps):
+        bet = mp.mpf(f)
+        z = mp.exp(-1j * bet)
+        lo = mp.mpf(2 * a + 1) / 2
+        hi = mp.mpf(2 * b + 3) / 2
+        return complex(
+            mp.exp(-1j * bet * lo) * mp.lerchphi(z, s, lo)
+            - mp.exp(-1j * bet * hi) * mp.lerchphi(z, s, hi)
+        )
+
+
+# (s, a, b, f, tol) of power sums that total_error requests at kf <= 2,
+# where the inversion series runs to ~8e12 terms
+@pytest.mark.parametrize(
+    "case, branch",
+    [
+        ((1.5, 4096, 7736527939539, 0.0576, 4.23e-11), "SBP"),
+        ((3.5, 4096, 7878255667766, 0.17, 4.73e-12), "SBP"),
+        ((1.5, 4096, 7665649952259, 1.16e-5, 4.25e-11), "EM"),
+        ((4.5, 4096, 7665621705926, 3.47e-5, 1.29e-12), "EM"),
+        ((1.5, 4096, 7666205587751, 4.44e-4, 4.25e-11), "bridge+SBP"),
+        ((4.5, 4096, 7667288612401, 1.33e-3, 1.29e-12), "bridge+SBP"),
+    ],
+)
+def test_matches_lerch_transcendent_at_huge_index(case, branch, caplog):
+    with caplog.at_level(logging.DEBUG, logger="skysift._powersum"):
+        value = pinned_power_sum(*case)
+    assert caplog.records[-1].getMessage().split(": ")[1].startswith(branch + ",")
+    assert abs(value - lerch_oracle(*case[:4])) <= case[4]
+
+
+def test_summation_by_parts_refusal_reports_bound():
+    with pytest.raises(NumericalError, match=r"summation by parts .* bound 6\.9286"):
+        pinned_power_sum(1.5, 2000, 10**7, 0.5, 1e-300)
+
+
+def test_euler_maclaurin_refusal():
+    with pytest.raises(NumericalError, match="not converged at order 8"):
+        pinned_power_sum(2.2, 100, 300_000, 5e-5, 1e-300)
+
+
+@pytest.mark.parametrize("sigma, modulus", [(18.5, 50.0), (1.5, 50.0), (1.5, 8.9e7)])
+def test_upper_gamma_at_working_precision(sigma, modulus):
+    # at |x| = 50 the asymptotic series has not converged within its 39
+    # terms (relative error 1.6e-6 at sigma 18.5); at 8.9e7 it has
+    with mp.workdps(_MP_DPS):
+        s1 = 1 - mp.mpf(sigma)
+        x = mp.mpc(0, modulus)
+        want = mp.gammainc(s1, x, mp.inf)
+        assert abs(_upper_gamma(s1, x) - want) <= 1e-40 * abs(want)
+
+
+def test_debug_log_names_branch_and_stop(caplog):
+    with caplog.at_level(logging.DEBUG, logger="skysift._powersum"):
+        pinned_power_sum(1.5, 2000, 10**7, 0.5, 1e-12)
+        pinned_power_sum(2.0, 5, 50, 0.7, 1e-15)
+        pinned_power_sum(2.5, 3, 2000, 2 * math.pi, 1e-18)
+    sbp, direct, zeta = (r.getMessage() for r in caplog.records)
+    assert "SBP, stopped at " in sbp and ", residual " in sbp
+    assert direct.endswith(": direct-mp")
+    assert zeta.endswith(": zeta")
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="skysift._powersum"):
+        pinned_power_sum(1.5, 2000, 10**7, 0.5, 1e-12)
+    assert not caplog.records
