@@ -261,6 +261,15 @@ def test_error_vs_horizon_stdout(capsys):
     assert errors[0] > errors[1] > errors[2]
 
 
+def test_error_vs_horizon_short_horizons_print_plain_floats(capsys):
+    # kf 1 and 2 take the power-sum tail of the inversion series
+    assert run("error-vs-horizon", "--horizons", "1,2") == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "kf,total_error" and len(lines) == 3
+    for line in lines[1:]:
+        assert 0.0 < float(line.split(",")[1]) < 0.5, line
+
+
 def test_error_vs_horizon_bad_values():
     assert run("error-vs-horizon", "--horizons", "5,x") == 2
     assert run("error-vs-horizon", "--horizons", "0,5") == 2

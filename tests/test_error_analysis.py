@@ -625,6 +625,74 @@ def test_head_tail_split_matches_direct_summation():
     assert abs(direct - split) <= 1e-9
 
 
+def series_cases(overrides):
+    """(spectrum, z, budget, tol) of both hypotheses of one scenario."""
+    s = sk.Scenario.from_dict(overrides)
+    z = threshold(detector_from_scenario(s))
+    for sp in spectra_for(s):
+        budget = accuracy_budget(sp, z, 1e-6)
+        yield sp, z, budget, 1e-3 * budget.target * math.pi
+
+
+def test_series_ending_before_the_tail_is_summed_directly():
+    # hypothesis 2 of this cell needs 29,247 terms but its tail could start
+    # only at 29,286; a cap below the series length used to ask the power
+    # sums for the empty range [29286, 29247]
+    _, (sp, z, budget, tol) = series_cases({"kf": 8, "m2": 1.0, "k2": 0.25})
+    assert budget.n_terms == 29_247
+    args = (sp, z, budget.grid_step, budget.n_terms, tol)
+    forced = _inversion_sum(*args, direct_cap=1 << 14)
+    direct = _inversion_sum(*args, direct_cap=1 << 21)
+    assert abs(forced - direct) <= tol
+
+
+def test_direct_sum_stops_at_the_budget(monkeypatch):
+    """kf 600 (mass 0.5, gain 4): hypothesis 1's tail would start past
+    _HEAD_MAX, but its 8,374,621-term series ends before that; summing to
+    _HEAD_MAX instead took 67,108,865 terms."""
+    ranges = []
+    summed = error_analysis._direct_partial_sum
+
+    def recording(spectrum, z, delta, i_first, i_last):
+        ranges.append((i_first, i_last))
+        return summed(spectrum, z, delta, i_first, i_last)
+
+    monkeypatch.setattr(error_analysis, "_direct_partial_sum", recording)
+    report = total_error(sk.Scenario.from_dict({"kf": 600, "m2": 0.5, "k2": 4.0}))
+    budgets = [report.budget_given_1.n_terms, report.budget_given_2.n_terms]
+    assert budgets == [8_374_621, 1_500_141]
+    assert ranges == [(0, n) for n in budgets]
+    assert report.total_error == pytest.approx(0.008671413090171609, abs=1e-9)
+
+
+def test_tail_crossover_matches_direct_summation():
+    """A sample of the surface grid at kf 3-8 (kf 2 needs ~8e12 terms): the
+    default split agrees with direct summation to 2**21 terms."""
+    split = 0
+    for kf in range(3, 9):
+        for m, g in ((0, 3), (0, 4), (1, 4), (2, 0), (2, 1), (4, 1)):
+            cell = {"kf": kf, "m2": SURFACE_RATIOS[m], "k2": SURFACE_RATIOS[g]}
+            for sp, z, budget, tol in series_cases(cell):
+                n = budget.n_terms
+                if n > 1 << 21:
+                    continue
+                split += n > error_analysis._DIRECT_CAP
+                args = (sp, z, budget.grid_step, n, tol)
+                got = _inversion_sum(*args)
+                want = _inversion_sum(*args, direct_cap=1 << 21)
+                assert abs(got - want) <= tol, (cell, n)
+    assert split >= 10
+
+
+@pytest.mark.parametrize("kf", [1, 2, 3, 20])
+def test_total_error_is_a_python_float(default_scenario, kf):
+    # kf <= 3 take the power-sum tail, whose coefficients are numpy scalars
+    s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=kf))
+    report = total_error(s)
+    for name in ("total_error", "miss_given_1", "miss_given_2", "raw_cdf_given_1"):
+        assert type(getattr(report, name)) is float, name
+
+
 def test_near_zero_eigenvalue_guard_raises():
     # one dropped eigenvalue that is not negligible over the huge tail range
     sp = QuadFormSpectrum(eigenvalues=np.array([1.0, 1e-13]), horizon=2)

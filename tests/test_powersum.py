@@ -13,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from skysift import _powersum
 from skysift._powersum import _MP_DPS, _upper_gamma, pinned_power_sum
 from skysift.errors import NumericalError
 
@@ -187,3 +188,24 @@ def test_debug_log_names_branch_and_stop(caplog):
     with caplog.at_level(logging.INFO, logger="skysift._powersum"):
         pinned_power_sum(1.5, 2000, 10**7, 0.5, 1e-12)
     assert not caplog.records
+
+
+def test_memoised_frames_match_fresh_calls():
+    """Calls interleaved over two ranges (SBP, and bridge+SBP with its own
+    SBP range) give bit for bit what fresh calls give after cache_clear()."""
+    sbp = (4096, 7736527939539, 0.0576)
+    bridge = (4096, 7666205587751, 4.44e-4)
+    calls = [
+        (1.5, sbp), (2.5, sbp), (1.5, bridge), (3.5, sbp), (2.5, bridge), (3.5, bridge)
+    ]
+    _powersum._sbp_frame.cache_clear()
+    _powersum._bridge_frame.cache_clear()
+    memoised = [pinned_power_sum(s, *rng, 1e-12) for s, rng in calls]
+    assert _powersum._sbp_frame.cache_info().hits == 2
+    assert _powersum._bridge_frame.cache_info().hits == 2
+    for (s, rng), got in zip(calls, memoised):
+        _powersum._sbp_frame.cache_clear()
+        _powersum._bridge_frame.cache_clear()
+        assert pinned_power_sum(s, *rng, 1e-12) == got
+    x, phase = _powersum._bridge_frame(0, 9, 0.5)
+    assert not (x.flags.writeable or phase.flags.writeable)
