@@ -320,11 +320,15 @@ def _full_statistics(spec: DetectorSpec, samples: np.ndarray) -> np.ndarray:
 
 
 def _length_groups(batch: TrialBatch):
-    """Yield (trial indices, stacked samples) for each distinct trial length."""
-    lengths = np.array([len(series) for _, series in batch.trials])
+    """Yield (trial indices, (trials, n) samples) for each distinct trial
+    length n; a batch of one length yields a reshape view of its samples."""
+    starts, lengths = batch.offsets[:-1], np.diff(batch.offsets)
+    if (lengths == lengths[0]).all():
+        yield np.arange(lengths.size), batch.samples.reshape(lengths.size, -1)
+        return
     for n in np.unique(lengths).tolist():
         trials = np.flatnonzero(lengths == n)
-        yield trials, np.stack([batch.trials[i][1].samples for i in trials])
+        yield trials, batch.samples[starts[trials, None] + np.arange(n)]
 
 
 def roc_sweep(spec: DetectorSpec, batch: TrialBatch, thresholds) -> list[RocPoint]:
@@ -335,7 +339,7 @@ def roc_sweep(spec: DetectorSpec, batch: TrialBatch, thresholds) -> list[RocPoin
     is decided 2 when its ``detect_full`` statistic exceeds the threshold, so
     lowering the threshold relaxes the detector toward more class-2 calls.
     """
-    statistics = np.empty(len(batch.trials))
+    statistics = np.empty(batch.label.size)
     for trials, samples in _length_groups(batch):
         statistics[trials] = _full_statistics(spec, samples)
     return _roc_points(batch.labels(), statistics, thresholds)

@@ -27,6 +27,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -71,22 +72,69 @@ class MeasurementSeries:
 
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Labeled Monte Carlo trials; ``seed`` is None for batches read from disk."""
+    """Labeled trials as columns: trial i is ``samples[offsets[i] : offsets[i + 1]]``,
+    of class ``label[i]``, sampled every ``period``.  The batch copies its arrays,
+    checks each once as a whole and makes them read-only.  ``seed`` is None for
+    batches read from disk or built by hand."""
 
-    trials: tuple
+    label: np.ndarray
+    samples: np.ndarray
+    offsets: np.ndarray
+    period: float = 1.0
     seed: int | None = None
 
     def __post_init__(self):
-        if len(self.trials) < 1:
+        label, offsets = np.array(self.label), np.array(self.offsets)
+        samples = np.array(self.samples, dtype=float)
+        if label.ndim != 1 or label.size < 1:
             raise ConfigError("batch must contain at least one trial")
-        for label, series in self.trials:
-            if label not in (1, 2):
-                raise ConfigError(f"trial label must be 1 or 2, got {label}")
-            if not isinstance(series, MeasurementSeries):
-                raise ConfigError("each trial must carry a MeasurementSeries")
+        bad = np.setdiff1d(label, (1, 2))
+        if bad.size:
+            raise ConfigError(f"trial labels must be 1 or 2, got {bad}")
+        if offsets.dtype.kind not in "iu" or offsets.shape != (label.size + 1,):
+            raise ConfigError("offsets must be integers, one per trial plus one")
+        offsets = offsets.astype(int)
+        if samples.ndim != 1 or offsets[0] != 0 or offsets[-1] != samples.size:
+            raise ConfigError("offsets must run from 0 to the size of the flat samples")
+        if (np.diff(offsets) < 1).any():
+            raise ConfigError("every trial must hold at least one sample")
+        if not np.isfinite(samples).all():
+            raise ConfigError("samples must all be finite")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ConfigError(f"period must be positive and finite, got {self.period}")
+        columns = {"label": label.astype(int), "samples": samples, "offsets": offsets}
+        for name, value in columns.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_trials(cls, trials, seed: int | None = None) -> "TrialBatch":
+        """Batch of ``(label, MeasurementSeries)`` pairs that share one period."""
+        pairs = tuple(trials)
+        if not all(isinstance(series, MeasurementSeries) for _, series in pairs):
+            raise ConfigError("each trial must carry a MeasurementSeries")
+        periods = {series.period for _, series in pairs} or {1.0}
+        if len(periods) > 1:
+            raise ConfigError("the trials of a batch must share one period")
+        samples = [series.samples for _, series in pairs]
+        offsets = np.cumsum([0] + [s.size for s in samples])
+        samples = np.concatenate(samples or [[]])
+        return cls([label for label, _ in pairs], samples, offsets, periods.pop(), seed)
 
     def labels(self) -> np.ndarray:
-        return np.array([label for label, _ in self.trials], dtype=int)
+        return self.label
+
+    @cached_property
+    def trials(self) -> tuple:
+        """``(label, MeasurementSeries)`` per trial, built on first use; each
+        series is a view of the checked, read-only ``samples``."""
+        bounds, pairs = self.offsets.tolist(), []
+        for lab, lo, hi in zip(self.label.tolist(), bounds, bounds[1:]):
+            series = object.__new__(MeasurementSeries)  # no copy, no re-check
+            object.__setattr__(series, "samples", self.samples[lo:hi])
+            object.__setattr__(series, "period", self.period)
+            pairs.append((lab, series))
+        return tuple(pairs)
 
 
 def _standard_normals_from_bits(bits: np.ndarray) -> np.ndarray:
@@ -319,12 +367,8 @@ def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBat
     trial i's samples depend only on (seed, i, its label's statistics).
     """
     labels, samples = _simulate_samples(scenario, n_trials, rng_seed)
-    period = scenario.sampling.period
-    trials = tuple(
-        (label, MeasurementSeries(samples=row, period=period))
-        for label, row in zip(labels.tolist(), samples)
-    )
-    return TrialBatch(trials=trials, seed=rng_seed)
+    offsets = np.arange(0, samples.size + 1, samples.shape[1])
+    return TrialBatch(labels, samples.ravel(), offsets, scenario.sampling.period, rng_seed)
 
 
 def write_batch_csv(batch: TrialBatch, path) -> None:
@@ -333,16 +377,13 @@ def write_batch_csv(batch: TrialBatch, path) -> None:
     Lines end in CRLF, and ``y`` is the ``repr`` of the sample, which
     round-trips exactly.
     """
-    lengths = np.array([len(series) for _, series in batch.trials])
-    starts = np.cumsum(lengths) - lengths
-    trial = np.repeat(np.arange(lengths.size), lengths)
-    k = np.arange(trial.size) - np.repeat(starts, lengths)
-    label = np.repeat(batch.labels(), lengths)
-    y = np.concatenate([series.samples for _, series in batch.trials])
-    columns = zip(trial.tolist(), label.tolist(), k.tolist(), y.tolist())
-    rows = [f"{t},{lab},{i},{v!r}\r\n" for t, lab, i, v in columns]
+    lengths = np.diff(batch.offsets).tolist()
+    ks = [f"{k}," for k in range(max(lengths))]
+    heads = [f"{t},{lab}," for t, lab in enumerate(batch.label.tolist())]
+    keys = [head + k for head, n in zip(heads, lengths) for k in ks[:n]]
+    rows = map(str.__add__, keys, map(repr, batch.samples.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n" + "".join(rows))
+        fh.write(",".join(CSV_HEADER) + "\r\n" + "\r\n".join(rows) + "\r\n")
 
 
 _CSV_ROW = np.dtype(
@@ -380,23 +421,26 @@ def read_batch_csv(path, period: float = 1.0) -> TrialBatch:
     and fields after ``y`` ignored.  Refused with ``ConfigError``: a wrong
     header, no data rows, a malformed or short row, a label other than 1 or
     2 or two labels in one trial, ``k`` not exactly 0..n-1 within a trial,
-    and a non-finite ``y``.
+    and a non-finite ``y``; so are a file that cannot be opened and text
+    that is not UTF-8.
 
     The CSV carries no sampling period; pass one if downstream code needs it
     (the detector itself never does).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if tuple(header) != CSV_HEADER:
-            raise ConfigError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        rows = _parse_rows(fh, path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            if tuple(header) != CSV_HEADER:
+                raise ConfigError(f"{path}: expected header {','.join(CSV_HEADER)}")
+            rows = _parse_rows(fh, path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trials {path}: {exc}") from exc
     if rows.size == 0:
         raise ConfigError(f"{path}: no data rows")
     rows = rows[np.lexsort((rows["k"], rows["trial"]))]
     trial, label, k, y = rows["trial"], rows["label"], rows["k"], rows["y"]
     starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
-    lengths = np.diff(starts, append=trial.size)
-    first = np.repeat(starts, lengths)
+    first = np.repeat(starts, np.diff(starts, append=trial.size))
 
     def refuse(bad: np.ndarray, problem: str) -> None:
         if bad.any():
@@ -405,8 +449,4 @@ def read_batch_csv(path, period: float = 1.0) -> TrialBatch:
     refuse(label != label[first], "has inconsistent labels")
     refuse(k != np.arange(trial.size) - first, "has non-contiguous sample indices")
     refuse(~np.isfinite(y), "has a non-finite sample")
-    trials = tuple(
-        (lab, MeasurementSeries(samples=y[lo : lo + n], period=period))
-        for lab, lo, n in zip(label[starts].tolist(), starts.tolist(), lengths.tolist())
-    )
-    return TrialBatch(trials=trials, seed=None)
+    return TrialBatch(label[starts], y, np.append(starts, trial.size), period)

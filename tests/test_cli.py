@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from skysift.cli import main
+from skysift.cli import _DETECT_LINE, main
 from skysift.detector import (
     SufficientStatistics,
+    _conditional_error_from_margin,
     detect_simplified,
     detector_from_scenario,
 )
@@ -134,7 +135,7 @@ def test_detect_ragged_trials(tmp_path):
     )
     csv_path = tmp_path / "ragged.csv"
     out = tmp_path / "decisions.jsonl"
-    write_batch_csv(TrialBatch(trials=trials), csv_path)
+    write_batch_csv(TrialBatch.from_trials(trials), csv_path)
     assert run("detect", "--input", csv_path, "--out", out) == 0
 
     records = [json.loads(line) for line in out.read_text().splitlines()]
@@ -185,6 +186,45 @@ def test_detect_stream_rows(tmp_path):
     assert records[-1]["statistic"] == pytest.approx(report.statistic, rel=1e-12)
 
 
+def test_detect_stream_bytes_pinned(tmp_path):
+    """Digest of the seed-1 stream of trial 3 over 200 samples."""
+    cfg = write_config(tmp_path, {"kf": 200})
+    csv_path, out = tmp_path / "trials.csv", tmp_path / "stream.jsonl"
+    assert run("--config", cfg, "--seed", 1, "simulate", "--trials", 5, "--out", csv_path) == 0
+    assert run("--config", cfg, "detect-stream", "--input", csv_path, "--trial", 3, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6824efa38856ccb0751dc18e35ab96b8d476149eb6c53c90184a17341d78e081"
+    )
+
+
+@pytest.mark.parametrize("statistic", [-0.0, 5e-324, 1e300, -1.0986122886681096])
+def test_detect_line_is_json_dumps(statistic):
+    z = -1.0986122886681096  # the last statistic sits on the threshold: margin 0
+    error = _conditional_error_from_margin(z - statistic)
+    record = {
+        "trial": 7,
+        "decision": 1 if statistic <= z else 2,
+        "statistic": statistic,
+        "z": z,
+        "conditional_error": error,
+    }
+    line = _DETECT_LINE % tuple(record.values())
+    assert line == json.dumps(record)
+    parsed = json.loads(line)
+    assert [type(v) for v in parsed.values()] == [int, int, float, float, float]
+    assert math.copysign(1.0, parsed["statistic"]) == math.copysign(1.0, statistic)
+    if statistic == z:
+        assert error == 0.5
+
+
+def test_detect_and_stream_fields_are_plain_numbers(tmp_path, capsys):
+    csv_path = batch_csv(tmp_path, n_trials=3)
+    assert run("detect", "--input", csv_path) == 0
+    assert run("detect-stream", "--input", csv_path, "--trial", 1) == 0
+    for line in capsys.readouterr().out.splitlines():
+        assert all(type(v) in (int, float) for v in json.loads(line).values()), line
+
+
 def test_detect_stream_trial_out_of_range(tmp_path):
     csv_path = batch_csv(tmp_path, n_trials=3)
     assert run("detect-stream", "--input", csv_path, "--trial", 99) == 2
@@ -210,12 +250,37 @@ def test_fit_single_class_flag(tmp_path):
 
 def test_fit_missing_label_fails(tmp_path):
     full = simulate_batch(Scenario.default(), 40, 13)
-    only1 = TrialBatch(
-        trials=tuple((lab, s) for lab, s in full.trials if lab == 1)
-    )
+    only1 = TrialBatch.from_trials((lab, s) for lab, s in full.trials if lab == 1)
     csv_path = tmp_path / "one_class.csv"
     write_batch_csv(only1, csv_path)
     assert run("fit", "--input", csv_path, "--label", 2) == 2
+
+
+def test_fit_refusal_names_the_label(tmp_path, capsys):
+    csv_path = tmp_path / "short2.csv"
+    csv_path.write_text(
+        "trial,label,k,y\n0,1,0,0.5\n0,1,1,0.25\n0,1,2,-0.5\n1,2,0,1.5\n",
+        encoding="utf-8",
+    )
+    assert run("fit", "--input", csv_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: label 2: need at least two samples"), err
+    assert run("fit", "--input", csv_path, "--label", 1) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"1"}
+
+
+@pytest.mark.parametrize("command", [("detect",), ("fit",), ("detect-stream", "--trial", 0)])
+@pytest.mark.parametrize("source", ["missing", "directory", "not_utf8"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, source):
+    path = tmp_path / "input.csv"
+    if source == "directory":
+        path.mkdir()
+    elif source == "not_utf8":
+        path.write_bytes(b"trial,label,k,y\n0,1,0,\xff\n")
+    assert run(command[0], "--input", path, *command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trials"), err
+    assert "Traceback" not in err
 
 
 def test_error_total_json(tmp_path):

@@ -297,7 +297,7 @@ def test_roc_sweep_ragged_batch(default_detector):
         (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n), period=1.0))
         for i, n in enumerate(lengths)
     )
-    batch = sk.TrialBatch(trials=trials)
+    batch = sk.TrialBatch.from_trials(trials)
     stats = np.array([detect_full(default_detector, s).statistic for _, s in trials])
     is2 = batch.labels() == 2
     thresholds = np.concatenate([stats, [-np.inf, 0.0, np.inf]])
@@ -326,7 +326,7 @@ def test_roc_map_point_matches_exact_rates(default_scenario):
 
 def test_roc_requires_both_classes():
     series = MeasurementSeries(samples=np.array([1.0, 2.0]), period=1.0)
-    batch = sk.TrialBatch(trials=((1, series), (1, series)))
+    batch = sk.TrialBatch.from_trials(((1, series), (1, series)))
     st = sk.ClassStatistics(alpha=0.5, rho=0.5)
     spec = build_detector(st, sk.ClassStatistics(alpha=0.2, rho=0.3), 0.5, 2)
     with pytest.raises(ConfigError):

@@ -250,8 +250,102 @@ def test_measurement_series_validation():
 def test_trial_batch_validation():
     series = MeasurementSeries(samples=np.array([1.0]), period=1.0)
     with pytest.raises(ConfigError):
-        TrialBatch(trials=())
+        TrialBatch.from_trials(())
     with pytest.raises(ConfigError):
-        TrialBatch(trials=((3, series),))
+        TrialBatch.from_trials(((3, series),))
     with pytest.raises(ConfigError):
-        TrialBatch(trials=((1, np.array([1.0])),))
+        TrialBatch.from_trials(((1, np.array([1.0])),))
+
+
+def _batch_arrays(**changes):
+    arrays = dict(label=[1, 2], samples=[0.5, 0.25, -1.0], offsets=[0, 2, 3])
+    return dict(arrays, **changes)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"label": [0, 2]},
+        {"label": [1, 3]},
+        {"label": [1, 1.5]},
+        {"offsets": [1, 2, 3]},  # does not start at 0
+        {"offsets": [0, 2, 4]},  # does not end at samples.size
+        {"offsets": [0, 3]},  # one short
+        {"offsets": [0.0, 2.0, 3.0]},  # not integers
+        {"offsets": [0, 3, 2]},  # falls
+        {"offsets": [0, 0, 3]},  # an empty trial
+        {"samples": [0.5, math.nan, -1.0]},
+        {"samples": [0.5, 0.25, -math.inf]},
+        {"samples": [[0.5, 0.25, -1.0]]},  # not flat
+        {"label": [], "samples": [], "offsets": [0]},  # no trials
+        {"period": 0.0},
+        {"period": math.inf},
+    ],
+)
+def test_trial_batch_refuses_bad_arrays(changes):
+    TrialBatch(**_batch_arrays())
+    with pytest.raises(ConfigError):
+        TrialBatch(**_batch_arrays(**changes))
+
+
+def test_trial_batch_arrays_are_read_only_copies():
+    arrays = {name: np.array(value) for name, value in _batch_arrays().items()}
+    batch = TrialBatch(**arrays)
+    for name in arrays:
+        with pytest.raises(ValueError):
+            getattr(batch, name)[0] = 1
+        arrays[name][-1] = 7  # the caller's arrays stay theirs
+    np.testing.assert_array_equal(batch.samples, [0.5, 0.25, -1.0])
+    assert batch.labels().tolist() == [1, 2]
+    for _, series in batch.trials:
+        with pytest.raises(ValueError):
+            series.samples[0] = 1.0
+
+
+def test_trials_accessor_agrees_with_arrays_and_round_trips():
+    batch = simulate_batch(sk.Scenario.from_dict({"kf": 5}), 30, 17)
+    assert batch.trials is batch.trials  # built once
+    assert len(batch.trials) == batch.label.size == batch.offsets.size - 1
+    for i, (label, series) in enumerate(batch.trials):
+        assert label == batch.label[i] and type(label) is int
+        assert series.period == batch.period == 0.5
+        np.testing.assert_array_equal(
+            series.samples, batch.samples[batch.offsets[i] : batch.offsets[i + 1]]
+        )
+
+    back = TrialBatch.from_trials(batch.trials, seed=17)
+    assert back.seed == 17 and back.period == batch.period
+    for name in ("label", "samples", "offsets"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
+
+    rng = np.random.default_rng(2)
+    ragged = [(1 + i % 2, MeasurementSeries(rng.normal(size=n), 0.25)) for i, n in enumerate((3, 1, 4))]
+    batch = TrialBatch.from_trials(ragged)
+    assert batch.offsets.tolist() == [0, 3, 4, 8] and batch.seed is None
+    for (la, sa), (lb, sb) in zip(ragged, batch.trials):
+        assert la == lb and sb.period == 0.25
+        np.testing.assert_array_equal(sa.samples, sb.samples)
+    with pytest.raises(ConfigError):
+        TrialBatch.from_trials(ragged + [(1, MeasurementSeries(np.ones(2), 1.0))])
+
+
+def test_csv_roundtrip_ragged_shuffled_bit_exact(tmp_path):
+    rng = np.random.default_rng(8)
+    lengths = (4, 1, 7, 2, 7)
+    samples = rng.normal(size=sum(lengths)) * 10.0 ** rng.integers(-300, 300, size=sum(lengths))
+    samples[:3] = [-0.0, 5e-324, 1e300]
+    batch = TrialBatch(
+        label=[2, 1, 1, 2, 1], samples=samples, offsets=np.cumsum((0,) + lengths)
+    )
+    path = tmp_path / "trials.csv"
+    write_batch_csv(batch, path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-1] == b"" and len(lines) == 2 + samples.size
+    rows = lines[1:-1]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes(b"\r\n".join([lines[0]] + [rows[i] for i in rng.permutation(len(rows))]))
+
+    back = read_batch_csv(shuffled)
+    for name in ("label", "offsets"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
+    np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
