@@ -15,11 +15,11 @@ import numpy as np
 
 from .detector import (
     _conditional_error_from_margin,
+    _fit_batch,
     _length_groups,
     batch_statistics,
     detect_simplified,
     detector_from_scenario,
-    fit_class_statistics,
     stream_update,
     threshold,
 )
@@ -155,11 +155,9 @@ def _cmd_fit(scenario: Scenario, args) -> None:
             raise ConfigError(f"no trials with label {args.label} in {args.input}")
         labels = [args.label]
     fitted = {}
-    series = np.split(batch.samples, batch.offsets[1:-1])
     for label in labels:
-        series_set = [s for s, lab in zip(series, batch.label.tolist()) if lab == label]
         try:
-            stats = fit_class_statistics(series_set)
+            stats = _fit_batch(batch, label)
         except ConfigError as exc:
             raise ConfigError(f"label {label}: {exc}") from exc
         fitted[str(label)] = {"alpha": stats.alpha, "rho": stats.rho}

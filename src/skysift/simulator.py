@@ -437,7 +437,9 @@ def read_batch_csv(path, period: float = 1.0) -> TrialBatch:
         raise ConfigError(f"cannot read trials {path}: {exc}") from exc
     if rows.size == 0:
         raise ConfigError(f"{path}: no data rows")
-    rows = rows[np.lexsort((rows["k"], rows["trial"]))]
+    t0, t1, k = rows["trial"][:-1], rows["trial"][1:], rows["k"]
+    if not ((t0 < t1) | ((t0 == t1) & (k[:-1] <= k[1:]))).all():
+        rows = rows[np.lexsort((k, rows["trial"]))]  # write_batch_csv's are in order
     trial, label, k, y = rows["trial"], rows["label"], rows["k"], rows["y"]
     starts = np.flatnonzero(np.r_[True, trial[1:] != trial[:-1]])
     first = np.repeat(starts, np.diff(starts, append=trial.size))

@@ -11,6 +11,7 @@ from skysift.detector import (
     _conditional_error_from_margin,
     detect_simplified,
     detector_from_scenario,
+    fit_class_statistics,
 )
 from skysift.model import Scenario
 from skysift.simulator import (
@@ -239,6 +240,29 @@ def test_fit_both_classes(tmp_path):
     for stats in fitted.values():
         assert stats["alpha"] > 0
         assert 0 < stats["rho"] < 1
+
+
+def test_fit_matches_per_trial_fold_on_mixed_lengths(tmp_path):
+    """fit pools per-length folds; its JSON bytes equal those of the
+    per-trial fold (fit_class_statistics on each label's series)."""
+    rng = np.random.default_rng(31)
+    lengths = rng.integers(1, 9, size=120)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    batch = TrialBatch(
+        label=rng.integers(1, 3, size=lengths.size),
+        samples=rng.normal(size=offsets[-1]) * 10.0 ** rng.integers(-3, 4, size=offsets[-1]),
+        offsets=offsets,
+    )
+    csv_path = tmp_path / "mixed.csv"
+    write_batch_csv(batch, csv_path)
+    out = tmp_path / "fit.json"
+    assert run("fit", "--input", csv_path, "--out", out) == 0
+    series = np.split(batch.samples, offsets[1:-1])
+    want = {}
+    for label in (1, 2):
+        stats = fit_class_statistics([s for s, lab in zip(series, batch.label) if lab == label])
+        want[str(label)] = {"alpha": stats.alpha, "rho": stats.rho}
+    assert out.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
 
 
 def test_fit_single_class_flag(tmp_path):

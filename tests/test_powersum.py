@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from skysift import _powersum
-from skysift._powersum import _MP_DPS, _upper_gamma, pinned_power_sum
+from skysift._powersum import (
+    _MP_DPS,
+    _SBP_MAX_DEPTH,
+    _SBP_MIN_PHASE,
+    _SBP_MIN_START,
+    _sbp_sum,
+    _upper_gamma,
+    pinned_power_sum,
+)
 from skysift.errors import NumericalError
 
 
@@ -209,3 +217,110 @@ def test_memoised_frames_match_fresh_calls():
         assert pinned_power_sum(s, *rng, 1e-12) == got
     x, phase = _powersum._bridge_frame(0, 9, 0.5)
     assert not (x.flags.writeable or phase.flags.writeable)
+
+
+def sbp_sum_mp(s, a, b, f, tol):
+    """Summation by parts in mpmath throughout: the same unrolling, stop
+    depth rule and residual bound as ``_sbp_sum``, with difference tables
+    of (i+1/2)**-s taken by repeated subtraction.  Level d carries the
+    rounding of h(a) into the sum with weight |q-1|**-(d+1), so the working
+    precision is 60 digits plus d*log10(2/|q-1|) at the deepest level
+    (at 60 digits flat, a = 500001, f = 1e-4 and depth 14 came out wrong
+    in the fifth digit).  Returns P and (stop depth, residual bound)."""
+    lost = _SBP_MAX_DEPTH * math.log10(1 / math.sin(f / 2))
+    with mp.workdps(_MP_DPS + math.ceil(lost)):
+        sig, bet = mp.mpf(s), mp.mpf(f)
+        q = mp.exp(-1j * bet)
+        inv_qm1 = 1 / (q - 1)
+        ratio, abs_qm1 = -q * inv_qm1, abs(q - 1)
+        a_half = mp.mpf(2 * a + 1) / 2
+        poch, a_pow, gap_pow = sig, a_half ** (-sig), abs_qm1
+        for depth in range(min(_SBP_MAX_DEPTH, b - a - 2) + 1):
+            resid = poch * a_pow / ((sig + depth) * gap_pow)
+            if resid <= tol:
+                break
+            poch *= sig + depth + 1
+            a_pow /= a_half
+            gap_pow *= abs_qm1
+        else:
+            raise NumericalError(
+                f"summation by parts cannot reach tolerance {tol:g} "
+                f"(s={s}, a={a}, freq={f:g}); residual bound {float(resid):g}"
+            )
+        lod = [[(mp.mpf(2 * i + 1) / 2) ** (-sig) for i in range(a, a + depth + 1)]]
+        hid = [[(mp.mpf(2 * i + 1) / 2) ** (-sig) for i in range(b - depth, b + 1)]]
+        for _ in range(depth):
+            lod.append([x - y for y, x in zip(lod[-1], lod[-1][1:])])
+            hid.append([x - y for y, x in zip(hid[-1], hid[-1][1:])])
+        total, fac, qa, qb = mp.mpc(0), inv_qm1, q**a, q ** (b + 1)
+        for d in range(depth + 1):
+            # hid[d][depth - d] is the d-th difference at b - d; qb = q**(b-d+1)
+            total += fac * (hid[d][depth - d] * qb - lod[d][0] * qa)
+            fac *= ratio
+            qb /= q
+        return complex(total * mp.exp(-1j * (bet / 2))), (depth, float(resid))
+
+
+def sbp_grid():
+    """(s, a, b, f, tol) from the SBP floor up, including the SBP part of
+    bridged ranges (start pushed up to 50/|q-1|), tolerances relative to the
+    leading term (a+1/2)**-s / |q-1|."""
+    for s in (1.25, 2.5, 4.5, 9.0):
+        for f in (1e-4, 3e-3, 0.1, 1.0, math.pi):
+            gap = 2 * math.sin(f / 2)
+            for a0 in (_SBP_MIN_START, 1000, 10**5):
+                a = max(a0, math.ceil(_SBP_MIN_PHASE / gap))
+                for b in (a + 200, 10**7, 10**13):
+                    if b <= a + 100:
+                        continue
+                    for rel in (1e-6, 1e-10):
+                        yield s, a, b, f, rel * (a + 0.5) ** -s / gap
+
+
+def test_float64_sbp_matches_60_digit_oracle():
+    cases = list(sbp_grid())
+    assert len(cases) > 300
+    for case in cases:
+        value, halt = _sbp_sum(*case)
+        want, want_halt = sbp_sum_mp(*case)
+        assert halt[0] == want_halt[0], case
+        assert halt[1] == pytest.approx(want_halt[1], rel=1e-12), case
+        assert abs(value - want) <= 1e-3 * case[4], case
+
+
+def test_sbp_kernel_uses_no_mpmath(monkeypatch):
+    """Past its memoised frame (the two boundary phases, reduced at 60
+    digits), summation by parts is float64 throughout."""
+    case = (2.5, 4096, 7736527939539, 0.0576, 1.77e-11)
+    _powersum._sbp_frame(*case[1:4])
+    monkeypatch.setattr(_powersum, "mp", None)
+    value, _ = _sbp_sum(*case)
+    monkeypatch.undo()
+    assert abs(value - sbp_sum_mp(*case)[0]) <= 1e-3 * case[4]
+
+
+def test_sbp_float64_overflow_is_refused():
+    # |C(-s, n)| for s = 1e7 overflows float64 within the 64 Taylor terms
+    with np.errstate(over="warn", invalid="warn"):
+        with pytest.raises(NumericalError, match="overflows float64"):
+            pinned_power_sum(1e7, 10**5, 10**9, 0.5, 1e-12)
+
+
+def test_sbp_tolerance_below_float64_is_refused():
+    # the residual bound alone would stop at some depth; float64 rounding
+    # of a result near 1e-3 cannot certify 1e-20
+    with pytest.raises(NumericalError, match="in float64 .* residual bound"):
+        pinned_power_sum(1.25, 200, 10**6, 1.0, 1e-20)
+
+
+@pytest.mark.parametrize("modulus", [0.047, 0.41, 50.0])
+def test_upper_gamma_steps_down_one_order_at_a_time(modulus):
+    """Tail orders ask for s1 = 1 - sigma one lower each time at the same x;
+    after the first, each value comes from the previous one by recurrence."""
+    with mp.workdps(_MP_DPS):
+        x = mp.mpc(0, modulus)
+        _powersum._last_gamma = None
+        for sigma in np.arange(1.5, 19.0, 1.0):
+            s1 = 1 - mp.mpf(sigma)
+            want = mp.gammainc(s1, x, mp.inf)
+            assert abs(_upper_gamma(s1, x) - want) <= 1e-40 * abs(want), sigma
