@@ -109,13 +109,78 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
             "streaming.csv",
             "7dc4458909d2687a0309d9b20d7d69211567ff390ab8a2e2664c21521a4fa8f3",
         ),
+        (
+            "roc",
+            "roc.csv",
+            "7f69f4fa3bb3807bddee45f5c527c1d865d165245606af29cf9d7b6cd53f5f3b",
+        ),
+        (
+            "horizon-sweep",
+            "horizon_sweep.csv",
+            "561f2f44c3d934b7bd8119d9871660e03a34160152f5810915ec36e361932df4",
+        ),
+        (
+            "horizon-sweep",
+            "horizon_sweep_summary.json",
+            "e71ccfad5dfd8a3f90e1a8c254464bc25710213097f392d82a1258b6c3edf21b",
+        ),
+        (
+            "surface",
+            "surface.csv",
+            "cb05628f7845e4776552ec07ea954c7c085fcf1174e4cc5f7127ff57fc3c5a94",
+        ),
     ],
 )
 def test_experiment_bytes_pinned(tmp_path, name, output, digest):
-    """Digests of the seed-1, 1000-trial experiment CSVs."""
+    """Digests of the seed-1, 1000-trial experiment outputs."""
     argv = ("--seed", 1, "--out-dir", tmp_path, "experiment", name, "--trials", 1000)
     assert run(*argv) == 0
     assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, output, digest",
+    [
+        (
+            ("error-total",),
+            None,
+            "c40cc8051d48cc1d90dad3d38ea5979d7e5231c93adf862a88a1c5c16b8e2aef",
+        ),
+        (
+            ("error-surface",),
+            "surface.csv",
+            "57946a53961b87f75edded1b86bc690c835fdf4a4dbcaa879d687d843faf692c",
+        ),
+        (
+            ("error-surface", "--gain-ratios", "0.5,1,3", "--mass-ratios", "0.25,2"),
+            "surface.csv",
+            "57102d81cd8e8d2ec50e79dad1ad9465fa70880a82eac57883018e4433cf6ce1",
+        ),
+        (
+            ("error-vs-horizon", "--horizons", "1,2,5,10,20,40"),
+            None,
+            "7eb753f14ccb42f69f9e9c92753170f0759f45bba8d0f1a9bdf7a8b9ef01c968",
+        ),
+    ],
+    ids=["error-total", "error-surface", "error-surface-custom", "error-vs-horizon"],
+)
+def test_error_commands_bytes_pinned(tmp_path, capsys, argv, output, digest):
+    """Digests of the error commands' outputs on the default scenario; None
+    reads standard output."""
+    assert run("--out-dir", tmp_path, *argv) == 0
+    out = capsys.readouterr().out.encode()
+    data = out if output is None else (tmp_path / output).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_fit_bytes_pinned(tmp_path, capsys):
+    """Digest of the fit JSON of the seed-1, 200-trial CSV."""
+    csv_path = tmp_path / "trials.csv"
+    assert run("--seed", 1, "simulate", "--trials", 200, "--out", csv_path) == 0
+    assert run("fit", "--input", csv_path) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "2eb84677db151069ba5233649409cdbaedcdfd634efe477fea5077550d848d88"
+    )
 
 
 @pytest.mark.parametrize("command", [("simulate",), ("experiment", "mc-vs-exact")])
