@@ -19,15 +19,8 @@ from .model import (
     Scenario,
     class_statistics,
     continuous_autocorrelation,
-    covariance_matrix,
 )
-from .kms import (
-    KmsMatrix,
-    kms_cholesky_factor,
-    kms_inverse_apply,
-    kms_logdet,
-    kms_quadratic_form,
-)
+from .kms import KmsMatrix, kms_quadratic_form
 from .simulator import (
     MeasurementSeries,
     TrialBatch,
@@ -58,9 +51,7 @@ from .error_analysis import (
     ErrorSurface,
     QuadFormSpectrum,
     accuracy_budget,
-    cdf_quadratic_form,
     cdf_quadratic_form_raw,
-    characteristic_function,
     error_surface,
     q_sigma_eigenvalues,
     total_error,
@@ -83,11 +74,7 @@ __all__ = [
     "Scenario",
     "class_statistics",
     "continuous_autocorrelation",
-    "covariance_matrix",
     "KmsMatrix",
-    "kms_cholesky_factor",
-    "kms_inverse_apply",
-    "kms_logdet",
     "kms_quadratic_form",
     "MeasurementSeries",
     "TrialBatch",
@@ -114,9 +101,7 @@ __all__ = [
     "ErrorSurface",
     "QuadFormSpectrum",
     "accuracy_budget",
-    "cdf_quadratic_form",
     "cdf_quadratic_form_raw",
-    "characteristic_function",
     "error_surface",
     "q_sigma_eigenvalues",
     "total_error",

@@ -9,23 +9,29 @@ and the accuracy target.  Exit codes: 0 success, 2 configuration problem,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .detector import (
-    _conditional_error_from_margin,
     _fit_batch,
-    _length_groups,
-    batch_statistics,
+    detect_batch,
     detect_simplified,
     detector_from_scenario,
     stream_update,
-    threshold,
 )
 from .error_analysis import error_surface, total_error
 from .errors import ConfigError, NumericalError
-from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
+from .experiments import (
+    EXPERIMENT_NAMES,
+    SURFACE_RATIOS,
+    SWEEP_HORIZONS,
+    ExperimentConfig,
+    horizon_errors,
+    run_experiment,
+    write_surface_csv,
+)
 from .model import Scenario
 from .simulator import read_batch_csv, simulate_batch, write_batch_csv
 
@@ -67,12 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="JSON output (default stdout)")
 
     p = sub.add_parser("error-surface", help="total error over parameter-ratio grid")
-    p.add_argument("--gain-ratios", default="0.25,0.5,1,2,4")
-    p.add_argument("--mass-ratios", default="0.25,0.5,1,2,4")
+    p.add_argument("--gain-ratios", default=",".join(map(repr, SURFACE_RATIOS)))
+    p.add_argument("--mass-ratios", default=",".join(map(repr, SURFACE_RATIOS)))
     p.add_argument("--out", type=Path, help="CSV output (default <out-dir>/surface.csv)")
 
     p = sub.add_parser("error-vs-horizon", help="exact error per horizon (CSV)")
-    p.add_argument("--horizons", default="5,10,20,40")
+    p.add_argument("--horizons", default=",".join(map(str, SWEEP_HORIZONS)))
     p.add_argument("--out", type=Path, help="CSV output (default stdout)")
 
     p = sub.add_parser("experiment", help="run a named study end to end")
@@ -115,18 +121,8 @@ _STREAM_LINE = '{"trial": %d, "k": %d, "y": %r, ' + _DECISION
 
 def _cmd_detect(scenario: Scenario, args) -> None:
     batch = read_batch_csv(args.input, period=scenario.sampling.period)
-    detector = detector_from_scenario(scenario)
-    lines = [""] * batch.label.size
-    for trials, samples in _length_groups(batch):
-        z = float(threshold(detector, samples.shape[1]))
-        statistics = batch_statistics(detector, samples)
-        if not np.isfinite(statistics).all():
-            bad = trials[np.argmin(np.isfinite(statistics))]
-            raise ConfigError(f"trial {bad}: decision statistic overflows")
-        for i, statistic in zip(trials.tolist(), statistics.tolist()):
-            error = _conditional_error_from_margin(z - statistic)
-            decision = 1 if statistic <= z else 2  # as detector._report
-            lines[i] = _DETECT_LINE % (i, decision, statistic, z, error)
+    columns = detect_batch(detector_from_scenario(scenario), batch)
+    lines = [_DETECT_LINE % row for row in zip(range(batch.label.size), *columns)]
     _emit("\n".join(lines) + "\n", args.out)
 
 
@@ -166,7 +162,7 @@ def _cmd_fit(scenario: Scenario, args) -> None:
 
 def _cmd_error_total(scenario: Scenario, args) -> None:
     report = total_error(scenario, args.accuracy)
-    _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(asdict(report), indent=2) + "\n", args.out)
 
 
 def _cmd_error_surface(scenario: Scenario, args) -> None:
@@ -178,18 +174,13 @@ def _cmd_error_surface(scenario: Scenario, args) -> None:
     )
     out = args.out or (args.out_dir / "surface.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    surface.write_csv(out)
+    write_surface_csv(surface, out)
 
 
 def _cmd_error_vs_horizon(scenario: Scenario, args) -> None:
-    horizons = [int(v) for v in _parse_floats(args.horizons, "--horizons")]
-    if any(k < 1 for k in horizons):
-        raise ConfigError("--horizons values must be >= 1")
-    base = scenario.to_dict()
-    lines = ["kf,total_error"]
-    for kf in horizons:
-        report = total_error(Scenario.from_dict(dict(base, kf=kf)), args.accuracy)
-        lines.append(f"{kf},{report.total_error!r}")
+    horizons = _parse_floats(args.horizons, "--horizons")
+    rows = zip(*horizon_errors(scenario, horizons, args.accuracy))
+    lines = ["kf,total_error"] + [f"{kf},{error!r}" for kf, error in rows]
     _emit("\n".join(lines) + "\n", args.out)
 
 

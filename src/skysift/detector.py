@@ -128,14 +128,6 @@ def _running_sums(samples: np.ndarray):
     return sum_sq, np.cumsum(lag, axis=-1)[..., -1]
 
 
-def batch_statistics(spec: "DetectorSpec", samples: np.ndarray) -> np.ndarray:
-    """Statistic of each row of a (trials, n) matrix, bit-identical to
-    ``detect_simplified`` on ``SufficientStatistics.from_series`` of the row."""
-    sum_sq, sum_lag = _running_sums(samples)
-    edges = samples[:, 0] * samples[:, 0] + samples[:, -1] * samples[:, -1]
-    return spec.energy_coef * sum_sq + spec.lag_coef * sum_lag + spec.edge_coef * edges
-
-
 def stream_update(
     state: "SufficientStatistics | None", y_next: float
 ) -> SufficientStatistics:
@@ -165,16 +157,6 @@ class DetectionReport:
     margin: float
     conditional_error: float
     samples_used: int
-
-    def to_dict(self) -> dict:
-        return {
-            "decision": self.decision,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "conditional_error": self.conditional_error,
-            "samples_used": self.samples_used,
-        }
 
 
 def build_detector(
@@ -280,6 +262,32 @@ def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> Detect
         + spec.edge_coef * (stats.first_sq + stats.last_sq)
     )
     return _report(spec, statistic, stats.count)
+
+
+def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
+    """``detect_simplified`` on every trial of a batch, as four lists in trial
+    order: decisions, statistics, thresholds and conditional errors.
+
+    Each entry equals that report field on the trial's
+    ``SufficientStatistics.from_series`` bit for bit: the sums are one cumsum
+    fold per trial length, and the conditional error takes the scalar
+    formula, because numpy's ``exp`` may differ from ``math.exp`` in the
+    last bit.  A trial whose statistic overflows is refused.
+    """
+    statistics, thresholds = np.empty(batch.label.size), np.empty(batch.label.size)
+    for trials, samples in _length_groups(batch):
+        sum_sq, sum_lag = _running_sums(samples)
+        edges = samples[:, 0] * samples[:, 0] + samples[:, -1] * samples[:, -1]
+        statistics[trials] = (
+            spec.energy_coef * sum_sq + spec.lag_coef * sum_lag + spec.edge_coef * edges
+        )
+        thresholds[trials] = threshold(spec, samples.shape[1])
+    finite = np.isfinite(statistics)
+    if not finite.all():
+        raise ConfigError(f"trial {np.argmin(finite)}: decision statistic overflows")
+    decisions = np.where(statistics <= thresholds, 1, 2)  # as _report
+    errors = [_conditional_error_from_margin(m) for m in (thresholds - statistics).tolist()]
+    return decisions.tolist(), statistics.tolist(), thresholds.tolist(), errors
 
 
 def _conditional_error_from_margin(margin: float) -> float:

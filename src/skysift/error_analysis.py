@@ -33,7 +33,7 @@ above a measured crossover horizon, O(n) below it (see :func:`_log_phi`).
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -49,9 +49,7 @@ __all__ = [
     "ErrorReport",
     "ErrorSurface",
     "q_sigma_eigenvalues",
-    "characteristic_function",
     "accuracy_budget",
-    "cdf_quadratic_form",
     "cdf_quadratic_form_raw",
     "total_error",
     "error_surface",
@@ -137,8 +135,7 @@ class AccuracyBudget:
     drop_tolerance: float = DROP_TOLERANCE
 
     def __post_init__(self):
-        if not (0.0 < self.target < 1.0):
-            raise ConfigError(f"target must lie in (0, 1), got {self.target}")
+        _check_target(self.target)
         if not (0.0 < self.chernoff_t < 1.0 / (2.0 * self.lambda_abs_max)):
             raise ConfigError("chernoff_t outside (0, 1/(2*max|eigenvalue|))")
         if self.grid_step <= 0.0 or self.n_terms < 1:
@@ -150,32 +147,12 @@ class AccuracyBudget:
         Used by the self-consistency check: a sound budget changes the
         reported probability by less than the target under refinement.
         """
-        return AccuracyBudget(
-            target=self.target,
-            chernoff_t=self.chernoff_t,
-            grid_step=self.grid_step / factor,
-            n_terms=self.n_terms * factor,
-            chernoff_bound=self.chernoff_bound,
-            n_terms_options=self.n_terms_options,
-            lambda_abs_max=self.lambda_abs_max,
-            lambda_abs_min=self.lambda_abs_min,
-            kept_order=self.kept_order,
-            drop_tolerance=self.drop_tolerance,
-        )
+        return replace(self, grid_step=self.grid_step / factor, n_terms=self.n_terms * factor)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "chernoff_t": self.chernoff_t,
-            "grid_step": self.grid_step,
-            "n_terms": self.n_terms,
-            "chernoff_bound": self.chernoff_bound,
-            "n_terms_options": list(self.n_terms_options),
-            "lambda_abs_max": self.lambda_abs_max,
-            "lambda_abs_min": self.lambda_abs_min,
-            "kept_order": self.kept_order,
-            "drop_tolerance": self.drop_tolerance,
-        }
+
+def _check_target(target: float) -> None:
+    if not (0.0 < target < 1.0):
+        raise ConfigError(f"target must lie in (0, 1), got {target}")
 
 
 def q_sigma_eigenvalues(
@@ -426,13 +403,6 @@ def _polar(z: np.ndarray):
     return np.log(np.abs(z)), np.arctan2(z.imag, z.real)
 
 
-def characteristic_function(spectrum: QuadFormSpectrum, omega: float) -> complex:
-    """E[exp(1j*omega*Z)] for the weighted chi-squared statistic Z."""
-    logmag, phase = _log_phi(spectrum, np.atleast_1d(np.asarray(omega, dtype=float)))
-    value = np.exp(logmag) * (np.cos(phase) + 1j * np.sin(phase))
-    return complex(value[0])
-
-
 def accuracy_budget(
     spectrum: QuadFormSpectrum, z: float, target: float = 1e-6
 ) -> AccuracyBudget:
@@ -444,8 +414,7 @@ def accuracy_budget(
     grid_step = 2*pi*t / (log(bound) + log(2/target)); the term count takes
     the more conservative of the two published truncation-bound constants.
     """
-    if not (0.0 < target < 1.0):
-        raise ConfigError(f"target must lie in (0, 1), got {target}")
+    _check_target(target)
     kept = spectrum.kept()
     if kept.size == 0:
         raise ConfigError(
@@ -604,8 +573,8 @@ def _inversion_sum(
 def cdf_quadratic_form_raw(
     spectrum: QuadFormSpectrum, z: float, budget: AccuracyBudget
 ) -> float:
-    """Unclamped truncated-series value of Pr(Z <= z); may leave [0, 1] by
-    up to the accuracy target."""
+    """Unclamped truncated-series value of the CDF of Z at z; may leave
+    [0, 1] by up to the accuracy target (:func:`total_error` clamps it)."""
     series = _inversion_sum(
         spectrum,
         z,
@@ -614,21 +583,6 @@ def cdf_quadratic_form_raw(
         tol=_EVAL_SLACK * budget.target * math.pi,
     )
     return 0.5 - series / math.pi
-
-
-def cdf_quadratic_form(
-    spectrum: QuadFormSpectrum, z: float, budget: AccuracyBudget
-) -> float:
-    """Pr(Z <= z) within the budget's target, clamped into [0, 1].
-
-    The raw value is computed first and logged so excursions outside [0, 1]
-    (which the truncation bounds allow, up to the target) stay observable.
-    """
-    raw = cdf_quadratic_form_raw(spectrum, z, budget)
-    clamped = min(max(raw, 0.0), 1.0)
-    if raw != clamped:
-        logger.debug("cdf excursion clamped: raw=%r at z=%r", raw, z)
-    return clamped
 
 
 @dataclass(frozen=True)
@@ -653,25 +607,6 @@ class ErrorReport:
     raw_cdf_given_2: float
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "total_error": self.total_error,
-            "miss_given_1": self.miss_given_1,
-            "miss_given_2": self.miss_given_2,
-            "prior1": self.prior1,
-            "prior2": self.prior2,
-            "threshold": self.threshold,
-            "budget_given_1": None
-            if self.budget_given_1 is None
-            else self.budget_given_1.to_dict(),
-            "budget_given_2": None
-            if self.budget_given_2 is None
-            else self.budget_given_2.to_dict(),
-            "raw_cdf_given_1": self.raw_cdf_given_1,
-            "raw_cdf_given_2": self.raw_cdf_given_2,
-            "degenerate": self.degenerate,
-        }
-
 
 def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     """Exact a-priori probability that the MAP decision is wrong.
@@ -679,8 +614,11 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     Combines the two conditional CDF evaluations at the decision threshold:
     prior2 * Pr(decide 1 | class 2) + prior1 * Pr(decide 2 | class 1).
     Identical classes short-circuit: the decision is then the larger prior
-    and the error is exactly min(prior1, prior2).
+    and the error is exactly min(prior1, prior2).  The raw CDFs may leave
+    [0, 1] by up to the target; they are clamped, and an excursion is
+    logged at DEBUG level.
     """
+    _check_target(target)
     stats1, stats2 = scenario.stats1(), scenario.stats2()
     sampling = scenario.sampling
     p1, p2 = sampling.prior1, sampling.prior2
@@ -713,8 +651,9 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     budget2 = accuracy_budget(spectrum2, z, target)
     raw1 = cdf_quadratic_form_raw(spectrum1, z, budget1)
     raw2 = cdf_quadratic_form_raw(spectrum2, z, budget2)
-    cdf1 = min(max(raw1, 0.0), 1.0)
-    cdf2 = min(max(raw2, 0.0), 1.0)
+    cdf1, cdf2 = (min(max(raw, 0.0), 1.0) for raw in (raw1, raw2))
+    if (cdf1, cdf2) != (raw1, raw2):
+        logger.debug("cdf excursion clamped: raw=(%r, %r) at z=%r", raw1, raw2, z)
     return ErrorReport(
         total_error=p2 * cdf2 + p1 * (1.0 - cdf1),
         miss_given_1=1.0 - cdf1,
@@ -736,19 +675,6 @@ class ErrorSurface:
     gain_ratios: np.ndarray
     mass_ratios: np.ndarray
     total_errors: np.ndarray  # shape (len(mass_ratios), len(gain_ratios))
-
-    def write_csv(self, path) -> None:
-        """Matrix CSV: rows are mass ratios, columns gain ratios, cells
-        log10 of the total error; a cell whose error is 0.0 is left blank,
-        so the file carries no non-finite value.  CRLF line ends; no cell
-        needs quoting."""
-        gains = [repr(g) for g in self.gain_ratios.tolist()]
-        lines = [",".join(["mass_ratio\\gain_ratio"] + gains)]
-        for mr, errors in zip(self.mass_ratios.tolist(), self.total_errors.tolist()):
-            cells = [repr(math.log10(e)) if e > 0 else "" for e in errors]
-            lines.append(",".join([repr(mr)] + cells))
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def error_surface(

@@ -8,8 +8,9 @@ documented per run function.
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +19,16 @@ from . import __version__
 from .detector import (
     _full_statistics,
     _roc_points,
-    batch_statistics,
+    detect_batch,
     detect_simplified,
     detector_from_scenario,
     stream_update,
     threshold,
 )
-from .error_analysis import error_surface, total_error
+from .error_analysis import ErrorSurface, error_surface, total_error
 from .errors import ConfigError
 from .model import Scenario
-from .simulator import _simulate_samples
+from .simulator import _simulate_samples, simulate_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -58,6 +59,11 @@ _DEFAULT_TRIALS = {
     "mc-vs-exact": 5000,
     "roc": 500,
 }
+
+# class-2/class-1 ratios of the default error surface, on both axes
+SURFACE_RATIOS = (0.25, 0.5, 1.0, 2.0, 4.0)
+# horizons of the default error-vs-horizon table
+SWEEP_HORIZONS = (5, 10, 20, 40)
 
 
 @dataclass(frozen=True)
@@ -121,15 +127,6 @@ class RunManifest:
     outputs: dict
     wall_seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "wall_seconds": self.wall_seconds,
-        }
-
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -149,7 +146,7 @@ def _finish(config: ExperimentConfig, paths: list, started: float) -> RunManifes
     )
     manifest_path = config.out_dir / f"{config.name}_manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2)
+        json.dump(asdict(manifest), fh, indent=2)
         fh.write("\n")
     return manifest
 
@@ -167,17 +164,32 @@ def _cell(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """CSV with CRLF line ends, floats written as their ``repr``."""
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    """CSV with CRLF line ends, floats written as their ``repr``; no cell
+    needs quoting."""
+    lines = [",".join(map(_cell, row)) for row in [header, *rows]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _batch_statistics(config: ExperimentConfig, samples: np.ndarray):
-    """Decision statistics of a (trials, n) matrix, each equal bit for bit to
-    ``detect_simplified`` on that row's ``SufficientStatistics.from_series``."""
-    detector = detector_from_scenario(config.scenario)
-    return batch_statistics(detector, samples), threshold(detector, samples.shape[1])
+def write_surface_csv(surface: ErrorSurface, path) -> None:
+    """Matrix CSV: rows are mass ratios, columns gain ratios, cells log10 of
+    the total error; a cell whose error is 0.0 is left blank, so the file
+    carries no non-finite value."""
+    rows = (
+        [mass] + [math.log10(e) if e > 0 else None for e in errors]
+        for mass, errors in zip(surface.mass_ratios.tolist(), surface.total_errors.tolist())
+    )
+    _write_csv(path, ["mass_ratio\\gain_ratio"] + surface.gain_ratios.tolist(), rows)
+
+
+def horizon_errors(scenario: Scenario, kf_values, accuracy: float) -> tuple:
+    """The horizons and the total error at each, the rest of ``scenario``
+    held fixed.  Every value must be a valid config ``kf`` (an integer
+    >= 1); all are checked before any error is computed."""
+    base = scenario.to_dict()
+    scenarios = [Scenario.from_dict(dict(base, kf=kf)) for kf in kf_values]
+    horizons = [s.sampling.horizon for s in scenarios]
+    return horizons, [total_error(s, accuracy).total_error for s in scenarios]
 
 
 def run_scatter(config: ExperimentConfig) -> RunManifest:
@@ -187,9 +199,10 @@ def run_scatter(config: ExperimentConfig) -> RunManifest:
     scatter_summary.json with the empirical confusion matrix.
     """
     started = _prepare(config)
-    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
-    statistics, z = _batch_statistics(config, samples)
-    decisions = np.where(statistics <= z, 1, 2)
+    batch = simulate_batch(config.scenario, config.trials(), config.seed)
+    detector = detector_from_scenario(config.scenario)
+    decisions, statistics, thresholds, _ = detect_batch(detector, batch)
+    labels, decisions, z = batch.label, np.array(decisions), thresholds[0]
 
     csv_path = config.out_dir / "scatter.csv"
     _write_csv(
@@ -197,9 +210,7 @@ def run_scatter(config: ExperimentConfig) -> RunManifest:
         ("trial", "label", "statistic", "z"),
         (
             (i, label, statistic, z)
-            for i, (label, statistic) in enumerate(
-                zip(labels.tolist(), statistics.tolist())
-            )
+            for i, (label, statistic) in enumerate(zip(labels.tolist(), statistics))
         ),
     )
     summary = {
@@ -286,9 +297,10 @@ def run_mc_vs_exact(config: ExperimentConfig) -> RunManifest:
     """
     started = _prepare(config)
     report = total_error(config.scenario, config.accuracy)
-    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
-    statistics, z = _batch_statistics(config, samples)
-    wrong = (np.where(statistics <= z, 1, 2) != labels).astype(float)
+    batch = simulate_batch(config.scenario, config.trials(), config.seed)
+    decisions = detect_batch(detector_from_scenario(config.scenario), batch)[0]
+    labels = batch.label
+    wrong = (np.array(decisions) != labels).astype(float)
 
     n = labels.size
     cum_wrong = np.cumsum(wrong)
@@ -335,25 +347,22 @@ def run_mc_vs_exact(config: ExperimentConfig) -> RunManifest:
     return _finish(config, [csv_path], started)
 
 
-def run_surface(config: ExperimentConfig, gain_ratios=None, mass_ratios=None) -> RunManifest:
+def run_surface(
+    config: ExperimentConfig, gain_ratios=SURFACE_RATIOS, mass_ratios=SURFACE_RATIOS
+) -> RunManifest:
     """Total error over a grid of class-2/class-1 gain and mass ratios.
 
-    Outputs surface.csv: first row gain ratios, first column mass ratios,
-    cells log10(total error).  Default grid is 5 log-spaced ratios in
-    [1/4, 4] on both axes.
+    Outputs surface.csv (see :func:`write_surface_csv`).  The default grid
+    is SURFACE_RATIOS, the powers of two from 1/4 to 4, on both axes.
     """
     started = _prepare(config)
-    if gain_ratios is None:
-        gain_ratios = np.geomspace(0.25, 4.0, 5)
-    if mass_ratios is None:
-        mass_ratios = np.geomspace(0.25, 4.0, 5)
     surface = error_surface(config.scenario, gain_ratios, mass_ratios, config.accuracy)
     csv_path = config.out_dir / "surface.csv"
-    surface.write_csv(csv_path)
+    write_surface_csv(surface, csv_path)
     return _finish(config, [csv_path], started)
 
 
-def run_horizon_sweep(config: ExperimentConfig, kf_values=(5, 10, 20, 40)) -> RunManifest:
+def run_horizon_sweep(config: ExperimentConfig, kf_values=SWEEP_HORIZONS) -> RunManifest:
     """Exact total error as a function of the horizon.
 
     Outputs horizon_sweep.csv with columns kf,total_error and
@@ -361,15 +370,7 @@ def run_horizon_sweep(config: ExperimentConfig, kf_values=(5, 10, 20, 40)) -> Ru
     versus horizon (the decay is expected to look exponential).
     """
     started = _prepare(config)
-    kf_values = [int(k) for k in kf_values]
-    if any(k < 1 for k in kf_values):
-        raise ConfigError("all horizon values must be >= 1")
-    base = config.scenario.to_dict()
-    errors = []
-    for kf in kf_values:
-        scenario = Scenario.from_dict(dict(base, kf=kf))
-        errors.append(total_error(scenario, config.accuracy).total_error)
-
+    kf_values, errors = horizon_errors(config.scenario, kf_values, config.accuracy)
     csv_path = config.out_dir / "horizon_sweep.csv"
     _write_csv(csv_path, ("kf", "total_error"), zip(kf_values, errors))
 

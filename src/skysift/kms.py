@@ -3,8 +3,7 @@
 A matrix with entries alpha * rho**|i-j| has a tridiagonal inverse and a
 two-factor determinant, so solves, quadratic forms, and log-determinants all
 cost O(n) with no factorization.  The detector path relies on these closed
-forms exclusively; dense materialization exists only for oracle comparison
-(see :func:`skysift.model.covariance_matrix`).
+forms exclusively; dense matrices exist only in the tests' oracles.
 """
 
 import math

@@ -14,8 +14,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "ClassStatistics",
     "Scenario",
     "class_statistics",
-    "covariance_matrix",
     "continuous_autocorrelation",
 ]
 
@@ -111,26 +108,13 @@ def class_statistics(
     return ClassStatistics(alpha=alpha, rho=rho)
 
 
-def covariance_matrix(stats: ClassStatistics, horizon: int) -> np.ndarray:
-    """Dense covariance of the sampled series: entry (i, j) = alpha * rho**|i-j|.
-
-    Symmetric Toeplitz with exponentially decaying bands; positive definite
-    for 0 < rho < 1.  Intended for test oracles: neither the detector nor
-    the error analysis materializes the dense matrix.
-    """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    idx = np.arange(horizon)
-    return stats.alpha * stats.rho ** np.abs(idx[:, None] - idx[None, :])
-
-
 def continuous_autocorrelation(
     params: IntruderParams, noise: NoiseSpec, lag: float
 ) -> float:
     """Autocorrelation of the continuous-time stationary velocity deviation.
 
     Returns q / (2*gain*mass) * exp(-(gain/mass) * |lag|).  Sampling this at
-    lag = n * period reproduces the entries of :func:`covariance_matrix`.
+    lag = n * period gives the covariance alpha * rho**n of samples n apart.
     """
     scale = noise.intensity / (2.0 * params.gain * params.mass)
     return scale * math.exp(-(params.gain / params.mass) * abs(lag))
@@ -178,7 +162,7 @@ class Scenario:
             raise ConfigError(f"kf must be an integer, got {merged['kf']!r}")
         try:
             kf = int(merged["kf"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"kf must be an integer, got {merged['kf']!r}") from exc
         if kf != merged["kf"]:
             raise ConfigError(f"kf must be an integer, got {merged['kf']!r}")

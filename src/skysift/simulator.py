@@ -142,10 +142,6 @@ def _standard_normals_from_bits(bits: np.ndarray) -> np.ndarray:
     return ndtri((bits + 0.5) * 2.0**-53)
 
 
-def _draw_bits(rng: np.random.Generator, size) -> np.ndarray:
-    return rng.integers(0, 2**53, size=size).astype(float)
-
-
 def _check_seed(seed) -> None:
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -321,22 +317,9 @@ def simulate_trajectory(
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     _check_seed(rng_seed)
-    rng = np.random.default_rng(rng_seed)
-    normals = _standard_normals_from_bits(_draw_bits(rng, horizon))
-    samples = _ar1_from_normals(stats.alpha, stats.rho, normals)
+    bits = np.random.default_rng(rng_seed).integers(0, 2**53, size=horizon).astype(float)
+    samples = _ar1_from_normals(stats.alpha, stats.rho, _standard_normals_from_bits(bits))
     return MeasurementSeries(samples=samples, period=1.0)
-
-
-def _sample_matrix(
-    stats: ClassStatistics, horizon: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Bulk sampler from a single stream: (n, horizon) matrix of trajectories.
-
-    Law tests use this for very large n; it trades the per-trial stream
-    contract for speed, so it is internal.
-    """
-    normals = _standard_normals_from_bits(_draw_bits(rng, (n, horizon)))
-    return _ar1_from_normals(stats.alpha, stats.rho, normals)
 
 
 def _simulate_samples(scenario: Scenario, n_trials: int, rng_seed: int) -> tuple:

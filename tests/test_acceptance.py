@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import chi2
 
 from conftest import make_scenario
+from oracles import covariance_matrix
 from skysift.detector import (
     SufficientStatistics,
     conditional_error,
@@ -25,7 +26,7 @@ from skysift.detector import (
 from skysift.error_analysis import (
     QuadFormSpectrum,
     accuracy_budget,
-    cdf_quadratic_form,
+    cdf_quadratic_form_raw,
     q_sigma_eigenvalues,
     total_error,
     error_surface,
@@ -40,7 +41,6 @@ from skysift.model import (
     ClassStatistics,
     Scenario,
     class_statistics,
-    covariance_matrix,
 )
 from skysift.simulator import simulate_batch, simulate_trajectory
 
@@ -168,7 +168,7 @@ def test_criterion_04_cdf_matches_closed_form_oracles():
             z = lam * chi2(df).ppf(p)
             oracle = chi2(df).cdf(z / lam) if lam > 0 else chi2(df).sf(z / lam)
             budget = accuracy_budget(spectrum, z, 1e-6)
-            value = cdf_quadratic_form(spectrum, z, budget)
+            value = cdf_quadratic_form_raw(spectrum, z, budget)
             worst = max(worst, abs(value - oracle))
     elapsed = time.monotonic() - started
     assert worst <= 1e-6, f"worst CDF error {worst:.3e}"
@@ -192,8 +192,8 @@ def test_criterion_05_quadrature_refinement_is_stable():
                 scenario.stats1(), scenario.stats2(), horizon, hypothesis
             )
             budget = accuracy_budget(spectrum, z, target)
-            coarse = cdf_quadratic_form(spectrum, z, budget)
-            fine = cdf_quadratic_form(spectrum, z, budget.refined(4))
+            coarse = cdf_quadratic_form_raw(spectrum, z, budget)
+            fine = cdf_quadratic_form_raw(spectrum, z, budget.refined(4))
             worst = max(worst, abs(coarse - fine))
             cdfs[hypothesis] = (coarse, fine)
         p1, p2 = scenario.sampling.prior1, scenario.sampling.prior2

@@ -127,7 +127,7 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
         (
             "surface",
             "surface.csv",
-            "cb05628f7845e4776552ec07ea954c7c085fcf1174e4cc5f7127ff57fc3c5a94",
+            "57946a53961b87f75edded1b86bc690c835fdf4a4dbcaa879d687d843faf692c",
         ),
     ],
 )
@@ -161,8 +161,19 @@ def test_experiment_bytes_pinned(tmp_path, name, output, digest):
             None,
             "7eb753f14ccb42f69f9e9c92753170f0759f45bba8d0f1a9bdf7a8b9ef01c968",
         ),
+        (
+            ("error-vs-horizon",),
+            None,
+            "8b390fd6e5f1ad4f639107a4ffa9270692bfc639e21a22e07bda22ab29b9b7e9",
+        ),
     ],
-    ids=["error-total", "error-surface", "error-surface-custom", "error-vs-horizon"],
+    ids=[
+        "error-total",
+        "error-surface",
+        "error-surface-custom",
+        "error-vs-horizon",
+        "error-vs-horizon-default",
+    ],
 )
 def test_error_commands_bytes_pinned(tmp_path, capsys, argv, output, digest):
     """Digests of the error commands' outputs on the default scenario; None
@@ -424,10 +435,24 @@ def test_error_vs_horizon_short_horizons_print_plain_floats(capsys):
         assert 0.0 < float(line.split(",")[1]) < 0.5, line
 
 
-def test_error_vs_horizon_bad_values():
+def test_error_vs_horizon_bad_values(capsys):
     assert run("error-vs-horizon", "--horizons", "5,x") == 2
     assert run("error-vs-horizon", "--horizons", "0,5") == 2
     assert run("error-vs-horizon", "--horizons", "") == 2
+    # refused, not truncated to kf 2 or left to crash, before any row is printed
+    for value in ("2.5", "nan", "inf", "-inf"):
+        capsys.readouterr()
+        assert run("error-vs-horizon", "--horizons", f"5,{value}") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and value in err, err
+
+
+def test_accuracy_checked_on_identical_classes(tmp_path, capsys):
+    argv = ("--out-dir", tmp_path, "error-surface", "--gain-ratios", "1", "--mass-ratios", "1")
+    assert run("--accuracy", 2, *argv) == 2
+    assert "target must lie in (0, 1), got 2.0" in capsys.readouterr().err
+    assert run(*argv) == 0
 
 
 def test_experiment_subcommand(tmp_path):
@@ -456,6 +481,7 @@ def test_config_file_applied(tmp_path):
         "[1, 2, 3]",  # not an object
         '{"unknown_key": 1}',
         '{"kf": 0}',
+        '{"kf": Infinity}',
     ],
 )
 def test_bad_config_exits_2(tmp_path, payload):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skysift as sk
+from oracles import covariance_matrix, sample_matrix
 from skysift.detector import (
     DetectionReport,
     SufficientStatistics,
     _full_statistics,
     build_detector,
     conditional_error,
+    detect_batch,
     detect_full,
     detect_simplified,
     detector_from_scenario,
@@ -23,7 +26,7 @@ from skysift.detector import (
 )
 from skysift.errors import ConfigError
 from skysift.kms import KmsMatrix, kms_logdet
-from skysift.simulator import MeasurementSeries, _sample_matrix, simulate_batch
+from skysift.simulator import MeasurementSeries, simulate_batch
 
 # Frozen oracle values for the default scenario, cross-checked at build time
 # against dense inverse-covariance matrices.
@@ -50,8 +53,8 @@ def test_coefficients_match_dense_inverse_difference(default_scenario):
     s = default_scenario
     spec = detector_from_scenario(s)
     n = 9
-    q = np.linalg.inv(sk.covariance_matrix(s.stats1(), n)) - np.linalg.inv(
-        sk.covariance_matrix(s.stats2(), n)
+    q = np.linalg.inv(covariance_matrix(s.stats1(), n)) - np.linalg.inv(
+        covariance_matrix(s.stats2(), n)
     )
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -119,8 +122,8 @@ def test_detect_full_matches_dense_quadratic(default_scenario):
     spec = detector_from_scenario(s)
     rng = np.random.default_rng(23)
     for n in (1, 2, 5, 17, 40):
-        q = np.linalg.inv(sk.covariance_matrix(s.stats1(), n)) - np.linalg.inv(
-            sk.covariance_matrix(s.stats2(), n)
+        q = np.linalg.inv(covariance_matrix(s.stats1(), n)) - np.linalg.inv(
+            covariance_matrix(s.stats2(), n)
         )
         y = rng.normal(size=n)
         dense = float(y @ q @ y)
@@ -241,7 +244,7 @@ def test_conditional_error_monotone(default_detector):
 
 def test_detection_report_dict(default_detector):
     report = detect_full(default_detector, np.ones(20))
-    d = report.to_dict()
+    d = asdict(report)
     assert set(d) == {
         "decision",
         "statistic",
@@ -307,6 +310,37 @@ def test_roc_sweep_ragged_batch(default_detector):
         assert point.true_positive_rate == (stats[is2] > thr).mean()
 
 
+def test_detect_batch_equals_detect_simplified_per_trial(default_detector):
+    """Ragged trials: every column equals the report field bit for bit, as a
+    plain Python number, in trial order."""
+    rng = np.random.default_rng(12)
+    lengths = (1, 4, 7, 4, 1, 20, 2)
+    trials = tuple(
+        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n) * 2.0**i, period=1.0))
+        for i, n in enumerate(lengths)
+    )
+    columns = detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
+    assert [len(c) for c in columns] == [len(lengths)] * 4
+    for row, (_, series) in zip(zip(*columns), trials):
+        report = detect_simplified(
+            default_detector, SufficientStatistics.from_series(series.samples)
+        )
+        assert row == (
+            report.decision,
+            report.statistic,
+            report.threshold,
+            report.conditional_error,
+        )
+        assert [type(v) for v in row] == [int, float, float, float]
+
+
+def test_detect_batch_refuses_an_overflowing_trial(default_detector):
+    trials = [(1, MeasurementSeries(samples=np.ones(3), period=1.0))] * 2
+    trials.append((2, MeasurementSeries(samples=np.full(5, 1e200), period=1.0)))
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="trial 2"):
+        detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
+
+
 def test_roc_map_point_matches_exact_rates(default_scenario):
     n = 4000
     batch = simulate_batch(default_scenario, n, 12)
@@ -335,7 +369,7 @@ def test_roc_requires_both_classes():
 
 def test_fit_recovers_parameters(default_scenario):
     st1 = default_scenario.stats1()
-    samples = _sample_matrix(st1, 20, 10_000, np.random.default_rng(77))
+    samples = sample_matrix(st1, 20, 10_000, np.random.default_rng(77))
     fitted = fit_class_statistics([samples[i] for i in range(samples.shape[0])])
     assert fitted.alpha == pytest.approx(st1.alpha, rel=0.02)
     assert fitted.rho == pytest.approx(st1.rho, rel=0.02)
@@ -344,8 +378,8 @@ def test_fit_recovers_parameters(default_scenario):
 def test_fitted_detector_close_to_true_detector(default_scenario):
     s = default_scenario
     rng = np.random.default_rng(99)
-    fit1 = _sample_matrix(s.stats1(), 20, 4000, rng)
-    fit2 = _sample_matrix(s.stats2(), 20, 4000, rng)
+    fit1 = sample_matrix(s.stats1(), 20, 4000, rng)
+    fit2 = sample_matrix(s.stats2(), 20, 4000, rng)
     fitted_spec = build_detector(
         fit_class_statistics(list(fit1)),
         fit_class_statistics(list(fit2)),

@@ -1,7 +1,9 @@
 import cmath
 import hashlib
+import logging
 import math
 import time
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import skysift as sk
+from oracles import characteristic_function, sample_matrix
 from skysift import error_analysis
 from skysift.detector import detector_from_scenario, threshold
 from skysift.error_analysis import (
@@ -20,16 +23,14 @@ from skysift.error_analysis import (
     _inversion_sum,
     _phi_arrays,
     accuracy_budget,
-    cdf_quadratic_form,
     cdf_quadratic_form_raw,
-    characteristic_function,
     error_surface,
     q_sigma_eigenvalues,
     total_error,
 )
 from skysift.errors import ConfigError, NumericalError
+from skysift.experiments import write_surface_csv
 from skysift.kms import KmsMatrix, kms_cholesky_factor, kms_inverse_apply
-from skysift.simulator import _sample_matrix
 
 # Frozen fixtures for the default scenario (horizon 20), cross-checked against
 # dense eigensolves and a closed-form trace identity when first computed.
@@ -586,7 +587,7 @@ def test_cdf_single_eigenvalue_oracle(eigenvalue):
     for quantile in (0.3, 1.2, 3.5):
         z = sign * quantile * abs(eigenvalue)
         budget = accuracy_budget(sp, z, 1e-6)
-        got = cdf_quadratic_form(sp, z, budget)
+        got = cdf_quadratic_form_raw(sp, z, budget)
         assert abs(got - closed_form_cdf(eigenvalue, z)) <= 1e-6
 
 
@@ -597,7 +598,7 @@ def test_cdf_equal_pair_oracle(eigenvalue):
     for quantile in (0.2, 1.0, 4.0):
         z = sign * quantile * abs(eigenvalue)
         budget = accuracy_budget(sp, z, 1e-6)
-        got = cdf_quadratic_form(sp, z, budget)
+        got = cdf_quadratic_form_raw(sp, z, budget)
         assert abs(got - closed_form_cdf_pair(eigenvalue, z)) <= 1e-6
 
 
@@ -606,9 +607,28 @@ def test_cdf_clamps_and_reports_raw(default_scenario):
     z = threshold(detector_from_scenario(default_scenario))
     budget = accuracy_budget(sp1, z, 1e-6)
     raw = cdf_quadratic_form_raw(sp1, z, budget)
-    clamped = cdf_quadratic_form(sp1, z, budget)
+    report = total_error(default_scenario)
+    assert report.raw_cdf_given_1 == raw
+    clamped = 1.0 - report.miss_given_1
     assert 0.0 <= clamped <= 1.0
     assert abs(raw - clamped) <= budget.target
+
+
+def test_total_error_clamps_and_logs_an_excursion(monkeypatch, caplog, default_scenario):
+    """Raw CDFs outside [0, 1] by less than the target, as the truncation
+    bounds allow, are clamped in the report and logged at DEBUG level; a
+    report inside [0, 1] logs nothing."""
+    with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
+        total_error(default_scenario)
+        assert not [r for r in caplog.records if "excursion" in r.getMessage()]
+        for raw, cdf in ((-5e-7, 0.0), (1.0 + 5e-7, 1.0)):
+            caplog.clear()
+            monkeypatch.setattr(error_analysis, "cdf_quadratic_form_raw", lambda *a: raw)
+            report = total_error(default_scenario)
+            assert report.raw_cdf_given_1 == report.raw_cdf_given_2 == raw
+            assert (1.0 - report.miss_given_1, report.miss_given_2) == (cdf, cdf)
+            (record,) = [r for r in caplog.records if "excursion" in r.getMessage()]
+            assert repr(raw) in record.getMessage()
 
 
 def test_head_tail_split_matches_direct_summation():
@@ -708,7 +728,7 @@ def test_cdf_against_monte_carlo(default_scenario):
     spec = detector_from_scenario(s)
     z = threshold(spec)
     n = 200_000
-    samples = _sample_matrix(s.stats2(), 20, n, np.random.default_rng(2718))
+    samples = sample_matrix(s.stats2(), 20, n, np.random.default_rng(2718))
     stats = (
         spec.energy_coef * np.einsum("ij,ij->i", samples, samples)
         + spec.lag_coef * np.einsum("ij,ij->i", samples[:, :-1], samples[:, 1:])
@@ -731,7 +751,7 @@ def test_total_error_frozen_values(default_scenario):
     assert not report.degenerate
     assert report.budget_given_1.n_terms == BUDGET1_N
     assert report.budget_given_2.n_terms == BUDGET2_N
-    d = report.to_dict()
+    d = asdict(report)
     assert d["budget_given_1"]["n_terms"] == BUDGET1_N
     assert d["prior1"] == 0.5
 
@@ -775,7 +795,11 @@ def test_total_error_degenerate_path():
     assert report.miss_given_2 == 0.0
     assert report.budget_given_1 is None
     assert report.budget_given_2 is None
-    assert report.to_dict()["budget_given_1"] is None
+    assert asdict(report)["budget_given_1"] is None
+    # the pair needs no budget, yet a bad target is refused as on any other
+    for target in (0.0, 1.0, 2.0, math.nan):
+        with pytest.raises(ConfigError, match="target must lie in"):
+            total_error(s, target)
 
 
 def test_near_identical_classes_fail_loudly():
@@ -820,7 +844,7 @@ def test_error_surface_csv(tmp_path, default_scenario):
     ratios = [0.5, 1.0, 2.0]
     surface = error_surface(default_scenario, ratios, ratios)
     path = tmp_path / "surface.csv"
-    surface.write_csv(path)
+    write_surface_csv(surface, path)
     # the bytes the csv-module writer produced
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "f610fb6c7bb1c000bb6b0e978fa0af2b9f940b96245a9f95a49108c15e50c84e"
@@ -835,10 +859,11 @@ def test_error_surface_csv(tmp_path, default_scenario):
         for j, cell in enumerate(cells[1:]):
             assert float(cell) == math.log10(surface.total_errors[i, j])
     # a total error clamped to 0.0 has no finite log10: the cell stays blank
-    ErrorSurface(
+    zero_cell = ErrorSurface(
         gain_ratios=np.array([1.0, 3.0]),
         mass_ratios=np.array([1.0]),
         total_errors=np.array([[0.5, 0.0]]),
-    ).write_csv(path)
+    )
+    write_surface_csv(zero_cell, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[1] == f"1.0,{math.log10(0.5)!r},"

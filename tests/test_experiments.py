@@ -182,8 +182,13 @@ def test_run_horizon_sweep(tmp_path):
 
     summary = json.loads((cfg.out_dir / "horizon_sweep_summary.json").read_text())
     assert summary["log_error_slope"] < 0.0
-    with pytest.raises(ConfigError):
-        run_horizon_sweep(cfg, kf_values=(0, 5))
+    # a value that is not an integer >= 1 is refused by name, never
+    # truncated, and before any file is written
+    bad_cfg = make_config(tmp_path / "bad", "horizon-sweep")
+    for bad in (0, -3, 2.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match=repr(bad)):
+            run_horizon_sweep(bad_cfg, kf_values=(5, bad))
+    assert list(bad_cfg.out_dir.iterdir()) == []
 
 
 def test_run_surface(tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import skysift as sk
+from oracles import covariance_matrix
 from skysift.errors import ConfigError
-from skysift.model import class_statistics, continuous_autocorrelation, covariance_matrix
+from skysift.model import class_statistics, continuous_autocorrelation
 
 
 def test_default_scenario_statistics():

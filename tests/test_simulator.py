@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import skysift as sk
+from oracles import sample_matrix
 from skysift.errors import ConfigError
 from skysift.simulator import (
     CSV_HEADER,
     MeasurementSeries,
     TrialBatch,
     _raw_streams,
-    _sample_matrix,
     read_batch_csv,
     simulate_batch,
     simulate_trajectory,
@@ -140,7 +140,7 @@ def test_sampled_law_moments():
     """Empirical variance and lag-1 covariance match alpha and alpha*rho."""
     st = sk.ClassStatistics(alpha=0.5, rho=math.exp(-0.5))
     n = 200_000
-    samples = _sample_matrix(st, 2, n, np.random.default_rng(11))
+    samples = sample_matrix(st, 2, n, np.random.default_rng(11))
     var0 = float(np.mean(samples[:, 0] ** 2))
     var1 = float(np.mean(samples[:, 1] ** 2))
     lag = float(np.mean(samples[:, 0] * samples[:, 1]))
@@ -154,7 +154,7 @@ def test_sampled_law_moments():
 def test_stationary_initialization():
     # no transient: variance is flat across sample index
     st = sk.ClassStatistics(alpha=1.0, rho=0.9)
-    samples = _sample_matrix(st, 6, 100_000, np.random.default_rng(5))
+    samples = sample_matrix(st, 6, 100_000, np.random.default_rng(5))
     variances = np.mean(samples**2, axis=0)
     se = st.alpha * math.sqrt(2.0 / samples.shape[0])
     np.testing.assert_allclose(variances, st.alpha, atol=5 * se)
@@ -162,7 +162,7 @@ def test_stationary_initialization():
 
 def test_near_zero_rho_decorrelates():
     st = sk.ClassStatistics(alpha=1.0, rho=1e-8)
-    samples = _sample_matrix(st, 2, 50_000, np.random.default_rng(3))
+    samples = sample_matrix(st, 2, 50_000, np.random.default_rng(3))
     corr = float(np.mean(samples[:, 0] * samples[:, 1]))
     assert abs(corr) <= 4.0 / math.sqrt(samples.shape[0])
 
