@@ -9,12 +9,15 @@ grid step (resolution error) and the term count (truncation error), both
 chosen from Chernoff-style bounds so the combined error stays below a
 requested target.
 
-Evaluating the truncated series is its own numerical problem: for one or two
-eigenvalues the required term count reaches 1e13.  The series is then split
-into a directly-summed head and a tail evaluated exactly-in-effect by
-expanding the characteristic function asymptotically in 1/omega and reducing
-each order to a pinned power sum (see :mod:`skysift._powersum`).  The split
-is validated against brute-force partial sums in the test suite.
+Evaluating the truncated series is its own numerical problem: at kept orders
+up to about 7 the required term count reaches 1e6-1e13.  Those CDFs are not
+summed.  Equal eigenvalues give a scaled chi-squared; otherwise the CDF is a
+few real integrals around the branch cuts of the moment generating function
+(Imhof 1961; Rice 1980), each a Gauss-Chebyshev or trapezoid sum of 64 to a
+few thousand nodes with a certified error bound (see :func:`_cut_cdf`).  Only
+where those bounds miss the tolerance within the node cap is the series split
+into a directly-summed head and a tail from its asymptotic expansion in
+1/omega, each order a pinned power sum (see :mod:`skysift._powersum`).
 
 The spectrum itself costs O(n) per hypothesis and builds no n x n array.
 Both covariances are Kac-Murdock-Szego matrices, so both inverses are
@@ -37,6 +40,7 @@ from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
+from scipy.special import gammainc, gammaincc
 
 from .errors import ConfigError, NumericalError
 from ._powersum import pinned_power_sum
@@ -67,6 +71,14 @@ _DIRECT_CAP = 1 << 15  # sum series directly up to this many terms; see _inversi
 _HEAD_MIN = 1 << 12
 _HEAD_MAX = 1 << 26
 _TAIL_MAX_ORDER = 16
+# branch-cut quadrature (see _cut_cdf): node counts 64, 128, ... up to the cap,
+# the fractions of the analyticity region its bounds try, the trapezoid spans
+_CUT_NODES_MAX = 1 << 14
+_CUT_MAX_ORDER = 16
+_NODE_COUNTS = [1 << j for j in range(6, _CUT_NODES_MAX.bit_length())]
+_FRACTIONS = np.concatenate([0.5 ** np.arange(1, 24), 1.0 - 0.5 ** np.arange(2, 24)])
+_TRAPEZOID_SPANS = 2.0 ** (np.arange(-8, 73) / 4.0)
+_EPS = float(np.finfo(float).eps)
 # grid points per _log_phi call: the closed form keeps ~15 complex temporaries
 _CHUNK = 1 << 16
 # (eigenvalue, grid point) pairs per _phi_arrays block: cache-sized, and no
@@ -516,6 +528,11 @@ def _tail_sum(
     )
 
 
+def _head_len(abs_min: float, delta: float) -> int:
+    """Where the tail may start: the expansion parameter 1/(2|lam| u) is <= 0.05."""
+    return max(math.ceil(10.0 / (abs_min * delta)), _HEAD_MIN)
+
+
 def _inversion_sum(
     spectrum: QuadFormSpectrum,
     z: float,
@@ -535,9 +552,7 @@ def _inversion_sum(
     kept = spectrum.kept()
     if kept.size == 0:
         raise ConfigError("cannot invert a spectrum with no nonzero eigenvalues")
-    abs_min = float(np.min(np.abs(kept)))
-    # start the tail where the expansion parameter 1/(2|lam| u) is <= 0.05
-    head_len = max(math.ceil(10.0 / (abs_min * delta)), _HEAD_MIN)
+    head_len = _head_len(float(np.min(np.abs(kept))), delta)
     if n_terms <= max(direct_cap, min(head_len, _HEAD_MAX)):
         return _direct_partial_sum(spectrum, z, delta, 0, n_terms)
 
@@ -570,18 +585,150 @@ def _inversion_sum(
     return head + tail
 
 
+def _cut_cdf(spectrum: QuadFormSpectrum, z: float, tol: float):
+    """(P(Z <= z), its error bound <= tol) from the branch cuts of the moment
+    generating function M(s) = prod_j (1 - 2 lam_j s)^(-1/2), or None (logged
+    at DEBUG) where that cannot be certified.  k equal lam: a scaled chi2_k.
+
+    M is analytic off the real half-lines past b_j = 1/(2 lam_j).  For z >= 0,
+    close P(Z > z) = (1/2 pi i) int M(s) e^(-sz) ds/s, Re s = c in (0, b_(1)),
+    to the right around [b_(1), inf), b_(1) < ... < b_(p) those of the p
+    positive lam; across it M(x + i0) - M(x - i0) = (i^m - (-i)^m) |M(x)|,
+    m the b_j below x (Imhof 1961; Rice 1980), so with b_(p+1) = inf
+
+        P(Z > z) = (1/pi) sum_(m odd) (-1)^((m-1)/2) int_(b_(m))^(b_(m+1)) f,
+        f(x) = e^(-xz) / (x sqrt|prod_j (1 - 2 lam_j x)|).
+
+    z < 0 applies this to -Z.  Finite cut [c - h, c + h], x = c + h t:
+    f dx = g(t) dt / sqrt(1 - t^2), the end factors cancelled, and N-point
+    Gauss-Chebyshev is exact on T_0..T_(2N-1) and maps T_(2jN) to +-pi.
+    With |g| <= M on the Bernstein ellipse E_r, |a_n| <= 2 M r^(-n)
+    (Trefethen, ATAP, ch. 8 and 19): error <= 2 pi M r^(-2N) / (1 - r^(-2N)).
+    E_r, of real half-axis A = h (r + 1/r) / 2, must clear 0 and the other
+    b_j; on it |x| >= c - A, |e^(-xz)| <= e^(-z (c - A)) and |1 - 2 lam_j x| =
+    2 |lam_j| |x - b_j| >= 2 |lam_j| (|b_j - c| - A), as the point of an
+    ellipse nearest a point on its major axis is the vertex.
+
+    Last cut (p odd), x = b + L s^2, b = b_(p), L = b + 1/z (b if z = 0):
+    int_b^inf f = int_0^inf F ds, F = sqrt(2L / lam_p) e^(-xz) / (x sqrt|rest|),
+    even and analytic for |Im s| < d = min_j d_j, d_j^2 = (b - b_j) / L over
+    the other b_j and b_0 = 0.  For a < d, |x - b_j| >= L (sigma^2 + e_j^2),
+    e_j = d_j - a, on |Im s| < a, so int |F(sigma + i eta)| d sigma <= M_a =
+    pi sqrt(2L / lam_p) e^(-z (b - L a^2)) / (L e_0 prod_j sqrt(2 |lam_j| L) e_j),
+    and the trapezoid rule of step tau errs by at most M_a / (e^(2 pi a/tau) - 1)
+    on the half-line (Trefethen and Weideman, SIAM Review 2014, thm 5.1).
+    Stopping at S = N tau drops at most C int_S^inf e^(-zL s^2) s^(-k-1) ds,
+    C = sqrt(2L / lam_p) e^(-zb) / (L prod_j sqrt(2 |lam_j| L)), as x - b_j >= L s^2.
+
+    Each cut takes the fewest nodes, 64 doubling to _CUT_NODES_MAX, that meet
+    its share of pi * tol; float64 adds at most (N + 2k + 8) eps sum |terms|.
+    Repeated but unequal lam, and kept orders above _CUT_MAX_ORDER (the tail
+    serves k <= 13 down to a 1e-10 target), are left to the series.
+    """
+    kept, k = spectrum.kept(), spectrum.eigenvalues.size
+    if kept.size == k and np.all(kept == kept[0]):
+        x = z / (2.0 * float(kept[0]))
+        if kept[0] > 0.0:
+            return (float(gammainc(0.5 * k, x)) if z > 0.0 else 0.0), 0.0
+        return (float(gammaincc(0.5 * k, x)) if z < 0.0 else 1.0), 0.0
+    if kept.size != k or k > _CUT_MAX_ORDER:
+        logger.debug("kept order %d of %d: series fallback", kept.size, k)
+        return None
+    sign = 1.0 if z >= 0.0 else -1.0
+    y, lam = sign * z, np.sort(sign * kept)[::-1]  # positive lam first: b ascending
+    cuts, p = 0.5 / lam, int(np.sum(lam > 0.0))
+    pieces = [[i, i + 1] for i in range(0, p - 1, 2)] + [[p - 1]] * (p % 2)
+    share = math.pi * tol / (2.0 * max(len(pieces), 1))
+    upper = bound = 0.0
+    for parity, ends in enumerate(pieces):
+        rest = np.ones(k, dtype=bool)
+        rest[ends] = False
+        sing, coef = np.append(cuts[rest], 0.0), 2.0 * np.abs(lam[rest])
+        rule = _finite_cut_rule if len(ends) == 2 else _semi_infinite_rule
+        err, x, weight = rule(lam[ends], cuts[ends], y, sing, coef, share)
+        if x is None:
+            logger.debug("cut %d bound %g above %g: series fallback", ends[0], err, share)
+            return None
+        rest_prod = np.prod(1.0 - np.multiply.outer(2.0 * lam[rest], x), axis=0)
+        terms = weight * np.exp(-y * x) / (x * np.sqrt(np.abs(rest_prod)))
+        upper += (-1.0) ** parity * float(np.sum(terms))
+        bound += err + (x.size + 2 * k + 8) * _EPS * float(np.sum(np.abs(terms)))
+    if bound > math.pi * tol:
+        logger.debug("cut bound %g above %g: series fallback", bound / math.pi, tol)
+        return None
+    upper /= math.pi
+    return (1.0 - upper if z >= 0.0 else upper), bound / math.pi
+
+
+def _finite_cut_rule(lam, ends, y, sing, coef, tol):
+    """(error bound, Gauss-Chebyshev nodes, weight) on one finite cut (see
+    _cut_cdf); no nodes if _CUT_NODES_MAX of them cannot meet tol."""
+    c, h = 0.5 * (ends[0] + ends[1]), 0.5 * (ends[1] - ends[0])
+    reach = float(np.min(np.abs(sing - c))) / h if h > 0.0 else 1.0
+    if not reach > 1.0:
+        return math.inf, None, None
+    log_r = math.acosh(reach) * _FRACTIONS  # E_r must not reach the nearest singularity
+    half_axis = h * np.cosh(log_r)
+    gaps = coef[:, None] * (np.abs(sing[:-1, None] - c) - half_axis)
+    log_m = -y * (c - half_axis) - np.log(2.0 * (c - half_axis)) - 0.5 * (
+        math.log(lam[0] * lam[1]) + np.sum(np.log(gaps), axis=0)
+    )
+    for n in _NODE_COUNTS:
+        log_err = log_m - 2 * n * log_r - np.log(-np.expm1(-2 * n * log_r))
+        err = 2.0 * math.pi * math.exp(min(float(np.min(log_err)), 0.0))
+        if err <= tol:
+            x = c + h * np.cos((np.arange(n) + 0.5) * (math.pi / n))
+            return err, x, math.pi / (2.0 * n * math.sqrt(lam[0] * lam[1]))
+    return err, None, None
+
+
+def _semi_infinite_rule(lam, ends, y, sing, coef, tol):
+    """(error bound, trapezoid nodes, weights) on the last cut (see _cut_cdf);
+    no nodes if _CUT_NODES_MAX of them cannot meet tol."""
+    b, k = float(ends[0]), coef.size + 1
+    scale = b + 1.0 / y if y > 0.0 else b
+    root = math.sqrt(2.0 * scale / lam[0])
+    log_c = math.log(root / scale) - y * b - 0.5 * float(np.sum(np.log(coef * scale)))
+    yl = y * scale
+    for span in _TRAPEZOID_SPANS:
+        log_tail = log_c - yl * span * span - k * math.log(span) - math.log(k)
+        if yl > 0.0:
+            log_tail += min(math.log(k / (2.0 * yl)) - 2.0 * math.log(span), 0.0)
+        if log_tail <= math.log(0.5 * tol):
+            break
+    else:
+        return math.exp(log_tail), None, None
+    d = np.sqrt((b - sing) / scale)
+    if not np.min(d) > 0.0:  # a repeated last branch point
+        return math.inf, None, None
+    a = float(np.min(d)) * _FRACTIONS
+    log_m = log_c + yl * a * a + math.log(math.pi) - np.sum(np.log(d[:, None] - a), axis=0)
+    for n in _NODE_COUNTS:
+        ratio = 2.0 * math.pi * a * n / span  # log(e^ratio - 1) without overflow
+        log_err = log_m - ratio - np.log(-np.expm1(-ratio))
+        err = math.exp(min(float(np.min(log_err)), 0.0)) + math.exp(log_tail)
+        if err <= tol:
+            s = (span / n) * np.arange(n + 1)
+            weight = np.full(n + 1, root * span / n)
+            weight[0] *= 0.5
+            return err, b + scale * s * s, weight
+    return err, None, None
+
+
 def cdf_quadratic_form_raw(
     spectrum: QuadFormSpectrum, z: float, budget: AccuracyBudget
 ) -> float:
-    """Unclamped truncated-series value of the CDF of Z at z; may leave
-    [0, 1] by up to the accuracy target (:func:`total_error` clamps it)."""
-    series = _inversion_sum(
-        spectrum,
-        z,
-        budget.grid_step,
-        budget.n_terms,
-        tol=_EVAL_SLACK * budget.target * math.pi,
-    )
+    """Unclamped value of the CDF of Z at z; may leave [0, 1] by up to the
+    accuracy target (:func:`total_error` clamps it).  A series that would
+    need the asymptotic tail takes the branch-cut integrals instead, where
+    they can be certified (:func:`_cut_cdf`)."""
+    tol = _EVAL_SLACK * budget.target
+    head_len = _head_len(budget.lambda_abs_min, budget.grid_step)
+    if budget.n_terms > max(_DIRECT_CAP, min(head_len, _HEAD_MAX)):
+        cut = _cut_cdf(spectrum, z, tol)
+        if cut is not None:
+            return cut[0]
+    series = _inversion_sum(spectrum, z, budget.grid_step, budget.n_terms, tol=tol * math.pi)
     return 0.5 - series / math.pi
 
 

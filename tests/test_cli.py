@@ -159,7 +159,7 @@ def test_experiment_bytes_pinned(tmp_path, name, output, digest):
         (
             ("error-vs-horizon", "--horizons", "1,2,5,10,20,40"),
             None,
-            "7eb753f14ccb42f69f9e9c92753170f0759f45bba8d0f1a9bdf7a8b9ef01c968",
+            "106d2612330f6fb0d1de38cd8d64827b48796992fb0bc9d0fcb5b49d3311d77a",
         ),
         (
             ("error-vs-horizon",),
@@ -427,7 +427,7 @@ def test_error_vs_horizon_stdout(capsys):
 
 
 def test_error_vs_horizon_short_horizons_print_plain_floats(capsys):
-    # kf 1 and 2 take the power-sum tail of the inversion series
+    # kf 1 takes the chi-squared closed form, kf 2 the branch-cut integrals
     assert run("error-vs-horizon", "--horizons", "1,2") == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "kf,total_error" and len(lines) == 3

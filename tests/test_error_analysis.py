@@ -1,9 +1,11 @@
 import cmath
 import hashlib
+import json
 import logging
 import math
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,6 +22,7 @@ from skysift.error_analysis import (
     AccuracyBudget,
     ErrorSurface,
     QuadFormSpectrum,
+    _cut_cdf,
     _inversion_sum,
     _phi_arrays,
     accuracy_budget,
@@ -706,7 +709,8 @@ def test_tail_crossover_matches_direct_summation():
 
 @pytest.mark.parametrize("kf", [1, 2, 3, 20])
 def test_total_error_is_a_python_float(default_scenario, kf):
-    # kf <= 3 take the power-sum tail, whose coefficients are numpy scalars
+    # kf <= 3 take the branch-cut integrals (numpy sums) or, at kf 1,
+    # scipy's incomplete gamma
     s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=kf))
     report = total_error(s)
     for name in ("total_error", "miss_given_1", "miss_given_2", "raw_cdf_given_1"):
@@ -808,6 +812,127 @@ def test_near_identical_classes_fail_loudly():
     s = sk.Scenario.from_dict({"m2": 1.0 + 1e-13, "k2": 1.0, "prior1": 0.3})
     with pytest.raises(NumericalError):
         total_error(s)
+
+
+# certify-short's scenarios (perfbench/workloads.py): the kf 20 surface, the
+# default pair over seven horizons, five cells at kf 1 and 2, two priors
+CERTIFY_SHORT = (
+    [{"kf": 20, "m2": m, "k2": g} for m in SURFACE_RATIOS for g in SURFACE_RATIOS]
+    + [{"kf": kf} for kf in (1, 2, 3, 5, 10, 20, 40)]
+    + [
+        {"kf": kf, "m2": m, "k2": g}
+        for kf in (1, 2)
+        for m, g in ((1.0, 2.0), (1.0, 5.0), (2.0, 3.0), (0.5, 3.0), (4.0, 1.0))
+    ]
+    + [{"kf": 20, "k2": 1.05}, {"kf": 1, "prior1": 0.634}, {"kf": 1, "prior1": 0.633}]
+)
+SURFACE_KF_1_TO_8 = [
+    {"kf": kf, "m2": m, "k2": g, "prior1": prior1}
+    for kf in range(1, 9)
+    for m in SURFACE_RATIOS
+    for g in SURFACE_RATIOS
+    for prior1 in (0.2, 0.5, 0.8)
+]
+
+
+def routed_to_cuts(monkeypatch, scenarios):
+    """(spectrum, z, result) of every _cut_cdf call that total_error makes
+    on these scenarios: the CDFs whose series would need the asymptotic tail."""
+    calls = []
+    cut = error_analysis._cut_cdf
+
+    def recording(spectrum, z, tol):
+        calls.append((spectrum, z, cut(spectrum, z, tol)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(error_analysis, "_cut_cdf", recording)
+    for overrides in scenarios:
+        total_error(sk.Scenario.from_dict(overrides))
+    return calls
+
+
+def cut_integrals_mp(eigenvalues, z, dps=30):
+    """P(Z <= z) from the branch-cut integrals of _cut_cdf by mpmath.quad."""
+    with mpmath.workdps(dps):
+        sign = 1 if z >= 0 else -1
+        lam = [mpmath.mpf(sign * float(e)) for e in eigenvalues]
+        y = mpmath.mpf(sign * z)
+
+        def f(x):
+            return mpmath.exp(-x * y) / (x * mpmath.sqrt(abs(mpmath.fprod(1 - 2 * l * x for l in lam))))
+
+        ends = sorted(1 / (2 * l) for l in lam if l > 0) + [mpmath.inf]
+        upper = mpmath.fsum(
+            (-1) ** (i // 2) * mpmath.quad(f, ends[i : i + 2]) for i in range(0, len(ends) - 1, 2)
+        ) / mpmath.pi
+        return float(1 - upper if z >= 0 else upper)
+
+
+def test_cut_integrals_match_a_30_digit_quadrature(monkeypatch):
+    """Every certify-short CDF that would need the series tail: the float64
+    rules land within their certified bound of mpmath's tanh-sinh quadrature
+    of the same integrals (1e-14 more for rounding the closed forms)."""
+    calls = routed_to_cuts(monkeypatch, CERTIFY_SHORT)
+    assert len(calls) == 30
+    for sp, z, (cdf, bound) in calls:
+        assert bound <= 1e-9
+        assert abs(cdf - cut_integrals_mp(sp.eigenvalues, z)) <= bound + 1e-14, (sp.eigenvalues, z)
+
+
+def test_cut_integrals_match_the_frozen_power_sum_tail():
+    """The CDFs of certify-short at kf <= 3 and of the surface grid at kf 1-8,
+    prior1 0.2/0.5/0.8, that took the head + power-sum tail split, as that
+    split computed them at a 1e-10 target (tests/tail_cdfs_1e-10.json)."""
+    frozen = json.loads((Path(__file__).parent / "tail_cdfs_1e-10.json").read_text())
+    assert len(frozen["cases"]) == 476
+    for case in frozen["cases"]:
+        s = sk.Scenario.from_dict(case["scenario"])
+        sp = spectra_for(s)[case["hypothesis"] - 1]
+        cdf, bound = _cut_cdf(sp, threshold(detector_from_scenario(s)), 1e-12)
+        assert abs(cdf - case["cdf"]) <= 1e-9, case
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("eigenvalue", [0.8, -1.3])
+def test_equal_eigenvalues_take_the_chi2_closed_form(k, eigenvalue):
+    sp = QuadFormSpectrum(eigenvalues=np.full(k, eigenvalue), horizon=k)
+    for z in (-6.0, -0.5, 0.0, 0.5, 6.0):
+        dist = chi2(k)
+        want = dist.cdf(z / eigenvalue) if eigenvalue > 0 else dist.sf(z / eigenvalue)
+        assert _cut_cdf(sp, z, 1e-9) == (pytest.approx(want, abs=1e-14), 0.0)
+
+
+@pytest.mark.parametrize("prior1", [0.2, 0.8])
+@pytest.mark.parametrize("m2, k2", [(0.5, SURFACE_RATIOS[3]), (SURFACE_RATIOS[3], 0.5)])
+def test_rounding_level_spectrum_gives_the_prior_floor(m2, k2, prior1):
+    """Mass 0.5 with gain 1.9999999999999998, and the reverse, make alpha1 =
+    alpha2 up to rounding: at kf 1 the statistic is ~2e-16 chi2_1 against a
+    threshold of 2 ln(p1/p2), so the decision never changes and the error is
+    min(prior1, prior2).  The series refused these ("series tail is neither
+    expandable nor negligible")."""
+    s = sk.Scenario.from_dict({"kf": 1, "m2": m2, "k2": k2, "prior1": prior1})
+    report = total_error(s)
+    assert abs(report.total_error - min(prior1, 1.0 - prior1)) <= 1e-6
+
+
+def test_no_surface_or_certify_short_cdf_reaches_the_series_fallback(monkeypatch, caplog):
+    """The surface grid at kf 1-8, prior1 0.2/0.5/0.8, and certify-short: every
+    CDF that needs more than the direct sum is certified by the cut
+    integrals; none logs a series fallback."""
+    with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
+        calls = routed_to_cuts(monkeypatch, SURFACE_KF_1_TO_8 + CERTIFY_SHORT)
+    assert [r.getMessage() for r in caplog.records if "series fallback" in r.getMessage()] == []
+    assert len(calls) == 488 and all(result is not None for _, _, result in calls)
+
+
+def test_near_identical_classes_fall_back_to_the_series(caplog):
+    """Twenty kept eigenvalues of ~1e-13 exceed _CUT_MAX_ORDER: the cut
+    integrals log a fallback and the series refuses, as before."""
+    s = sk.Scenario.from_dict({"m2": 1.0 + 1e-13, "k2": 1.0, "prior1": 0.3})
+    with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
+        with pytest.raises(NumericalError):
+            total_error(s)
+    assert any("series fallback" in r.getMessage() for r in caplog.records)
 
 
 def test_total_error_invariant_under_noise_rescale(default_scenario):
