@@ -105,9 +105,19 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
             "60fa09a36f12ba0ff105e4fc50fbe0bd4d0785836c2c6e828f2f7193733634a9",
         ),
         (
+            "scatter",
+            "scatter_summary.json",
+            "b79bcc890041e8638bc87982ec521efad88c7dd86dce54ce97b1f53efde720c2",
+        ),
+        (
             "streaming",
             "streaming.csv",
             "7dc4458909d2687a0309d9b20d7d69211567ff390ab8a2e2664c21521a4fa8f3",
+        ),
+        (
+            "streaming",
+            "streaming_summary.json",
+            "82bf727b5494fb432ef6a46c6d4f13c592bfc470f489f990a098749ad17861c5",
         ),
         (
             "roc",
