@@ -14,13 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import (
-    _fit_batch,
-    detect_batch,
-    detect_simplified,
-    detector_from_scenario,
-    stream_update,
-)
+from .detector import _fit_batch, _stream_reports, detect_batch, detector_from_scenario
 from .error_analysis import error_surface, total_error
 from .errors import ConfigError, NumericalError
 from .experiments import (
@@ -120,31 +114,30 @@ _STREAM_LINE = '{"trial": %d, "k": %d, "y": %r, ' + _DECISION
 
 
 def _cmd_detect(scenario: Scenario, args) -> None:
-    batch = read_batch_csv(args.input, period=scenario.sampling.period)
+    batch = read_batch_csv(args.input)
     columns = detect_batch(detector_from_scenario(scenario), batch)
     lines = [_DETECT_LINE % row for row in zip(range(batch.label.size), *columns)]
     _emit("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_detect_stream(scenario: Scenario, args) -> None:
-    batch = read_batch_csv(args.input, period=scenario.sampling.period)
+    batch = read_batch_csv(args.input)
     n_trials = batch.label.size
     if not (0 <= args.trial < n_trials):
         raise ConfigError(f"trial {args.trial} out of range; batch has {n_trials} trials")
     detector = detector_from_scenario(scenario)
     lo, hi = batch.offsets[args.trial : args.trial + 2].tolist()
-    lines = []
-    state = None
-    for k, y in enumerate(batch.samples[lo:hi].tolist()):
-        state = stream_update(state, y)
-        r = detect_simplified(detector, state)
-        fields = (args.trial, k, y, r.decision, r.statistic, r.threshold, r.conditional_error)
-        lines.append(_STREAM_LINE % fields)
+    values = batch.samples[lo:hi].tolist()
+    lines = [
+        _STREAM_LINE
+        % (args.trial, k, y, r.decision, r.statistic, r.threshold, r.conditional_error)
+        for k, (y, r) in enumerate(zip(values, _stream_reports(detector, values)))
+    ]
     _emit("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_fit(scenario: Scenario, args) -> None:
-    batch = read_batch_csv(args.input, period=scenario.sampling.period)
+    batch = read_batch_csv(args.input)
     labels = np.unique(batch.label).tolist()
     if args.label is not None:
         if args.label not in labels:

@@ -146,6 +146,15 @@ def stream_update(
     )
 
 
+def _stream_reports(spec: DetectorSpec, values):
+    """The running decision of one streamed series: ``detect_simplified``
+    after each value of ``values`` is folded in by ``stream_update``."""
+    state = None
+    for y in values:
+        state = stream_update(state, y)
+        yield detect_simplified(spec, state)
+
+
 @dataclass(frozen=True)
 class DetectionReport:
     """Outcome of one detection: decision, statistic vs threshold, and the
@@ -421,4 +430,4 @@ def remove_mean(series: MeasurementSeries) -> MeasurementSeries:
     measured speeds rather than simulated deviations.
     """
     samples = series.samples - series.samples.mean()
-    return MeasurementSeries(samples=samples, period=series.period)
+    return MeasurementSeries(samples=samples)

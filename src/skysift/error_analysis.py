@@ -94,17 +94,21 @@ class QuadFormSpectrum:
     """Eigenvalues of the statistic's defining matrix under one hypothesis."""
 
     eigenvalues: np.ndarray
-    horizon: int
 
     def __post_init__(self):
         eigs = np.asarray(self.eigenvalues, dtype=float)
-        if eigs.ndim != 1 or eigs.size != self.horizon:
-            raise ConfigError("spectrum must hold exactly `horizon` eigenvalues")
+        if eigs.ndim != 1:
+            raise ConfigError("eigenvalues must be a 1-D array")
         if not np.all(np.isfinite(eigs)):
             raise ConfigError("eigenvalues must be finite")
         eigs = eigs.copy()
         eigs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", eigs)
+
+    @property
+    def horizon(self) -> int:
+        """Series length: one eigenvalue per sample."""
+        return self.eigenvalues.size
 
     def kept(self) -> np.ndarray:
         """Eigenvalues above the relative drop threshold (see DROP_TOLERANCE)."""
@@ -238,7 +242,7 @@ def _spectra(stats1: ClassStatistics, stats2: ClassStatistics, horizon: int):
         eigs = [np.sort(lam) for lam in _symbols(a1, r1, a2, r2, half_sin * half_sin)]
     at_0, at_pi = _symbols(a1, r1, a2, r2, 0.0), _symbols(a1, r1, a2, r2, 1.0)
     return tuple(
-        _KmsSpectrum(eigs[h], horizon, rho, (at_0[h], at_pi[h], a_h * inverse_gap))
+        _KmsSpectrum(eigs[h], rho, (at_0[h], at_pi[h], a_h * inverse_gap))
         for h, (a_h, rho) in enumerate(((a1, r1), (a2, r2)))
     )
 

@@ -19,10 +19,9 @@ from . import __version__
 from .detector import (
     _full_statistics,
     _roc_points,
+    _stream_reports,
     detect_batch,
-    detect_simplified,
     detector_from_scenario,
-    stream_update,
     threshold,
 )
 from .error_analysis import ErrorSurface, error_surface, total_error
@@ -42,15 +41,6 @@ __all__ = [
     "run_roc",
     "run_experiment",
 ]
-
-EXPERIMENT_NAMES = (
-    "scatter",
-    "streaming",
-    "mc-vs-exact",
-    "surface",
-    "horizon-sweep",
-    "roc",
-)
 
 # trial-count defaults, used when the config leaves n_trials unset
 _DEFAULT_TRIALS = {
@@ -144,10 +134,7 @@ def _finish(config: ExperimentConfig, paths: list, started: float) -> RunManifes
         outputs={p.name: _sha256(p) for p in paths},
         wall_seconds=time.monotonic() - started,
     )
-    manifest_path = config.out_dir / f"{config.name}_manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
+    _write_json(config.out_dir / f"{config.name}_manifest.json", asdict(manifest))
     return manifest
 
 
@@ -161,6 +148,12 @@ def _cell(v) -> str:
     if v is None:
         return ""
     return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _write_json(path: Path, payload) -> Path:
+    """``payload`` as JSON indented by 2, plus a trailing newline."""
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -223,10 +216,7 @@ def run_scatter(config: ExperimentConfig) -> RunManifest:
         },
         "empirical_error": float(np.mean(decisions != labels)),
     }
-    summary_path = config.out_dir / "scatter_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    summary_path = _write_json(config.out_dir / "scatter_summary.json", summary)
     return _finish(config, [csv_path, summary_path], started)
 
 
@@ -248,23 +238,13 @@ def run_streaming(config: ExperimentConfig) -> RunManifest:
     trial_idx = int(class2[0])
     detector = detector_from_scenario(config.scenario)
 
-    rows = []
-    decisions = []
-    state = None
-    for k, y in enumerate(samples[trial_idx].tolist()):
-        state = stream_update(state, y)
-        report = detect_simplified(detector, state)
-        decisions.append(report.decision)
-        rows.append(
-            (
-                k,
-                y,
-                report.statistic,
-                report.threshold,
-                report.decision,
-                report.conditional_error,
-            )
-        )
+    values = samples[trial_idx].tolist()
+    reports = list(_stream_reports(detector, values))
+    decisions = [r.decision for r in reports]
+    rows = (
+        (k, y, r.statistic, r.threshold, r.decision, r.conditional_error)
+        for k, (y, r) in enumerate(zip(values, reports))
+    )
     csv_path = config.out_dir / "streaming.csv"
     _write_csv(
         csv_path, ("k", "y", "statistic", "z", "decision", "conditional_error"), rows
@@ -280,10 +260,7 @@ def run_streaming(config: ExperimentConfig) -> RunManifest:
         "final_decision": final,
         "stabilized_from_count": stable_from + 1,  # samples needed, 1-based
     }
-    summary_path = config.out_dir / "streaming_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    summary_path = _write_json(config.out_dir / "streaming_summary.json", summary)
     return _finish(config, [csv_path, summary_path], started)
 
 
@@ -379,10 +356,7 @@ def run_horizon_sweep(config: ExperimentConfig, kf_values=SWEEP_HORIZONS) -> Run
         slope, intercept = np.polyfit(kf_values, np.log(errors), 1)
         summary["log_error_slope"] = float(slope)
         summary["log_error_intercept"] = float(intercept)
-    summary_path = config.out_dir / "horizon_sweep_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    summary_path = _write_json(config.out_dir / "horizon_sweep_summary.json", summary)
     return _finish(config, [csv_path, summary_path], started)
 
 
@@ -420,14 +394,17 @@ def run_roc(config: ExperimentConfig) -> RunManifest:
     return _finish(config, [csv_path], started)
 
 
+_RUNNERS = {
+    "scatter": run_scatter,
+    "streaming": run_streaming,
+    "mc-vs-exact": run_mc_vs_exact,
+    "surface": run_surface,
+    "horizon-sweep": run_horizon_sweep,
+    "roc": run_roc,
+}
+EXPERIMENT_NAMES = tuple(_RUNNERS)
+
+
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Dispatch a named experiment; see EXPERIMENT_NAMES."""
-    runners = {
-        "scatter": run_scatter,
-        "streaming": run_streaming,
-        "mc-vs-exact": run_mc_vs_exact,
-        "surface": run_surface,
-        "horizon-sweep": run_horizon_sweep,
-        "roc": run_roc,
-    }
-    return runners[config.name](config)
+    return _RUNNERS[config.name](config)

@@ -29,19 +29,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntruderParams:
-    """Mass and feedback gain of one intruder class (consistent, unit-free)."""
+    """Mass and feedback gain of one intruder class (consistent, unit-free);
+    the ``Scenario`` slot that holds it, ``intruder1`` or ``intruder2``, sets
+    the class."""
 
     mass: float
     gain: float
-    label: int
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ConfigError(f"mass must be positive and finite, got {self.mass}")
         if not (math.isfinite(self.gain) and self.gain > 0):
             raise ConfigError(f"gain must be positive and finite, got {self.gain}")
-        if self.label not in (1, 2):
-            raise ConfigError(f"label must be 1 or 2, got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,18 @@ def class_statistics(
     deviation; rho = exp(-(gain / mass) * period) is the correlation between
     consecutive samples.  Both follow from sampling the stationary response
     of the first-order dynamics exactly, with no discretization error.
+    A decay T*k/m so small that rho rounds to 1, or so large that rho
+    underflows to 0, is refused with a message naming mass and gain.
     """
     alpha = noise.intensity / (2.0 * params.gain * params.mass)
-    rho = math.exp(-(params.gain / params.mass) * sampling.period)
+    decay = (params.gain / params.mass) * sampling.period
+    rho = math.exp(-decay)
+    if not 0.0 < rho < 1.0:
+        limit = "rounds to 1" if rho == 1.0 else "underflows to 0"
+        raise ConfigError(
+            f"mass {params.mass!r} and gain {params.gain!r} give T*k/m = {decay!r}, "
+            f"so rho = exp(-T*k/m) {limit}; rho must lie strictly in (0, 1)"
+        )
     return ClassStatistics(alpha=alpha, rho=rho)
 
 
@@ -173,8 +181,8 @@ class Scenario:
             return float(value)
 
         return cls(
-            intruder1=IntruderParams(mass=as_float("m1"), gain=as_float("k1"), label=1),
-            intruder2=IntruderParams(mass=as_float("m2"), gain=as_float("k2"), label=2),
+            intruder1=IntruderParams(mass=as_float("m1"), gain=as_float("k1")),
+            intruder2=IntruderParams(mass=as_float("m2"), gain=as_float("k2")),
             noise=NoiseSpec(intensity=as_float("q")),
             sampling=SamplingSpec(
                 period=as_float("T"), horizon=kf, prior1=as_float("prior1")

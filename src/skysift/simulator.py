@@ -23,7 +23,6 @@ each 53-bit draw is the top 53 bits of one raw output, exactly what
 still draws through numpy itself; the tests hold the two to bit equality.
 """
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -49,10 +48,9 @@ CSV_HEADER = ("trial", "label", "k", "y")
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSeries:
-    """One observed series y[0..n-1] of velocity deviations, sampled every ``period``."""
+    """One observed series y[0..n-1] of velocity deviations."""
 
     samples: np.ndarray
-    period: float
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -60,8 +58,6 @@ class MeasurementSeries:
             raise ConfigError("samples must be a non-empty 1-D array")
         if not np.isfinite(samples).all():
             raise ConfigError("samples must all be finite")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ConfigError(f"period must be positive and finite, got {self.period}")
         samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -73,15 +69,12 @@ class MeasurementSeries:
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
     """Labeled trials as columns: trial i is ``samples[offsets[i] : offsets[i + 1]]``,
-    of class ``label[i]``, sampled every ``period``.  The batch copies its arrays,
-    checks each once as a whole and makes them read-only.  ``seed`` is None for
-    batches read from disk or built by hand."""
+    of class ``label[i]``.  The batch copies its arrays, checks each once as a
+    whole and makes them read-only."""
 
     label: np.ndarray
     samples: np.ndarray
     offsets: np.ndarray
-    period: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         label, offsets = np.array(self.label), np.array(self.offsets)
@@ -100,26 +93,21 @@ class TrialBatch:
             raise ConfigError("every trial must hold at least one sample")
         if not np.isfinite(samples).all():
             raise ConfigError("samples must all be finite")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise ConfigError(f"period must be positive and finite, got {self.period}")
         columns = {"label": label.astype(int), "samples": samples, "offsets": offsets}
         for name, value in columns.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_trials(cls, trials, seed: int | None = None) -> "TrialBatch":
-        """Batch of ``(label, MeasurementSeries)`` pairs that share one period."""
+    def from_trials(cls, trials) -> "TrialBatch":
+        """Batch of ``(label, MeasurementSeries)`` pairs."""
         pairs = tuple(trials)
         if not all(isinstance(series, MeasurementSeries) for _, series in pairs):
             raise ConfigError("each trial must carry a MeasurementSeries")
-        periods = {series.period for _, series in pairs} or {1.0}
-        if len(periods) > 1:
-            raise ConfigError("the trials of a batch must share one period")
         samples = [series.samples for _, series in pairs]
         offsets = np.cumsum([0] + [s.size for s in samples])
         samples = np.concatenate(samples or [[]])
-        return cls([label for label, _ in pairs], samples, offsets, periods.pop(), seed)
+        return cls([label for label, _ in pairs], samples, offsets)
 
     def labels(self) -> np.ndarray:
         return self.label
@@ -132,7 +120,6 @@ class TrialBatch:
         for lab, lo, hi in zip(self.label.tolist(), bounds, bounds[1:]):
             series = object.__new__(MeasurementSeries)  # no copy, no re-check
             object.__setattr__(series, "samples", self.samples[lo:hi])
-            object.__setattr__(series, "period", self.period)
             pairs.append((lab, series))
         return tuple(pairs)
 
@@ -319,7 +306,7 @@ def simulate_trajectory(
     _check_seed(rng_seed)
     bits = np.random.default_rng(rng_seed).integers(0, 2**53, size=horizon).astype(float)
     samples = _ar1_from_normals(stats.alpha, stats.rho, _standard_normals_from_bits(bits))
-    return MeasurementSeries(samples=samples, period=1.0)
+    return MeasurementSeries(samples=samples)
 
 
 def _simulate_samples(scenario: Scenario, n_trials: int, rng_seed: int) -> tuple:
@@ -351,7 +338,7 @@ def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBat
     """
     labels, samples = _simulate_samples(scenario, n_trials, rng_seed)
     offsets = np.arange(0, samples.size + 1, samples.shape[1])
-    return TrialBatch(labels, samples.ravel(), offsets, scenario.sampling.period, rng_seed)
+    return TrialBatch(labels, samples.ravel(), offsets)
 
 
 def write_batch_csv(batch: TrialBatch, path) -> None:
@@ -396,7 +383,7 @@ def _parse_rows(fh, path) -> np.ndarray:
             raise ConfigError(f"{path}: malformed row: {exc}") from exc
 
 
-def read_batch_csv(path, period: float = 1.0) -> TrialBatch:
+def read_batch_csv(path) -> TrialBatch:
     """Read trials written by :func:`write_batch_csv`.
 
     Rows may come in any order; trials are returned in ascending trial id,
@@ -406,9 +393,6 @@ def read_batch_csv(path, period: float = 1.0) -> TrialBatch:
     2 or two labels in one trial, ``k`` not exactly 0..n-1 within a trial,
     and a non-finite ``y``; so are a file that cannot be opened and text
     that is not UTF-8.
-
-    The CSV carries no sampling period; pass one if downstream code needs it
-    (the detector itself never does).
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -434,4 +418,4 @@ def read_batch_csv(path, period: float = 1.0) -> TrialBatch:
     refuse(label != label[first], "has inconsistent labels")
     refuse(k != np.arange(trial.size) - first, "has non-contiguous sample indices")
     refuse(~np.isfinite(y), "has a non-finite sample")
-    return TrialBatch(label[starts], y, np.append(starts, trial.size), period)
+    return TrialBatch(label[starts], y, np.append(starts, trial.size))

@@ -16,8 +16,8 @@ def make_scenario(rng: np.random.Generator, kf: int | None = None) -> sk.Scenari
     m1, m2 = rng.uniform(0.5, 2.0, 2)
     g1, g2 = rng.uniform(0.5, 4.0, 2)
     return sk.Scenario(
-        intruder1=sk.IntruderParams(mass=float(m1), gain=float(g1), label=1),
-        intruder2=sk.IntruderParams(mass=float(m2), gain=float(g2), label=2),
+        intruder1=sk.IntruderParams(mass=float(m1), gain=float(g1)),
+        intruder2=sk.IntruderParams(mass=float(m2), gain=float(g2)),
         noise=sk.NoiseSpec(intensity=float(rng.uniform(0.5, 2.0))),
         sampling=sk.SamplingSpec(
             period=float(rng.uniform(0.2, 1.0)),

@@ -163,7 +163,7 @@ def test_criterion_04_cdf_matches_closed_form_oracles():
     worst = 0.0
     for eigenvalues, df in cases:
         lam = eigenvalues[0]
-        spectrum = QuadFormSpectrum(eigenvalues=eigenvalues, horizon=df)
+        spectrum = QuadFormSpectrum(eigenvalues=eigenvalues)
         for p in probs:
             z = lam * chi2(df).ppf(p)
             oracle = chi2(df).cdf(z / lam) if lam > 0 else chi2(df).sf(z / lam)

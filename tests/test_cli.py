@@ -217,7 +217,7 @@ def test_detect_ragged_trials(tmp_path):
     rng = np.random.default_rng(5)
     lengths = (3, 5, 5, 3, 5)
     trials = tuple(
-        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n), period=1.0))
+        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n)))
         for i, n in enumerate(lengths)
     )
     csv_path = tmp_path / "ragged.csv"
@@ -497,6 +497,19 @@ def test_config_file_applied(tmp_path):
 def test_bad_config_exits_2(tmp_path, payload):
     cfg = write_config(tmp_path, payload)
     assert run("--config", cfg, "error-total") == 2
+
+
+@pytest.mark.parametrize(
+    "period, decay, limit",
+    [(1e-17, "1e-17", "rounds to 1"), (1e3, "1000.0", "underflows to 0")],
+)
+def test_rho_limit_names_the_class_and_the_limit(tmp_path, capsys, period, decay, limit):
+    cfg = write_config(tmp_path, {"T": period})
+    assert run("--config", cfg, "error-total") == 2
+    err = capsys.readouterr().err
+    assert f"mass 1.0 and gain 1.0 give T*k/m = {decay}," in err
+    assert f"rho = exp(-T*k/m) {limit}" in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -297,7 +297,7 @@ def test_roc_sweep_ragged_batch(default_detector):
     rng = np.random.default_rng(3)
     lengths = (7, 20, 7, 1, 20, 2, 7)
     trials = tuple(
-        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n), period=1.0))
+        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n)))
         for i, n in enumerate(lengths)
     )
     batch = sk.TrialBatch.from_trials(trials)
@@ -316,7 +316,7 @@ def test_detect_batch_equals_detect_simplified_per_trial(default_detector):
     rng = np.random.default_rng(12)
     lengths = (1, 4, 7, 4, 1, 20, 2)
     trials = tuple(
-        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n) * 2.0**i, period=1.0))
+        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n) * 2.0**i))
         for i, n in enumerate(lengths)
     )
     columns = detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
@@ -335,8 +335,8 @@ def test_detect_batch_equals_detect_simplified_per_trial(default_detector):
 
 
 def test_detect_batch_refuses_an_overflowing_trial(default_detector):
-    trials = [(1, MeasurementSeries(samples=np.ones(3), period=1.0))] * 2
-    trials.append((2, MeasurementSeries(samples=np.full(5, 1e200), period=1.0)))
+    trials = [(1, MeasurementSeries(samples=np.ones(3)))] * 2
+    trials.append((2, MeasurementSeries(samples=np.full(5, 1e200))))
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="trial 2"):
         detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
 
@@ -359,7 +359,7 @@ def test_roc_map_point_matches_exact_rates(default_scenario):
 
 
 def test_roc_requires_both_classes():
-    series = MeasurementSeries(samples=np.array([1.0, 2.0]), period=1.0)
+    series = MeasurementSeries(samples=np.array([1.0, 2.0]))
     batch = sk.TrialBatch.from_trials(((1, series), (1, series)))
     st = sk.ClassStatistics(alpha=0.5, rho=0.5)
     spec = build_detector(st, sk.ClassStatistics(alpha=0.2, rho=0.3), 0.5, 2)
@@ -420,9 +420,8 @@ def test_fit_clamps_rho_into_open_interval():
 
 
 def test_remove_mean():
-    series = MeasurementSeries(samples=np.array([1.0, 2.0, 6.0]), period=0.5)
+    series = MeasurementSeries(samples=np.array([1.0, 2.0, 6.0]))
     out = remove_mean(series)
-    assert out.period == 0.5
     assert float(out.samples.sum()) == pytest.approx(0.0, abs=1e-15)
 
 

@@ -445,7 +445,7 @@ def test_log_phi_crossover(monkeypatch, default_scenario, offset):
         assert logmag.tobytes() == expected[0].tobytes()
         assert phase.tobytes() == expected[1].tobytes()
     # a bare spectrum of the same eigenvalues always takes the eigen-sum
-    bare = QuadFormSpectrum(sp1.eigenvalues, horizon)
+    bare = QuadFormSpectrum(sp1.eigenvalues)
     error_analysis._log_phi(bare, u)
     assert len(calls) == 1 + (offset < 0)
 
@@ -485,9 +485,9 @@ def test_identical_classes_zero_spectrum():
 
 def test_spectrum_validation():
     with pytest.raises(ConfigError):
-        QuadFormSpectrum(eigenvalues=np.array([1.0, 2.0]), horizon=3)
+        QuadFormSpectrum(eigenvalues=np.ones((2, 2)))
     with pytest.raises(ConfigError):
-        QuadFormSpectrum(eigenvalues=np.array([math.inf]), horizon=1)
+        QuadFormSpectrum(eigenvalues=np.array([math.inf]))
     st = sk.ClassStatistics(alpha=0.4, rho=0.3)
     with pytest.raises(ConfigError):
         q_sigma_eigenvalues(st, st, 0, hypothesis=1)
@@ -507,7 +507,7 @@ def test_characteristic_function_basics(default_scenario):
 
 
 def test_characteristic_function_single_eigenvalue_closed_form():
-    sp = QuadFormSpectrum(eigenvalues=np.array([0.5]), horizon=1)
+    sp = QuadFormSpectrum(eigenvalues=np.array([0.5]))
     for omega in (-3.0, -0.4, 0.7, 2.5):
         expected = (1.0 - 1j * omega) ** -0.5
         assert characteristic_function(sp, omega) == pytest.approx(expected, rel=1e-12)
@@ -566,7 +566,7 @@ def test_budget_validation(default_scenario):
         accuracy_budget(sp1, 0.0, target=0.0)
     with pytest.raises(ConfigError):
         accuracy_budget(sp1, 0.0, target=1.0)
-    zero = QuadFormSpectrum(eigenvalues=np.zeros(3), horizon=3)
+    zero = QuadFormSpectrum(eigenvalues=np.zeros(3))
     with pytest.raises(ConfigError):
         accuracy_budget(zero, 0.0, target=1e-6)
     with pytest.raises(ConfigError):
@@ -585,7 +585,7 @@ def test_budget_validation(default_scenario):
 
 @pytest.mark.parametrize("eigenvalue", [0.5, 2.0, -1.5])
 def test_cdf_single_eigenvalue_oracle(eigenvalue):
-    sp = QuadFormSpectrum(eigenvalues=np.array([eigenvalue]), horizon=1)
+    sp = QuadFormSpectrum(eigenvalues=np.array([eigenvalue]))
     sign = 1.0 if eigenvalue > 0 else -1.0
     for quantile in (0.3, 1.2, 3.5):
         z = sign * quantile * abs(eigenvalue)
@@ -596,7 +596,7 @@ def test_cdf_single_eigenvalue_oracle(eigenvalue):
 
 @pytest.mark.parametrize("eigenvalue", [0.7, -0.9])
 def test_cdf_equal_pair_oracle(eigenvalue):
-    sp = QuadFormSpectrum(eigenvalues=np.array([eigenvalue, eigenvalue]), horizon=2)
+    sp = QuadFormSpectrum(eigenvalues=np.array([eigenvalue, eigenvalue]))
     sign = 1.0 if eigenvalue > 0 else -1.0
     for quantile in (0.2, 1.0, 4.0):
         z = sign * quantile * abs(eigenvalue)
@@ -636,7 +636,7 @@ def test_total_error_clamps_and_logs_an_excursion(monkeypatch, caplog, default_s
 
 def test_head_tail_split_matches_direct_summation():
     """Force the asymptotic tail machinery on a case where brute force works."""
-    sp = QuadFormSpectrum(eigenvalues=np.array([0.7, 0.7]), horizon=2)
+    sp = QuadFormSpectrum(eigenvalues=np.array([0.7, 0.7]))
     z = 3.0
     budget = accuracy_budget(sp, z, 1e-6)
     assert budget.n_terms > 1 << 21  # needs the tail path at the real cap
@@ -719,7 +719,7 @@ def test_total_error_is_a_python_float(default_scenario, kf):
 
 def test_near_zero_eigenvalue_guard_raises():
     # one dropped eigenvalue that is not negligible over the huge tail range
-    sp = QuadFormSpectrum(eigenvalues=np.array([1.0, 1e-13]), horizon=2)
+    sp = QuadFormSpectrum(eigenvalues=np.array([1.0, 1e-13]))
     budget = accuracy_budget(sp, 0.5, 1e-6)
     assert budget.kept_order == 1
     with pytest.raises(NumericalError):
@@ -895,7 +895,7 @@ def test_cut_integrals_match_the_frozen_power_sum_tail():
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("eigenvalue", [0.8, -1.3])
 def test_equal_eigenvalues_take_the_chi2_closed_form(k, eigenvalue):
-    sp = QuadFormSpectrum(eigenvalues=np.full(k, eigenvalue), horizon=k)
+    sp = QuadFormSpectrum(eigenvalues=np.full(k, eigenvalue))
     for z in (-6.0, -0.5, 0.0, 0.5, 6.0):
         dist = chi2(k)
         want = dist.cdf(z / eigenvalue) if eigenvalue > 0 else dist.sf(z / eigenvalue)

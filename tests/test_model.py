@@ -21,7 +21,7 @@ def test_default_scenario_statistics():
 
 
 def test_class_statistics_formula():
-    params = sk.IntruderParams(mass=2.0, gain=3.0, label=1)
+    params = sk.IntruderParams(mass=2.0, gain=3.0)
     noise = sk.NoiseSpec(intensity=0.7)
     sampling = sk.SamplingSpec(period=0.4, horizon=5, prior1=0.5)
     st = class_statistics(params, noise, sampling)
@@ -50,7 +50,7 @@ def test_covariance_matrix_small_cases():
 
 
 def test_continuous_autocorrelation():
-    params = sk.IntruderParams(mass=1.0, gain=1.0, label=1)
+    params = sk.IntruderParams(mass=1.0, gain=1.0)
     noise = sk.NoiseSpec(intensity=1.0)
     assert continuous_autocorrelation(params, noise, 0.0) == 0.5
     # even in the lag
@@ -74,16 +74,27 @@ def test_continuous_autocorrelation_matches_sampled_covariance():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(mass=0.0, gain=1.0, label=1),
-        dict(mass=-1.0, gain=1.0, label=1),
-        dict(mass=1.0, gain=0.0, label=1),
-        dict(mass=math.inf, gain=1.0, label=1),
-        dict(mass=1.0, gain=1.0, label=3),
+        dict(mass=0.0, gain=1.0),
+        dict(mass=-1.0, gain=1.0),
+        dict(mass=1.0, gain=0.0),
+        dict(mass=math.inf, gain=1.0),
     ],
 )
 def test_intruder_params_validation(kwargs):
     with pytest.raises(ConfigError):
         sk.IntruderParams(**kwargs)
+
+
+def test_types_carry_only_what_the_model_reads():
+    assert sk.QuadFormSpectrum(np.array([0.5, -0.2])).horizon == 2
+    built = (
+        sk.IntruderParams(1.0, 3.0),
+        sk.MeasurementSeries(np.ones(3)),
+        sk.TrialBatch([1], [0.0], [0, 1]),
+    )
+    fields = [[f.name for f in dataclasses.fields(value)] for value in built]
+    assert fields == [["mass", "gain"], ["samples"], ["label", "samples", "offsets"]]
+    assert [f.name for f in dataclasses.fields(sk.QuadFormSpectrum)] == ["eigenvalues"]
 
 
 def test_noise_and_sampling_validation():

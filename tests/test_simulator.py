@@ -113,7 +113,6 @@ def test_batch_matches_per_trial_streams():
                 stats[label], scenario.sampling.horizon, children[i + 1]
             )
             np.testing.assert_array_equal(series.samples, solo.samples)
-            assert series.period == scenario.sampling.period
 
 
 def test_batch_determinism_and_label_distribution():
@@ -176,8 +175,7 @@ def test_csv_roundtrip_exact(tmp_path):
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(CSV_HEADER)
 
-    back = read_batch_csv(path, period=scenario.sampling.period)
-    assert back.seed is None
+    back = read_batch_csv(path)
     assert len(back.trials) == 9
     for (la, sa), (lb, sb) in zip(batch.trials, back.trials):
         assert la == lb
@@ -208,11 +206,6 @@ def test_csv_read_validation(tmp_path):
         with pytest.raises(ConfigError):
             read_batch_csv(p)
 
-    p = tmp_path / "good.csv"
-    p.write_text(good, encoding="utf-8")
-    batch = read_batch_csv(p, period=0.5)
-    assert batch.trials[0][1].period == 0.5
-
     # blank lines are skipped and extra trailing fields ignored
     p = tmp_path / "loose.csv"
     p.write_text(header + "\n0,1,0,0.5,note\n\n0,1,1,0.25\n\n", encoding="utf-8")
@@ -235,20 +228,18 @@ def test_csv_read_validation(tmp_path):
 
 def test_measurement_series_validation():
     with pytest.raises(ConfigError):
-        MeasurementSeries(samples=np.array([]), period=1.0)
+        MeasurementSeries(samples=np.array([]))
     with pytest.raises(ConfigError):
-        MeasurementSeries(samples=np.array([1.0, math.nan]), period=1.0)
-    with pytest.raises(ConfigError):
-        MeasurementSeries(samples=np.array([1.0]), period=0.0)
+        MeasurementSeries(samples=np.array([1.0, math.nan]))
 
-    series = MeasurementSeries(samples=np.array([1.0, 2.0]), period=1.0)
+    series = MeasurementSeries(samples=np.array([1.0, 2.0]))
     assert len(series) == 2
     with pytest.raises(ValueError):
         series.samples[0] = 5.0  # read-only buffer
 
 
 def test_trial_batch_validation():
-    series = MeasurementSeries(samples=np.array([1.0]), period=1.0)
+    series = MeasurementSeries(samples=np.array([1.0]))
     with pytest.raises(ConfigError):
         TrialBatch.from_trials(())
     with pytest.raises(ConfigError):
@@ -278,8 +269,6 @@ def _batch_arrays(**changes):
         {"samples": [0.5, 0.25, -math.inf]},
         {"samples": [[0.5, 0.25, -1.0]]},  # not flat
         {"label": [], "samples": [], "offsets": [0]},  # no trials
-        {"period": 0.0},
-        {"period": math.inf},
     ],
 )
 def test_trial_batch_refuses_bad_arrays(changes):
@@ -308,25 +297,21 @@ def test_trials_accessor_agrees_with_arrays_and_round_trips():
     assert len(batch.trials) == batch.label.size == batch.offsets.size - 1
     for i, (label, series) in enumerate(batch.trials):
         assert label == batch.label[i] and type(label) is int
-        assert series.period == batch.period == 0.5
         np.testing.assert_array_equal(
             series.samples, batch.samples[batch.offsets[i] : batch.offsets[i + 1]]
         )
 
-    back = TrialBatch.from_trials(batch.trials, seed=17)
-    assert back.seed == 17 and back.period == batch.period
+    back = TrialBatch.from_trials(batch.trials)
     for name in ("label", "samples", "offsets"):
         np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
 
     rng = np.random.default_rng(2)
-    ragged = [(1 + i % 2, MeasurementSeries(rng.normal(size=n), 0.25)) for i, n in enumerate((3, 1, 4))]
+    ragged = [(1 + i % 2, MeasurementSeries(rng.normal(size=n))) for i, n in enumerate((3, 1, 4))]
     batch = TrialBatch.from_trials(ragged)
-    assert batch.offsets.tolist() == [0, 3, 4, 8] and batch.seed is None
+    assert batch.offsets.tolist() == [0, 3, 4, 8]
     for (la, sa), (lb, sb) in zip(ragged, batch.trials):
-        assert la == lb and sb.period == 0.25
+        assert la == lb
         np.testing.assert_array_equal(sa.samples, sb.samples)
-    with pytest.raises(ConfigError):
-        TrialBatch.from_trials(ragged + [(1, MeasurementSeries(np.ones(2), 1.0))])
 
 
 def test_csv_roundtrip_ragged_shuffled_bit_exact(tmp_path):
