@@ -20,7 +20,7 @@ from .model import (
     class_statistics,
     continuous_autocorrelation,
 )
-from .kms import KmsMatrix, kms_quadratic_form
+from .kms import kms_quadratic_form
 from .simulator import (
     MeasurementSeries,
     TrialBatch,
@@ -74,7 +74,6 @@ __all__ = [
     "Scenario",
     "class_statistics",
     "continuous_autocorrelation",
-    "KmsMatrix",
     "kms_quadratic_form",
     "MeasurementSeries",
     "TrialBatch",

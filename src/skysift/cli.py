@@ -14,7 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import _fit_batch, _stream_reports, detect_batch, detector_from_scenario
+from .detector import (
+    _conditional_error_from_margin,
+    _fit_batch,
+    _stream_reports,
+    detect_batch,
+    detector_from_scenario,
+)
 from .error_analysis import error_surface, total_error
 from .errors import ConfigError, NumericalError
 from .experiments import (
@@ -115,8 +121,10 @@ _STREAM_LINE = '{"trial": %d, "k": %d, "y": %r, ' + _DECISION
 
 def _cmd_detect(scenario: Scenario, args) -> None:
     batch = read_batch_csv(args.input)
-    columns = detect_batch(detector_from_scenario(scenario), batch)
-    lines = [_DETECT_LINE % row for row in zip(range(batch.label.size), *columns)]
+    decisions, statistics, thresholds = detect_batch(detector_from_scenario(scenario), batch)
+    errors = [_conditional_error_from_margin(z - s) for s, z in zip(statistics, thresholds)]
+    rows = zip(range(batch.label.size), decisions, statistics, thresholds, errors)
+    lines = [_DETECT_LINE % row for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
 
 

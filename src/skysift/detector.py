@@ -11,12 +11,12 @@ all provided and agree to rounding; the equivalence is enforced by tests.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .kms import KmsMatrix, _quadratic_form_from_sums, kms_quadratic_form
+from .kms import _quadratic_form_from_sums, kms_quadratic_form
 from .model import ClassStatistics, SamplingSpec, Scenario
 from .simulator import MeasurementSeries, TrialBatch
 
@@ -45,27 +45,41 @@ def _inv_gain(stats: ClassStatistics) -> float:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Precomputed constants of the decision rule for one class pair.
+    """Constants of the decision rule for one class pair and prior.
 
     The test statistic is
     energy_coef * sum(y**2) + lag_coef * sum(y[i] * y[i+1])
     + edge_coef * (y[0]**2 + y[-1]**2),
-    compared against :func:`threshold`.  ``horizon`` is the configured
-    default series length; detection always uses the actual series length.
+    compared against :func:`threshold`; the coefficients and
+    ``log_prior_ratio`` are derived from the statistics and ``prior1``.
+    ``horizon`` is the configured default series length; detection always
+    uses the actual series length.
     """
 
     stats1: ClassStatistics
     stats2: ClassStatistics
-    energy_coef: float
-    lag_coef: float
-    edge_coef: float
-    log_prior_ratio: float
+    prior1: float
+    energy_coef: float = field(init=False)
+    lag_coef: float = field(init=False)
+    edge_coef: float = field(init=False)
+    log_prior_ratio: float = field(init=False)
     horizon: int
 
     def __post_init__(self):
-        for name in ("energy_coef", "lag_coef", "edge_coef", "log_prior_ratio"):
-            if not math.isfinite(getattr(self, name)):
+        if not (0.0 < self.prior1 < 1.0):
+            raise ConfigError(f"prior1 must lie strictly in (0, 1), got {self.prior1}")
+        g1, g2 = _inv_gain(self.stats1), _inv_gain(self.stats2)
+        r1, r2 = self.stats1.rho, self.stats2.rho
+        derived = {
+            "energy_coef": (1.0 + r1 * r1) * g1 - (1.0 + r2 * r2) * g2,
+            "lag_coef": 2.0 * r2 * g2 - 2.0 * r1 * g1,
+            "edge_coef": r2 * r2 * g2 - r1 * r1 * g1,
+            "log_prior_ratio": math.log(self.prior1 / (1.0 - self.prior1)),
+        }
+        for name, value in derived.items():
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
 
@@ -157,15 +171,22 @@ def _stream_reports(spec: DetectorSpec, values):
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Outcome of one detection: decision, statistic vs threshold, and the
-    posterior probability that the decision is wrong."""
+    """Outcome of one detection: statistic vs threshold, and derived from
+    them the decision (a tie goes to class 1), the margin and the posterior
+    probability that the decision is wrong."""
 
-    decision: int
+    decision: int = field(init=False)
     statistic: float
     threshold: float
-    margin: float
-    conditional_error: float
+    margin: float = field(init=False)
+    conditional_error: float = field(init=False)
     samples_used: int
+
+    def __post_init__(self):
+        margin = self.threshold - self.statistic
+        object.__setattr__(self, "decision", 1 if self.statistic <= self.threshold else 2)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "conditional_error", _conditional_error_from_margin(margin))
 
 
 def build_detector(
@@ -179,25 +200,14 @@ def build_detector(
     Identical class statistics are tolerated with a warning: all three
     coefficients become zero and decisions degenerate to a prior comparison.
     """
-    if not (0.0 < prior1 < 1.0):
-        raise ConfigError(f"prior1 must lie strictly in (0, 1), got {prior1}")
+    spec = DetectorSpec(stats1, stats2, prior1, horizon)
     if stats1.alpha == stats2.alpha and stats1.rho == stats2.rho:
         warnings.warn(
             "class statistics are identical; decisions will follow priors only",
             UserWarning,
             stacklevel=2,
         )
-    g1, g2 = _inv_gain(stats1), _inv_gain(stats2)
-    r1, r2 = stats1.rho, stats2.rho
-    return DetectorSpec(
-        stats1=stats1,
-        stats2=stats2,
-        energy_coef=(1.0 + r1 * r1) * g1 - (1.0 + r2 * r2) * g2,
-        lag_coef=2.0 * r2 * g2 - 2.0 * r1 * g1,
-        edge_coef=r2 * r2 * g2 - r1 * r1 * g1,
-        log_prior_ratio=math.log(prior1 / (1.0 - prior1)),
-        horizon=horizon,
-    )
+    return spec
 
 
 def detector_from_scenario(scenario: Scenario) -> DetectorSpec:
@@ -228,16 +238,7 @@ def threshold(spec: DetectorSpec, horizon: int | None = None) -> float:
 
 
 def _report(spec: DetectorSpec, statistic: float, n: int) -> DetectionReport:
-    z = threshold(spec, n)
-    margin = z - statistic
-    return DetectionReport(
-        decision=1 if statistic <= z else 2,  # tie goes to class 1
-        statistic=statistic,
-        threshold=z,
-        margin=margin,
-        conditional_error=_conditional_error_from_margin(margin),
-        samples_used=n,
-    )
+    return DetectionReport(statistic, threshold(spec, n), n)
 
 
 def _coerce_samples(y) -> np.ndarray:
@@ -256,11 +257,10 @@ def detect_full(spec: DetectorSpec, y) -> DetectionReport:
     inverses; kept as the reference implementation for the simplified path.
     """
     samples = _coerce_samples(y)
-    n = samples.size
-    statistic = kms_quadratic_form(
-        KmsMatrix(spec.stats1.alpha, spec.stats1.rho, n), samples
-    ) - kms_quadratic_form(KmsMatrix(spec.stats2.alpha, spec.stats2.rho, n), samples)
-    return _report(spec, statistic, n)
+    statistic = kms_quadratic_form(spec.stats1, samples) - kms_quadratic_form(
+        spec.stats2, samples
+    )
+    return _report(spec, statistic, samples.size)
 
 
 def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> DetectionReport:
@@ -274,14 +274,12 @@ def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> Detect
 
 
 def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
-    """``detect_simplified`` on every trial of a batch, as four lists in trial
-    order: decisions, statistics, thresholds and conditional errors.
+    """``detect_simplified`` on every trial of a batch, as three lists in
+    trial order: decisions, statistics and thresholds.
 
     Each entry equals that report field on the trial's
     ``SufficientStatistics.from_series`` bit for bit: the sums are one cumsum
-    fold per trial length, and the conditional error takes the scalar
-    formula, because numpy's ``exp`` may differ from ``math.exp`` in the
-    last bit.  A trial whose statistic overflows is refused.
+    fold per trial length.  A trial whose statistic overflows is refused.
     """
     statistics, thresholds = np.empty(batch.label.size), np.empty(batch.label.size)
     for trials, samples in _length_groups(batch):
@@ -294,9 +292,8 @@ def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
     finite = np.isfinite(statistics)
     if not finite.all():
         raise ConfigError(f"trial {np.argmin(finite)}: decision statistic overflows")
-    decisions = np.where(statistics <= thresholds, 1, 2)  # as _report
-    errors = [_conditional_error_from_margin(m) for m in (thresholds - statistics).tolist()]
-    return decisions.tolist(), statistics.tolist(), thresholds.tolist(), errors
+    decisions = np.where(statistics <= thresholds, 1, 2)  # as DetectionReport
+    return decisions.tolist(), statistics.tolist(), thresholds.tolist()
 
 
 def _conditional_error_from_margin(margin: float) -> float:
@@ -328,10 +325,8 @@ def _full_statistics(spec: DetectorSpec, samples: np.ndarray) -> np.ndarray:
     s0 = np.matmul(rows, samples[:, :, None])[:, 0, 0]
     s1 = np.matmul(rows[..., :-1], samples[:, 1:, None])[:, 0, 0]
     edge = samples[:, 0] * samples[:, 0] + samples[:, -1] * samples[:, -1]
-    n = samples.shape[1]
     form1, form2 = (
-        _quadratic_form_from_sums(KmsMatrix(st.alpha, st.rho, n), s0, s1, edge)
-        for st in (spec.stats1, spec.stats2)
+        _quadratic_form_from_sums(st, s0, s1, edge) for st in (spec.stats1, spec.stats2)
     )
     return form1 - form2
 

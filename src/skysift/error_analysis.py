@@ -36,7 +36,7 @@ above a measured crossover horizon, O(n) below it (see :func:`_log_phi`).
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
@@ -137,23 +137,28 @@ class AccuracyBudget:
     bound, which differ in their constant; ``n_terms`` is their maximum.
     ``kept_order`` is the number of eigenvalues surviving the near-zero drop;
     it, not the raw horizon, sets the decay order in the truncation bound.
+    Derived: ``chernoff_t`` = 1/(4 lambda_abs_max), ``n_terms`` and
+    ``drop_tolerance``, the DROP_TOLERANCE that ``kept`` applies.
     """
 
     target: float
-    chernoff_t: float
+    chernoff_t: float = field(init=False)
     grid_step: float
-    n_terms: int
+    n_terms: int = field(init=False)
     chernoff_bound: float
     n_terms_options: tuple
     lambda_abs_max: float
     lambda_abs_min: float
     kept_order: int
-    drop_tolerance: float = DROP_TOLERANCE
+    drop_tolerance: float = field(init=False)
 
     def __post_init__(self):
         _check_target(self.target)
-        if not (0.0 < self.chernoff_t < 1.0 / (2.0 * self.lambda_abs_max)):
-            raise ConfigError("chernoff_t outside (0, 1/(2*max|eigenvalue|))")
+        if not (math.isfinite(self.lambda_abs_max) and self.lambda_abs_max > 0.0):
+            raise ConfigError("lambda_abs_max must be positive and finite")
+        object.__setattr__(self, "chernoff_t", 1.0 / (4.0 * self.lambda_abs_max))
+        object.__setattr__(self, "n_terms", max(self.n_terms_options))
+        object.__setattr__(self, "drop_tolerance", DROP_TOLERANCE)
         if self.grid_step <= 0.0 or self.n_terms < 1:
             raise ConfigError("grid_step must be positive and n_terms >= 1")
 
@@ -163,7 +168,8 @@ class AccuracyBudget:
         Used by the self-consistency check: a sound budget changes the
         reported probability by less than the target under refinement.
         """
-        return replace(self, grid_step=self.grid_step / factor, n_terms=self.n_terms * factor)
+        options = tuple(n * factor for n in self.n_terms_options)
+        return replace(self, grid_step=self.grid_step / factor, n_terms_options=options)
 
 
 def _check_target(target: float) -> None:
@@ -458,9 +464,7 @@ def accuracy_budget(
         chernoff_bound = math.inf
     return AccuracyBudget(
         target=target,
-        chernoff_t=t,
         grid_step=grid_step,
-        n_terms=max(n_a, n_b),
         chernoff_bound=chernoff_bound,
         n_terms_options=(n_a, n_b),
         lambda_abs_max=abs_max,
@@ -740,23 +744,40 @@ def cdf_quadratic_form_raw(
 class ErrorReport:
     """Total a-priori error probability and its per-conclusion components.
 
+    The probabilities follow from prior1 and the raw CDFs P(Z <= threshold | h)
+    clamped to [0, 1]; an excursion is logged at DEBUG level.
     miss_given_1 is the probability a class-1 series is called 2;
     miss_given_2 the probability a class-2 series is called 1.  When the two
     classes coincide the statistic is identically zero and the report is the
     degenerate prior-only result (budgets are None in that case).
     """
 
-    total_error: float
-    miss_given_1: float
-    miss_given_2: float
+    total_error: float = field(init=False)
+    miss_given_1: float = field(init=False)
+    miss_given_2: float = field(init=False)
     prior1: float
-    prior2: float
+    prior2: float = field(init=False)
     threshold: float
     budget_given_1: "AccuracyBudget | None"
     budget_given_2: "AccuracyBudget | None"
     raw_cdf_given_1: float
     raw_cdf_given_2: float
-    degenerate: bool = False
+    degenerate: bool = field(init=False)
+
+    def __post_init__(self):
+        raw1, raw2 = self.raw_cdf_given_1, self.raw_cdf_given_2
+        cdf1, cdf2 = (min(max(raw, 0.0), 1.0) for raw in (raw1, raw2))
+        if (cdf1, cdf2) != (raw1, raw2):
+            logger.debug(
+                "cdf excursion clamped: raw=(%r, %r) at z=%r", raw1, raw2, self.threshold
+            )
+        p1, p2 = self.prior1, 1.0 - self.prior1
+        degenerate = self.budget_given_1 is None and self.budget_given_2 is None
+        object.__setattr__(self, "total_error", p2 * cdf2 + p1 * (1.0 - cdf1))
+        object.__setattr__(self, "miss_given_1", 1.0 - cdf1)
+        object.__setattr__(self, "miss_given_2", cdf2)
+        object.__setattr__(self, "prior2", p2)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
@@ -766,8 +787,7 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     prior2 * Pr(decide 1 | class 2) + prior1 * Pr(decide 2 | class 1).
     Identical classes short-circuit: the decision is then the larger prior
     and the error is exactly min(prior1, prior2).  The raw CDFs may leave
-    [0, 1] by up to the target; they are clamped, and an excursion is
-    logged at DEBUG level.
+    [0, 1] by up to the target; :class:`ErrorReport` clamps them.
     """
     _check_target(target)
     stats1, stats2 = scenario.stats1(), scenario.stats2()
@@ -779,21 +799,8 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
 
     if spectrum1.kept().size == 0 or spectrum2.kept().size == 0:
         # degenerate pair: the statistic carries no information
-        decide1 = p1 >= p2  # zero statistic vs threshold 2*ln(p1/p2)
-        z = 2.0 * math.log(p1 / p2)
-        return ErrorReport(
-            total_error=p2 if decide1 else p1,
-            miss_given_1=0.0 if decide1 else 1.0,
-            miss_given_2=1.0 if decide1 else 0.0,
-            prior1=p1,
-            prior2=p2,
-            threshold=z,
-            budget_given_1=None,
-            budget_given_2=None,
-            raw_cdf_given_1=1.0 if decide1 else 0.0,
-            raw_cdf_given_2=1.0 if decide1 else 0.0,
-            degenerate=True,
-        )
+        cdf = 1.0 if p1 >= p2 else 0.0  # zero statistic vs threshold 2*ln(p1/p2)
+        return ErrorReport(p1, 2.0 * math.log(p1 / p2), None, None, cdf, cdf)
 
     detector = build_detector(stats1, stats2, p1, kf)
     z = threshold(detector, kf)
@@ -802,21 +809,7 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     budget2 = accuracy_budget(spectrum2, z, target)
     raw1 = cdf_quadratic_form_raw(spectrum1, z, budget1)
     raw2 = cdf_quadratic_form_raw(spectrum2, z, budget2)
-    cdf1, cdf2 = (min(max(raw, 0.0), 1.0) for raw in (raw1, raw2))
-    if (cdf1, cdf2) != (raw1, raw2):
-        logger.debug("cdf excursion clamped: raw=(%r, %r) at z=%r", raw1, raw2, z)
-    return ErrorReport(
-        total_error=p2 * cdf2 + p1 * (1.0 - cdf1),
-        miss_given_1=1.0 - cdf1,
-        miss_given_2=cdf2,
-        prior1=p1,
-        prior2=p2,
-        threshold=z,
-        budget_given_1=budget1,
-        budget_given_2=budget2,
-        raw_cdf_given_1=raw1,
-        raw_cdf_given_2=raw2,
-    )
+    return ErrorReport(p1, z, budget1, budget2, raw1, raw2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +109,18 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record for one run; checksums cover every written artifact."""
+    """Provenance record for one run; checksums cover every written artifact.
+    ``version`` (the package's) and ``seed`` (the config's) are derived."""
 
     config: dict
-    version: str
-    seed: int
+    version: str = field(init=False)
+    seed: int = field(init=False)
     outputs: dict
     wall_seconds: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "version", __version__)
+        object.__setattr__(self, "seed", self.config["seed"])
 
 
 def _sha256(path: Path) -> str:
@@ -129,8 +134,6 @@ def _sha256(path: Path) -> str:
 def _finish(config: ExperimentConfig, paths: list, started: float) -> RunManifest:
     manifest = RunManifest(
         config=config.to_dict(),
-        version=__version__,
-        seed=config.seed,
         outputs={p.name: _sha256(p) for p in paths},
         wall_seconds=time.monotonic() - started,
     )
@@ -194,7 +197,7 @@ def run_scatter(config: ExperimentConfig) -> RunManifest:
     started = _prepare(config)
     batch = simulate_batch(config.scenario, config.trials(), config.seed)
     detector = detector_from_scenario(config.scenario)
-    decisions, statistics, thresholds, _ = detect_batch(detector, batch)
+    decisions, statistics, thresholds = detect_batch(detector, batch)
     labels, decisions, z = batch.label, np.array(decisions), thresholds[0]
 
     csv_path = config.out_dir / "scatter.csv"

@@ -92,6 +92,20 @@ class ClassStatistics:
             raise ConfigError(f"rho must lie strictly in (0, 1), got {self.rho}")
 
 
+def _alpha(params: IntruderParams, noise: NoiseSpec) -> float:
+    """Stationary variance q / (2 * gain * mass), refused with a message naming
+    mass, gain, q and the limit hit where it rounds to inf or to 0."""
+    denominator = 2.0 * params.gain * params.mass
+    alpha = noise.intensity / denominator if denominator > 0.0 else math.inf
+    if not 0.0 < alpha < math.inf:
+        limit = "overflows to inf" if alpha else "underflows to 0"
+        raise ConfigError(
+            f"mass {params.mass!r}, gain {params.gain!r} and q {noise.intensity!r} "
+            f"give alpha = q/(2*k*m), which {limit}; alpha must be positive and finite"
+        )
+    return alpha
+
+
 def class_statistics(
     params: IntruderParams, noise: NoiseSpec, sampling: SamplingSpec
 ) -> ClassStatistics:
@@ -102,9 +116,10 @@ def class_statistics(
     consecutive samples.  Both follow from sampling the stationary response
     of the first-order dynamics exactly, with no discretization error.
     A decay T*k/m so small that rho rounds to 1, or so large that rho
-    underflows to 0, is refused with a message naming mass and gain.
+    underflows to 0, is refused with a message naming mass and gain, and so
+    is an alpha that leaves the float range (see :func:`_alpha`).
     """
-    alpha = noise.intensity / (2.0 * params.gain * params.mass)
+    alpha = _alpha(params, noise)
     decay = (params.gain / params.mass) * sampling.period
     rho = math.exp(-decay)
     if not 0.0 < rho < 1.0:
@@ -124,8 +139,7 @@ def continuous_autocorrelation(
     Returns q / (2*gain*mass) * exp(-(gain/mass) * |lag|).  Sampling this at
     lag = n * period gives the covariance alpha * rho**n of samples n apart.
     """
-    scale = noise.intensity / (2.0 * params.gain * params.mass)
-    return scale * math.exp(-(params.gain / params.mass) * abs(lag))
+    return _alpha(params, noise) * math.exp(-(params.gain / params.mass) * abs(lag))
 
 
 _CONFIG_DEFAULTS = {

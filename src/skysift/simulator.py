@@ -81,9 +81,9 @@ class TrialBatch:
         samples = np.array(self.samples, dtype=float)
         if label.ndim != 1 or label.size < 1:
             raise ConfigError("batch must contain at least one trial")
-        bad = np.setdiff1d(label, (1, 2))
-        if bad.size:
-            raise ConfigError(f"trial labels must be 1 or 2, got {bad}")
+        bad = (label != 1) & (label != 2)
+        if np.any(bad):
+            raise ConfigError(f"trial labels must be 1 or 2, got {np.unique(label[bad])}")
         if offsets.dtype.kind not in "iu" or offsets.shape != (label.size + 1,):
             raise ConfigError("offsets must be integers, one per trial plus one")
         offsets = offsets.astype(int)

@@ -512,6 +512,20 @@ def test_rho_limit_names_the_class_and_the_limit(tmp_path, capsys, period, decay
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "scale, limit", [(1e-200, "overflows to inf"), (1e200, "underflows to 0")]
+)
+@pytest.mark.parametrize("command", [["error-total"], ["simulate", "--trials", "5"]])
+def test_alpha_limit_names_the_class_and_the_limit(tmp_path, capsys, scale, limit, command):
+    cfg = write_config(tmp_path, {"m1": scale, "k1": scale})
+    assert run("--out-dir", tmp_path, "--config", cfg, *command) == 2
+    err = capsys.readouterr().err
+    assert f"mass {scale!r}, gain {scale!r} and q 1.0 give alpha = q/(2*k*m), " in err
+    assert f"which {limit}; alpha must be positive and finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "trials.csv").exists()
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run("--config", tmp_path / "absent.json", "error-total") == 2
 

@@ -25,7 +25,7 @@ from skysift.detector import (
     threshold,
 )
 from skysift.errors import ConfigError
-from skysift.kms import KmsMatrix, kms_logdet
+from skysift.kms import kms_logdet
 from skysift.simulator import MeasurementSeries, simulate_batch
 
 # Frozen oracle values for the default scenario, cross-checked at build time
@@ -93,8 +93,8 @@ def test_threshold_frozen_and_logdet_consistent(default_detector):
     st1, st2 = default_detector.stats1, default_detector.stats2
     via_logdet = (
         2.0 * default_detector.log_prior_ratio
-        + kms_logdet(KmsMatrix(st2.alpha, st2.rho, 20))
-        - kms_logdet(KmsMatrix(st1.alpha, st1.rho, 20))
+        + kms_logdet(st2, 20)
+        - kms_logdet(st1, 20)
     )
     assert z == pytest.approx(via_logdet, abs=1e-10)
 
@@ -320,18 +320,13 @@ def test_detect_batch_equals_detect_simplified_per_trial(default_detector):
         for i, n in enumerate(lengths)
     )
     columns = detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
-    assert [len(c) for c in columns] == [len(lengths)] * 4
+    assert [len(c) for c in columns] == [len(lengths)] * 3
     for row, (_, series) in zip(zip(*columns), trials):
         report = detect_simplified(
             default_detector, SufficientStatistics.from_series(series.samples)
         )
-        assert row == (
-            report.decision,
-            report.statistic,
-            report.threshold,
-            report.conditional_error,
-        )
-        assert [type(v) for v in row] == [int, float, float, float]
+        assert row == (report.decision, report.statistic, report.threshold)
+        assert [type(v) for v in row] == [int, float, float]
 
 
 def test_detect_batch_refuses_an_overflowing_trial(default_detector):

@@ -33,7 +33,7 @@ from skysift.error_analysis import (
 )
 from skysift.errors import ConfigError, NumericalError
 from skysift.experiments import write_surface_csv
-from skysift.kms import KmsMatrix, kms_cholesky_factor, kms_inverse_apply
+from skysift.kms import kms_cholesky_factor, kms_inverse_apply
 
 # Frozen fixtures for the default scenario (horizon 20), cross-checked against
 # dense eigensolves and a closed-form trace identity when first computed.
@@ -72,10 +72,8 @@ def dense_spectrum(stats1, stats2, horizon, hypothesis):
     L is the analytic Cholesky factor of the hypothesis covariance and
     Q = Sigma1^-1 - Sigma2^-1 is applied column by column.  O(n^3)."""
     stats_h = stats1 if hypothesis == 1 else stats2
-    lower = kms_cholesky_factor(KmsMatrix(stats_h.alpha, stats_h.rho, horizon))
-    q_lower = kms_inverse_apply(
-        KmsMatrix(stats1.alpha, stats1.rho, horizon), lower
-    ) - kms_inverse_apply(KmsMatrix(stats2.alpha, stats2.rho, horizon), lower)
+    lower = kms_cholesky_factor(stats_h, horizon)
+    q_lower = kms_inverse_apply(stats1, lower) - kms_inverse_apply(stats2, lower)
     sym = lower.T @ q_lower
     return np.linalg.eigvalsh((sym + sym.T) / 2.0)
 
@@ -572,9 +570,7 @@ def test_budget_validation(default_scenario):
     with pytest.raises(ConfigError):
         AccuracyBudget(
             target=1e-6,
-            chernoff_t=0.1,
             grid_step=-1.0,
-            n_terms=10,
             chernoff_bound=1.0,
             n_terms_options=(10, 5),
             lambda_abs_max=1.0,

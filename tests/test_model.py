@@ -7,6 +7,7 @@ import pytest
 
 import skysift as sk
 from oracles import covariance_matrix
+from skysift.error_analysis import DROP_TOLERANCE
 from skysift.errors import ConfigError
 from skysift.model import class_statistics, continuous_autocorrelation
 
@@ -95,6 +96,70 @@ def test_types_carry_only_what_the_model_reads():
     fields = [[f.name for f in dataclasses.fields(value)] for value in built]
     assert fields == [["mass", "gain"], ["samples"], ["label", "samples", "offsets"]]
     assert [f.name for f in dataclasses.fields(sk.QuadFormSpectrum)] == ["eigenvalues"]
+
+
+def test_derived_fields_are_refused_and_follow_their_inputs():
+    st1, st2 = sk.Scenario.default().stats1(), sk.Scenario.default().stats2()
+    spec = sk.DetectorSpec(st1, st2, 0.3, 20)
+    g1, g2 = (1.0 / (s.alpha * (1.0 - s.rho * s.rho)) for s in (st1, st2))
+    r1, r2 = st1.rho, st2.rho
+    assert spec.energy_coef == (1.0 + r1 * r1) * g1 - (1.0 + r2 * r2) * g2
+    assert spec.lag_coef == 2.0 * r2 * g2 - 2.0 * r1 * g1
+    assert spec.edge_coef == r2 * r2 * g2 - r1 * r1 * g1
+    assert spec.log_prior_ratio == math.log(0.3 / (1.0 - 0.3))
+    y = np.full(20, 3.0)
+    simplified = sk.detect_simplified(spec, sk.SufficientStatistics.from_series(y))
+    assert sk.detect_full(spec, y).decision == simplified.decision
+
+    tie, far = sk.DetectionReport(1.5, 1.5, 4), sk.DetectionReport(2.0, -1.0, 4)
+    assert (tie.decision, tie.margin, tie.conditional_error) == (1, 0.0, 0.5)
+    assert (far.decision, far.margin) == (2, -3.0)
+    assert far.conditional_error == math.exp(-1.5) / (1.0 + math.exp(-1.5))
+
+    err = sk.total_error(sk.Scenario.default())
+    cdf1, cdf2 = err.raw_cdf_given_1, err.raw_cdf_given_2
+    assert 0.0 < cdf1 < 1.0 and 0.0 < cdf2 < 1.0
+    assert (err.miss_given_1, err.miss_given_2) == (1.0 - cdf1, cdf2)
+    assert err.prior2 == 1.0 - err.prior1
+    assert err.total_error == err.prior2 * cdf2 + err.prior1 * (1.0 - cdf1)
+    assert not err.degenerate
+    clamped = sk.ErrorReport(0.25, 0.0, None, None, -1e-9, 1.0 + 1e-9)
+    assert (clamped.miss_given_1, clamped.miss_given_2) == (1.0, 1.0)
+    assert (clamped.total_error, clamped.prior2, clamped.degenerate) == (1.0, 0.75, True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(err, total_error=0.9)
+
+    budget = err.budget_given_1
+    assert budget.chernoff_t == 1.0 / (4.0 * budget.lambda_abs_max)
+    assert budget.n_terms == max(budget.n_terms_options)
+    assert budget.drop_tolerance == DROP_TOLERANCE
+    assert budget.refined(4).n_terms_options == tuple(4 * n for n in budget.n_terms_options)
+
+    manifest = sk.RunManifest({"seed": 9}, {}, 0.5)
+    assert (manifest.version, manifest.seed) == (sk.__version__, 9)
+
+    given = {
+        sk.DetectorSpec: dict(stats1=st1, stats2=st2, prior1=0.5, horizon=20),
+        sk.DetectionReport: dict(statistic=1.0, threshold=0.0, samples_used=3),
+        sk.ErrorReport: {f.name: getattr(err, f.name) for f in dataclasses.fields(err) if f.init},
+        sk.AccuracyBudget: {
+            f.name: getattr(budget, f.name) for f in dataclasses.fields(budget) if f.init
+        },
+        sk.RunManifest: dict(config={"seed": 9}, outputs={}, wall_seconds=0.5),
+    }
+    derived = {
+        sk.DetectorSpec: ("energy_coef", "lag_coef", "edge_coef", "log_prior_ratio"),
+        sk.DetectionReport: ("decision", "margin", "conditional_error"),
+        sk.ErrorReport: ("total_error", "miss_given_1", "miss_given_2", "prior2", "degenerate"),
+        sk.AccuracyBudget: ("chernoff_t", "n_terms", "drop_tolerance"),
+        sk.RunManifest: ("version", "seed"),
+    }
+    for cls, names in derived.items():
+        built = cls(**given[cls])
+        for name in names:
+            with pytest.raises(TypeError):
+                cls(**given[cls], **{name: getattr(built, name)})
+    assert not hasattr(sk, "KmsMatrix")
 
 
 def test_noise_and_sampling_validation():
