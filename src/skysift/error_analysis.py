@@ -28,16 +28,32 @@ are the roots of one increasing scalar function (Kac, Murdock and Szego
 1953; Grenander and Szego, *Toeplitz Forms*, 1958).  The derivation and the
 proof that it yields exactly n roots are in :func:`q_sigma_eigenvalues`.
 
-The characteristic function needs no eigenvalues either: Sigma_h^-1 - 2iuQ
-has the same tridiagonal shape, and its determinant a Chebyshev closed form
-(ibid.).  The error path is O(n) for the spectrum plus O(1) per grid point
-above a measured crossover horizon, O(n) below it (see :func:`_log_phi`).
+From the measured crossover horizon _CLOSED_FORM_MIN = 50 on, a report
+needs no eigenvalues at all.  Sigma_h^-1 - 2iuQ has the same tridiagonal
+shape, and its determinant a Chebyshev closed form (ibid.): the
+characteristic function costs O(1) per grid point (:func:`_log_phi`), and
+the same determinant at real arguments gives the moment generating function
+of the Chernoff budget (:func:`_log_mgf`).  The budget's other inputs, the
+largest and smallest |eigenvalue| and the kept count, sit at the ends of
+the spectrum and next to its sign change, because the eigenvalues are
+monotone in their angle, so a few scalar angle solves give them
+(:meth:`_KmsSpectrum._summary`).  A report is O(1) for its budget plus O(1)
+per grid point; only the head + tail fallback builds the eigenvalues, and
+below the crossover the eigen-sums are the cheaper path.  Report times with
+the O(n) spectrum and budget, then with the O(1) budget (timeit best of 5,
+two runs each, 2-vCPU Xeon on a shared host): default pair, kf 1e3 1.7 ->
+0.7-1.1 ms, kf 1e4 11-12 -> 6.4-8.0 ms, kf 1e5 117-153 -> 71-82 ms; surface
+cell (mass 1, gain 4), kf 1e3 1.8 -> 0.9-1.0 ms, kf 1e4 9.9-10.7 -> 6.5 ms,
+kf 1e5 121-136 -> 55-68 ms.  The rest is the inversion grid.
 """
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
@@ -89,6 +105,28 @@ _NEWTON_MAX_ITER = 100  # safeguarded Newton on the eigen-angles
 _CLOSED_FORM_MIN = 50
 
 
+class _Summary(NamedTuple):
+    """What accuracy_budget reads of a spectrum: the largest and smallest
+    |lam| kept (see DROP_TOLERANCE), how many are kept, and (log M(t),
+    log M(-t)) for the moment generating function M(s) = E[exp(s Z)] at the
+    Chernoff t = 1/(4 lambda_abs_max); None if nothing is kept."""
+
+    lambda_abs_max: float
+    lambda_abs_min: float
+    kept_order: int
+    log_mgf: "tuple | None"
+
+
+def _eigen_summary(kept: np.ndarray) -> _Summary:
+    """The summary from the kept eigenvalues, log M(s) = -1/2 sum log1p(-2 s lam)."""
+    if kept.size == 0:
+        return _Summary(0.0, 0.0, 0, None)
+    abs_max = float(np.max(np.abs(kept)))
+    t = 1.0 / (4.0 * abs_max)
+    log_mgf = tuple(-0.5 * float(np.sum(np.log1p(-2.0 * s * kept))) for s in (t, -t))
+    return _Summary(abs_max, float(np.min(np.abs(kept))), int(kept.size), log_mgf)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadFormSpectrum:
     """Eigenvalues of the statistic's defining matrix under one hypothesis."""
@@ -118,15 +156,173 @@ class QuadFormSpectrum:
             return eigs[:0]
         return eigs[np.abs(eigs) >= DROP_TOLERANCE * absmax]
 
+    @cached_property
+    def _summary(self) -> _Summary:
+        """What accuracy_budget reads, from the kept eigenvalues."""
+        return _eigen_summary(self.kept())
+
+
+class _KmsPair:
+    """The two classes and the horizon that both spectra of _spectra share,
+    with what is solved for them: both eigenvalue arrays come from one vector
+    angle solve, the symbol at a single angle from one scalar solve."""
+
+    def __init__(self, stats1: ClassStatistics, stats2: ClassStatistics, n: int):
+        self.a1, self.r1 = stats1.alpha, stats1.rho
+        self.a2, self.r2 = stats2.alpha, stats2.rho
+        self.n = n
+        self._eigenvalues = None
+        self._at = {}  # m -> (lam_1, lam_2) at theta_m
+
+    def eigenvalues(self) -> tuple:
+        """Both hypotheses' eigenvalues, ascending and read-only."""
+        if self._eigenvalues is None:
+            a1, r1, a2, r2, n = self.a1, self.r1, self.a2, self.r2, self.n
+            if r1 == r2 or n == 1:
+                inverse_gap = (a2 - a1) / a1 / a2
+                eigs = [np.full(n, a_h * inverse_gap) for a_h in (a1, a2)]
+            else:
+                half_sin = np.sin(0.5 * _eigen_angles(r1, r2, n))
+                eigs = [np.sort(lam) for lam in _symbols(a1, r1, a2, r2, half_sin * half_sin)]
+            for lam in eigs:
+                lam.flags.writeable = False
+            self._eigenvalues = tuple(eigs)
+        return self._eigenvalues
+
+    def symbols_at(self, m: int) -> tuple:
+        """(lam_1, lam_2) at theta_m, bit for bit as in the eigenvalue arrays."""
+        if m not in self._at:
+            half_sin = float(np.sin(0.5 * _eigen_angle(self.r1, self.r2, self.n, m)))
+            self._at[m] = _symbols(self.a1, self.r1, self.a2, self.r2, half_sin * half_sin)
+        return self._at[m]
+
 
 @dataclass(frozen=True, eq=False)
 class _KmsSpectrum(QuadFormSpectrum):
-    """A spectrum made by _spectra, with what _log_phi's closed form needs:
-    rho_h, and ``ends`` = (lam(0), lam(pi), alpha_h * (1/alpha1 - 1/alpha2))
-    for the eigenvalue symbol lam(theta) of q_sigma_eigenvalues."""
+    """One hypothesis's spectrum made by _spectra; its eigenvalues are built
+    on first read, with the other hypothesis's (see _KmsPair).  ``rho`` =
+    rho_h and ``ends`` = (lam(0), lam(pi), alpha_h * (1/alpha1 - 1/alpha2))
+    for the eigenvalue symbol lam(theta) of q_sigma_eigenvalues are what the
+    closed forms of _log_phi and _log_mgf need."""
 
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    pair: _KmsPair
+    hypothesis: int
     rho: float
     ends: tuple
+
+    def __post_init__(self):
+        pass  # _spectra checked the inputs; the eigenvalues come later
+
+    def __getattr__(self, name):
+        # reached only while the eigenvalues are not built
+        if name != "eigenvalues":
+            raise AttributeError(name)
+        eigenvalues = self.pair.eigenvalues()[self.hypothesis - 1]
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        return eigenvalues
+
+    @property
+    def horizon(self) -> int:
+        return self.pair.n
+
+    @cached_property
+    def _summary(self) -> _Summary:
+        """The budget's inputs without the eigenvalue array from n =
+        _CLOSED_FORM_MIN on: the extremes and kept count from a few scalar
+        angle solves, log M(+-t) from _log_mgf's closed form.
+
+        Monotone spectrum.  lam_h = (alpha_h / u_h) * gap, where gap =
+        u1/alpha1 - u2/alpha2 = c0 + c1 w and u_h = A + B w, A = (1 - rho_h) /
+        (1 + rho_h) > 0, B = 4 rho_h / (1 - rho_h**2) > 0, are affine in
+        w = sin(theta/2)**2 (see q_sigma_eigenvalues).  So lam_h is a Moebius
+        function of w with no pole on [0, 1], of derivative
+        alpha_h (c1 A - c0 B) / (A + B w)**2 of one sign, and w increases with
+        theta on (0, pi), as theta_m does with m.  The ascending spectrum is
+        lam_h(theta_1..theta_n) or its reverse: max |lam| is at m = 1 or n,
+        and |lam_m| falls, then rises, about the sign change of gap, if
+        lam_1 and lam_n differ in sign, else it is monotone.  The smallest
+        |lam| and any run under DROP_TOLERANCE * max |lam| sit at the angles
+        next to the zero w* = c0 / (c0 - c1).  With the symbol's ends lam(0) =
+        alpha_h c0 / A and lam(pi) = alpha_h (c0 + c1) / (A + B), A + B =
+        1/A, w* = lam(0) A**2 / (lam(0) A**2 - lam(pi)), where lam(0) A**2
+        and -lam(pi) have one sign, so nothing cancels; theta_m <= theta*
+        exactly when m <= g(theta*) / pi.  The index is checked against the
+        signs of lam at the angles, and a dropped run is found by galloping
+        and bisection (_first_kept).
+
+        Equal rhos give n eigenvalues lam_c (see q_sigma_eigenvalues).
+        Where _log_mgf's inputs degenerate, the eigenvalues are built."""
+        n = self.horizon
+        if n < _CLOSED_FORM_MIN:
+            return _eigen_summary(self.kept())
+        if self.pair.r1 == self.pair.r2:
+            abs_max = abs_min = abs(self.ends[2])
+            kept = n if abs_max > 0.0 else 0
+        else:
+            abs_max, abs_min, kept = self._extremes()
+        if kept == 0:
+            return _Summary(0.0, 0.0, 0, None)
+        t = 1.0 / (4.0 * abs_max)
+        log_mgf = (_log_mgf(self, t), _log_mgf(self, -t))
+        if None in log_mgf:
+            return _eigen_summary(self.kept())
+        return _Summary(abs_max, abs_min, kept, log_mgf)
+
+    def _extremes(self) -> tuple:
+        """(max |lam|, min |lam| kept, kept count) for unequal rhos (see _summary)."""
+        n, pair, h = self.horizon, self.pair, self.hypothesis - 1
+
+        def size(m):
+            return abs(pair.symbols_at(m)[h])
+
+        first, last = pair.symbols_at(1)[h], pair.symbols_at(n)[h]
+        abs_max = max(abs(first), abs(last))
+        side = math.copysign(1.0, first)
+
+        def on_first_side(m):
+            return pair.symbols_at(m)[h] * side > 0.0
+
+        # j: the angles up to theta_j lie before the zero crossing, the rest after
+        if on_first_side(n):
+            j = 0 if abs(first) <= abs(last) else n
+        else:
+            rho = self.rho
+            lam_0, lam_pi, _ = self.ends
+            at_0 = lam_0 * ((1.0 - rho) / (1.0 + rho)) ** 2
+            w = min(max(at_0 / (at_0 - lam_pi), 0.0), 1.0)
+            p, corner = pair.r1 * pair.r2, (1.0 - pair.r1) * (1.0 - pair.r2)
+            y = 2.0 * (1.0 - p) * math.sqrt(w * (1.0 - w))  # (1 - P) sin(theta*)
+            x = corner - 2.0 * (1.0 + p) * w
+            g = (n - 1) * 2.0 * math.asin(math.sqrt(w)) + 2.0 * math.atan2(y, x)
+            j = min(max(int(g / math.pi), 1), n - 1)
+            while j > 1 and not on_first_side(j):
+                j -= 1
+            while j < n - 1 and on_first_side(j + 1):
+                j += 1
+        floor = DROP_TOLERANCE * abs_max
+        left = _first_kept(size, j, -1, n, floor)
+        right = _first_kept(size, j + 1, 1, n, floor)
+        abs_min = min(size(m) for m in (left, right) if 1 <= m <= n)
+        return abs_max, abs_min, n - (right - left - 1)
+
+
+def _first_kept(size, m: int, step: int, n: int, floor: float) -> int:
+    """The first index from m on, in direction step, whose size(index) = |lam|
+    is at least floor, or the sentinel 0 or n + 1: |lam| grows monotonically
+    away from the zero crossing, so gallop, then bisect."""
+    dropped, jump = m - step, 1
+    while 1 <= m <= n and size(m) < floor:
+        dropped, m = m, m + jump * step
+        jump *= 2
+    m = min(max(m, 0), n + 1)
+    while abs(m - dropped) > 1:
+        mid = (m + dropped) // 2
+        if size(mid) < floor:
+            dropped = mid
+        else:
+            m = mid
+    return m
 
 
 @dataclass(frozen=True)
@@ -231,24 +427,22 @@ def q_sigma_eigenvalues(
     """
     if hypothesis not in (1, 2):
         raise ConfigError(f"hypothesis must be 1 or 2, got {hypothesis}")
-    return _spectra(stats1, stats2, horizon)[hypothesis - 1]
+    spectrum = _spectra(stats1, stats2, horizon)[hypothesis - 1]
+    spectrum.pair.eigenvalues()  # built here: the caller reads them
+    return spectrum
 
 
 def _spectra(stats1: ClassStatistics, stats2: ClassStatistics, horizon: int):
-    """Both hypotheses' spectra (see q_sigma_eigenvalues) from one angle solve."""
+    """Both hypotheses' spectra (see q_sigma_eigenvalues), sharing one
+    _KmsPair, so that both eigenvalue arrays come from one angle solve."""
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    a1, r1 = stats1.alpha, stats1.rho
-    a2, r2 = stats2.alpha, stats2.rho
+    pair = _KmsPair(stats1, stats2, horizon)
+    a1, r1, a2, r2 = pair.a1, pair.r1, pair.a2, pair.r2
     inverse_gap = (a2 - a1) / a1 / a2
-    if r1 == r2 or horizon == 1:
-        eigs = [np.full(horizon, a_h * inverse_gap) for a_h in (a1, a2)]
-    else:
-        half_sin = np.sin(0.5 * _eigen_angles(r1, r2, horizon))
-        eigs = [np.sort(lam) for lam in _symbols(a1, r1, a2, r2, half_sin * half_sin)]
     at_0, at_pi = _symbols(a1, r1, a2, r2, 0.0), _symbols(a1, r1, a2, r2, 1.0)
     return tuple(
-        _KmsSpectrum(eigs[h], rho, (at_0[h], at_pi[h], a_h * inverse_gap))
+        _KmsSpectrum(pair, h + 1, rho, (at_0[h], at_pi[h], a_h * inverse_gap))
         for h, (a_h, rho) in enumerate(((a1, r1), (a2, r2)))
     )
 
@@ -282,36 +476,71 @@ def _eigen_angles(rho1: float, rho2: float, n: int) -> np.ndarray:
     (m + 2) pi.  The stop tests the step, not the bracket width: a bracket
     test can bounce forever between two adjacent floats.
     """
-    eps = np.finfo(float).eps
-    p = rho1 * rho2
-    corner = (1.0 - rho1) * (1.0 - rho2)
-    m = np.arange(1, n + 1, dtype=float)
-    target = m * math.pi
-    noise = 8.0 * eps * (target + 2.0 * math.pi)
-    theta = target / (n + 1)
-    lo = np.maximum(target - 2.0 * math.pi, 0.0) / (n - 1)
-    hi = np.minimum(target / (n - 1), math.pi)
+    theta, lo, hi, target, noise = _angle_start(np.arange(1, n + 1, dtype=float), n)
     done = np.zeros(n, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
-        half_sin = np.sin(0.5 * theta)
-        w = half_sin * half_sin
-        y = 2.0 * (1.0 - p) * half_sin * np.cos(0.5 * theta)  # (1 - P) sin(theta)
-        x = corner - 2.0 * (1.0 + p) * w
-        resid = (n - 1) * theta + 2.0 * np.arctan2(y, x) - target
-        # 1 + P - (rho1 + rho2) cos(theta), written without cancellation
-        slope = (n - 1) + 2.0 * (1.0 - p) * (corner + 2.0 * (rho1 + rho2) * w) / (
-            x * x + y * y
-        )
+        resid, slope = _angle_residual(theta, rho1, rho2, n, target)
         lo = np.where(resid < 0.0, theta, lo)
         hi = np.where(resid > 0.0, theta, hi)
         new = theta - resid / slope
         new = np.where((new <= lo) | (new >= hi), 0.5 * (lo + hi), new)
         new = np.where(done, theta, new)
-        done |= np.abs(new - theta) <= 4.0 * eps * theta + noise / slope
+        done |= _angle_converged(new, theta, noise, slope)
         theta = new
         if done.all():
             return theta
-    raise NumericalError(
+    raise _angle_solve_error(rho1, rho2, n)
+
+
+def _eigen_angle(rho1: float, rho2: float, n: int, m: int) -> float:
+    """theta_m alone, by the Newton steps, bracket and stop of _eigen_angles:
+    the arithmetic is the same, and numpy's sin, cos and arctan2 round a
+    scalar as they round an array, so it equals _eigen_angles(...)[m - 1]."""
+    theta, lo, hi, target, noise = _angle_start(float(m), n)
+    for _ in range(_NEWTON_MAX_ITER):
+        resid, slope = _angle_residual(theta, rho1, rho2, n, target)
+        if resid < 0.0:
+            lo = theta
+        elif resid > 0.0:
+            hi = theta
+        new = theta - resid / slope
+        if new <= lo or new >= hi:
+            new = 0.5 * (lo + hi)
+        if _angle_converged(new, theta, noise, slope):
+            return float(new)
+        theta = new
+    raise _angle_solve_error(rho1, rho2, n)
+
+
+def _angle_start(m, n: int):
+    """(start, bracket low, bracket high, m pi, residual rounding) of theta_m,
+    for an index m or an array of them (see _eigen_angles)."""
+    target = m * math.pi
+    lo = np.maximum(target - 2.0 * math.pi, 0.0) / (n - 1)
+    hi = np.minimum(target / (n - 1), math.pi)
+    return target / (n + 1), lo, hi, target, 8.0 * _EPS * (target + 2.0 * math.pi)
+
+
+def _angle_residual(theta, rho1: float, rho2: float, n: int, target):
+    """g(theta) - m pi and g'(theta) (see q_sigma_eigenvalues)."""
+    p = rho1 * rho2
+    corner = (1.0 - rho1) * (1.0 - rho2)
+    half_sin = np.sin(0.5 * theta)
+    w = half_sin * half_sin
+    y = 2.0 * (1.0 - p) * half_sin * np.cos(0.5 * theta)  # (1 - P) sin(theta)
+    x = corner - 2.0 * (1.0 + p) * w
+    resid = (n - 1) * theta + 2.0 * np.arctan2(y, x) - target
+    # 1 + P - (rho1 + rho2) cos(theta), written without cancellation
+    slope = (n - 1) + 2.0 * (1.0 - p) * (corner + 2.0 * (rho1 + rho2) * w) / (x * x + y * y)
+    return resid, slope
+
+
+def _angle_converged(new, theta, noise, slope):
+    return abs(new - theta) <= 4.0 * _EPS * theta + noise / slope
+
+
+def _angle_solve_error(rho1: float, rho2: float, n: int) -> NumericalError:
+    return NumericalError(
         f"eigen-angle solve did not converge in {_NEWTON_MAX_ITER} steps "
         f"(rho1={rho1!r}, rho2={rho2!r}, n={n})"
     )
@@ -414,6 +643,40 @@ def _log_phi(spectrum: QuadFormSpectrum, u: np.ndarray):
     return logmag, phase
 
 
+def _log_mgf(spectrum: "_KmsSpectrum", s: float):
+    """log M_h(s) = -1/2 log det(I - 2s Q Sigma_h) at a real s with
+    2|s| max|lam| <= 1/2, in O(1); None where r+ = r-.
+
+    _log_phi's closed form at u = -is: its z = 1 - 2iu lam become the real
+    1 - 2s lam, and the determinant identity behind it is algebraic, so it
+    holds for these inputs too.  Positivity: every factor 1 - 2s lam_j lies
+    in [1/2, 3/2], so det(I - 2s Q Sigma_h) = prod_j (1 - 2s lam_j) > 0, and
+    log M is minus half its log.  The closed form's factors multiply to that
+    determinant whichever square roots s_0 and s_pi take (a flip of either
+    swaps r+ and r-, and D_k is symmetric in them), so log M is the sum of
+    their log-magnitudes and no branch has to be followed.  The symbol's
+    ends lie outside the eigenvalues' range (theta_1 > 0, theta_n < pi), so
+    1 - 2s lam(0) or 1 - 2s lam(pi) may be negative and s_0 or s_pi
+    imaginary; only w = s_0 s_pi = 0, where r+ - r- = (1 - rho**2) w
+    vanishes, leaves the formula 0/0.
+    """
+    n, rho = spectrum.horizon, spectrum.rho
+    lam_0, lam_pi, lam_c = spectrum.ends
+    s_0, s_pi = cmath.sqrt(1.0 - 2.0 * s * lam_0), cmath.sqrt(1.0 - 2.0 * s * lam_pi)
+    lo, hi = (1.0 - rho) * s_0, (1.0 + rho) * s_pi
+    w, z_c = s_0 * s_pi, 1.0 - 2.0 * s * lam_c
+    try:
+        t = ((hi - lo) / (hi + lo)) ** (n - 1) * ((z_c - w) / (z_c + w))
+        return (
+            -(n - 1) * math.log(abs(0.5 * (hi + lo)))
+            - math.log(abs(0.5 * (z_c + w)))
+            + 0.5 * math.log(abs(w))
+            - 0.5 * math.log(abs(1.0 - t * t))
+        )
+    except (ArithmeticError, ValueError):  # a zero divisor or log argument
+        return None
+
+
 def _sqrt_right(y: np.ndarray) -> np.ndarray:
     """Principal square root of 1 + iy."""
     p = np.sqrt(0.5 + 0.5 * np.sqrt(1.0 + y * y))
@@ -435,25 +698,24 @@ def accuracy_budget(
     the resolution (aliasing) term via the bound
     grid_step = 2*pi*t / (log(bound) + log(2/target)); the term count takes
     the more conservative of the two published truncation-bound constants.
+    The spectrum's extremes, kept order and log M(+-t) come from its
+    eigenvalues, or, for a spectrum of _spectra from n = _CLOSED_FORM_MIN on,
+    in O(1) without them (see _KmsSpectrum._summary).
     """
     _check_target(target)
-    kept = spectrum.kept()
-    if kept.size == 0:
+    summary = spectrum._summary
+    if summary.kept_order == 0:
         raise ConfigError(
             "spectrum has no nonzero eigenvalues; the statistic is degenerate "
             "and the error is determined by the priors alone"
         )
-    abs_max = float(np.max(np.abs(kept)))
-    abs_min = float(np.min(np.abs(kept)))
-    k = int(kept.size)
+    abs_max, abs_min, k = summary.lambda_abs_max, summary.lambda_abs_min, summary.kept_order
     t = 1.0 / (4.0 * abs_max)
     # log of max(e^{zt} prod(1-2t*lam)^(-1/2), e^{-zt} prod(1+2t*lam)^(-1/2});
     # the max of the two is always >= 1 (their product is >= 1), so the
     # grid-step denominator below is strictly positive.
-    log_bound = max(
-        z * t - 0.5 * float(np.sum(np.log1p(-2.0 * t * kept))),
-        -z * t - 0.5 * float(np.sum(np.log1p(2.0 * t * kept))),
-    )
+    log_plus, log_minus = summary.log_mgf
+    log_bound = max(z * t + log_plus, -z * t + log_minus)
     grid_step = 2.0 * math.pi * t / (log_bound + math.log(2.0 / target))
     base = 1.0 / (2.0 * grid_step * abs_min)
     n_a = math.ceil(base * (math.pi / 4.0 * target * k) ** (-2.0 / k))
@@ -544,26 +806,25 @@ def _head_len(abs_min: float, delta: float) -> int:
 def _inversion_sum(
     spectrum: QuadFormSpectrum,
     z: float,
-    delta: float,
-    n_terms: int,
+    budget: AccuracyBudget,
     tol: float,
     direct_cap: int = _DIRECT_CAP,
 ) -> float:
-    """The full truncated series sum_{i=0}^{N} Im[...]/(i+1/2), to within tol.
+    """The full truncated series sum_{i=0}^{N} Im[...]/(i+1/2), N and the
+    grid step from the spectrum's budget, to within tol.
 
     Series of up to ``direct_cap`` terms, or ending before the tail could
     start, are summed directly, the rest as a direct head plus the asymptotic
-    tail.  On the surface grid at kf 2-8, prior1 0.2/0.5/0.8 (525 reports, 2
-    cores), caps 2**14 and 2**15 tie at 1.2 s (2**12: 1.5 s, 2**21: 3.4 s).
+    tail; only the tail reads the eigenvalues.  On the surface grid at kf
+    2-8, prior1 0.2/0.5/0.8 (525 reports, 2 cores), caps 2**14 and 2**15 tie
+    at 1.2 s (2**12: 1.5 s, 2**21: 3.4 s).
     """
-    eigs = spectrum.eigenvalues
-    kept = spectrum.kept()
-    if kept.size == 0:
-        raise ConfigError("cannot invert a spectrum with no nonzero eigenvalues")
-    head_len = _head_len(float(np.min(np.abs(kept))), delta)
+    delta, n_terms = budget.grid_step, budget.n_terms
+    head_len = _head_len(budget.lambda_abs_min, delta)
     if n_terms <= max(direct_cap, min(head_len, _HEAD_MAX)):
         return _direct_partial_sum(spectrum, z, delta, 0, n_terms)
 
+    eigs, kept = spectrum.eigenvalues, spectrum.kept()
     if kept.size != eigs.size:
         # dropped eigenvalues are treated as exactly zero in the tail; make
         # sure they would indeed be invisible there
@@ -736,7 +997,7 @@ def cdf_quadratic_form_raw(
         cut = _cut_cdf(spectrum, z, tol)
         if cut is not None:
             return cut[0]
-    series = _inversion_sum(spectrum, z, budget.grid_step, budget.n_terms, tol=tol * math.pi)
+    series = _inversion_sum(spectrum, z, budget, tol=tol * math.pi)
     return 0.5 - series / math.pi
 
 
@@ -797,7 +1058,7 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
 
     spectrum1, spectrum2 = _spectra(stats1, stats2, kf)
 
-    if spectrum1.kept().size == 0 or spectrum2.kept().size == 0:
+    if spectrum1._summary.kept_order == 0 or spectrum2._summary.kept_order == 0:
         # degenerate pair: the statistic carries no information
         cdf = 1.0 if p1 >= p2 else 0.0  # zero statistic vs threshold 2*ln(p1/p2)
         return ErrorReport(p1, 2.0 * math.log(p1 / p2), None, None, cdf, cdf)

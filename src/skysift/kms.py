@@ -49,12 +49,19 @@ def kms_inverse_apply(stats: ClassStatistics, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_dim(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+
+
 def kms_logdet(stats: ClassStatistics, n: int) -> float:
     """log-determinant of the n x n matrix: n * ln(alpha) + (n - 1) * ln(1 - rho**2).
 
     Works directly in log space; the determinant itself underflows for large
-    dimensions, so it is never formed.
+    dimensions, so it is never formed.  n < 1 is refused: the formula's
+    (n - 1) term would not vanish.
     """
+    _check_dim(n)
     # log1p keeps precision when rho is close to 1 and 1 - rho**2 is tiny.
     return n * math.log(stats.alpha) + (n - 1) * math.log1p(-stats.rho * stats.rho)
 
@@ -90,8 +97,9 @@ def kms_cholesky_factor(stats: ClassStatistics, n: int) -> np.ndarray:
     Column 0 is sqrt(alpha) * rho**i; column j >= 1 is
     sqrt(alpha * (1 - rho**2)) * rho**(i - j) for i >= j.  O(n^2) memory:
     neither the detector nor the error analysis uses it; the tests build
-    their dense eigenvalue oracle from it.
+    their dense eigenvalue oracle from it.  n < 1 is refused.
     """
+    _check_dim(n)
     rho = stats.rho
     i = np.arange(n)
     # rho**(i - j) below the diagonal, zero above

@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -20,6 +20,7 @@ from skysift import error_analysis
 from skysift.detector import detector_from_scenario, threshold
 from skysift.error_analysis import (
     AccuracyBudget,
+    ErrorReport,
     ErrorSurface,
     QuadFormSpectrum,
     _cut_cdf,
@@ -270,6 +271,25 @@ def test_total_error_solves_angles_once(monkeypatch, default_scenario):
     assert len(calls) == 1
     assert report.total_error == expected
 
+
+@pytest.mark.parametrize("kf", [50, 200, 1000])
+def test_long_horizon_report_solves_no_angle_array(monkeypatch, default_scenario, kf):
+    """From _CLOSED_FORM_MIN on, the budget needs a few scalar angle solves
+    and the direct series none: no report builds the eigenvalue array."""
+    s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=kf))
+    expected = total_error(s).total_error
+    calls = []
+    solve = error_analysis._eigen_angles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(error_analysis, "_eigen_angles", counted)
+    assert total_error(s).total_error == expected
+    assert calls == []
+
+
 _ALPHAS = st.floats(min_value=1e-3, max_value=1e3)
 _RHOS = st.floats(min_value=1e-4, max_value=0.9999)
 
@@ -371,6 +391,109 @@ def test_phi_arrays_blocks_match_per_eigenvalue_loop(monkeypatch, default_scenar
         logmag, phase = _phi_arrays(eigs, u)
         np.testing.assert_allclose(logmag, logmag_ref, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(phase, phase_ref, rtol=1e-13, atol=1e-13)
+
+
+def assert_summary_matches_eigen_path(stats1, stats2, horizon, index):
+    """Both hypotheses' O(1) budget summaries against the eigenvalues': kept
+    order equal, extremes within 4 ulp, log M(+-t) within 1e-12 of the
+    summed terms' size sum_j |log(1 - 2s lam_j)| / 2 (log M itself can
+    cancel to 1e-3 of it); every angle the summaries solved, and
+    theta_index, equal to the vector solve's."""
+    spectra = error_analysis._spectra(stats1, stats2, horizon)
+    summaries = [sp._summary for sp in spectra]  # before the eigenvalues exist
+    for sp, got in zip(spectra, summaries):
+        want = error_analysis._eigen_summary(sp.kept())
+        assert got.kept_order == want.kept_order
+        for name in ("lambda_abs_max", "lambda_abs_min"):
+            exact = getattr(want, name)
+            assert abs(getattr(got, name) - exact) <= 4 * np.spacing(exact), name
+        if want.kept_order == 0:  # identical classes
+            assert got == want
+            continue
+        t = 1.0 / (4.0 * want.lambda_abs_max)
+        for s, closed, summed in zip((t, -t), got.log_mgf, want.log_mgf):
+            size = 0.5 * float(np.sum(np.abs(np.log1p(-2.0 * s * sp.eigenvalues))))
+            assert abs(closed - summed) <= 1e-12 * size, (closed, summed)
+    r1, r2 = stats1.rho, stats2.rho
+    if r1 != r2:
+        angles = error_analysis._eigen_angles(r1, r2, horizon)
+        for m in {*spectra[0].pair._at, min(index, horizon)}:
+            assert error_analysis._eigen_angle(r1, r2, horizon, m) == angles[m - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha1=_ALPHAS,
+    rho1=_RHOS,
+    alpha2=_ALPHAS,
+    rho2=_RHOS,
+    horizon=st.integers(min_value=50, max_value=3000),
+    index=st.integers(min_value=1, max_value=3000),
+)
+def test_budget_summary_matches_eigen_path(alpha1, rho1, alpha2, rho2, horizon, index):
+    assert_summary_matches_eigen_path(
+        sk.ClassStatistics(alpha=alpha1, rho=rho1),
+        sk.ClassStatistics(alpha=alpha2, rho=rho2),
+        horizon,
+        index,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=_ALPHAS,
+    rho=st.floats(min_value=1e-4, max_value=0.9999 / (1 + 1e-5)),
+    horizon=st.integers(min_value=50, max_value=3000),
+    index=st.integers(min_value=1, max_value=3000),
+)
+def test_budget_summary_matches_eigen_path_near_identical(alpha, rho, horizon, index):
+    """Class 2 at alpha ratio 1 + 1e-4 and rho ratio 1 + 1e-5."""
+    assert_summary_matches_eigen_path(
+        sk.ClassStatistics(alpha=alpha, rho=rho),
+        sk.ClassStatistics(alpha=alpha * (1 + 1e-4), rho=rho * (1 + 1e-5)),
+        horizon,
+        index,
+    )
+
+
+@pytest.mark.parametrize("kf", [50, 51, 200, 999, 3000])
+def test_budget_summary_matches_eigen_path_sign_change(default_scenario, kf):
+    """The surface cell (mass 4, gain 0.25): both spectra change sign, so the
+    smallest |lam| sits at the zero crossing inside the spectrum."""
+    s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=kf, m2=4.0, k2=0.25))
+    st1, st2 = s.stats1(), s.stats2()
+    for sp in error_analysis._spectra(st1, st2, kf):
+        assert sp.eigenvalues[0] < 0.0 < sp.eigenvalues[-1]
+    assert_summary_matches_eigen_path(st1, st2, kf, kf // 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha1=_ALPHAS,
+    rho1=_RHOS,
+    alpha2=_ALPHAS,
+    rho2=_RHOS,
+    horizon=st.integers(min_value=50, max_value=3000),
+)
+# the surface cell (mass 4, gain 0.25) drops one eigenvalue per hypothesis
+# at its zero crossing; the second pair drops 2,997 of hypothesis 1's 3,000
+@example(alpha1=0.5, rho1=0.6065306597126334, alpha2=0.5, rho2=0.9692332344763441, horizon=200)
+@example(alpha1=1.0, rho1=0.9999, alpha2=2.0, rho2=0.5, horizon=3000)
+def test_budget_summary_finds_dropped_runs(alpha1, rho1, alpha2, rho2, horizon):
+    """A drop tolerance of 1e-2 drops runs of eigenvalues about the zero
+    crossing, up to one end: the summary's kept order and smallest kept
+    |lam| are kept()'s."""
+    st1 = sk.ClassStatistics(alpha=alpha1, rho=rho1)
+    st2 = sk.ClassStatistics(alpha=alpha2, rho=rho2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(error_analysis, "DROP_TOLERANCE", 1e-2)
+        spectra = error_analysis._spectra(st1, st2, horizon)
+        summaries = [sp._summary for sp in spectra]
+        for sp, got in zip(spectra, summaries):
+            kept = sp.kept()
+            assert got.kept_order == kept.size
+            if kept.size:  # none for identical classes
+                assert got.lambda_abs_min == float(np.min(np.abs(kept)))
 
 
 def assert_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon):
@@ -637,10 +760,8 @@ def test_head_tail_split_matches_direct_summation():
     budget = accuracy_budget(sp, z, 1e-6)
     assert budget.n_terms > 1 << 21  # needs the tail path at the real cap
     tol = 1e-3 * budget.target * math.pi
-    direct = _inversion_sum(
-        sp, z, budget.grid_step, budget.n_terms, tol, direct_cap=budget.n_terms + 1
-    )
-    split = _inversion_sum(sp, z, budget.grid_step, budget.n_terms, tol, direct_cap=1024)
+    direct = _inversion_sum(sp, z, budget, tol, direct_cap=budget.n_terms + 1)
+    split = _inversion_sum(sp, z, budget, tol, direct_cap=1024)
     assert abs(direct - split) <= 1e-9
 
 
@@ -659,7 +780,7 @@ def test_series_ending_before_the_tail_is_summed_directly():
     # sums for the empty range [29286, 29247]
     _, (sp, z, budget, tol) = series_cases({"kf": 8, "m2": 1.0, "k2": 0.25})
     assert budget.n_terms == 29_247
-    args = (sp, z, budget.grid_step, budget.n_terms, tol)
+    args = (sp, z, budget, tol)
     forced = _inversion_sum(*args, direct_cap=1 << 14)
     direct = _inversion_sum(*args, direct_cap=1 << 21)
     assert abs(forced - direct) <= tol
@@ -696,7 +817,7 @@ def test_tail_crossover_matches_direct_summation():
                 if n > 1 << 21:
                     continue
                 split += n > error_analysis._DIRECT_CAP
-                args = (sp, z, budget.grid_step, n, tol)
+                args = (sp, z, budget, tol)
                 got = _inversion_sum(*args)
                 want = _inversion_sum(*args, direct_cap=1 << 21)
                 assert abs(got - want) <= tol, (cell, n)
@@ -719,7 +840,7 @@ def test_near_zero_eigenvalue_guard_raises():
     budget = accuracy_budget(sp, 0.5, 1e-6)
     assert budget.kept_order == 1
     with pytest.raises(NumericalError):
-        _inversion_sum(sp, 0.5, budget.grid_step, budget.n_terms, 1e-9)
+        _inversion_sum(sp, 0.5, budget, 1e-9)
 
 
 def test_cdf_against_monte_carlo(default_scenario):
@@ -756,20 +877,55 @@ def test_total_error_frozen_values(default_scenario):
     assert d["prior1"] == 0.5
 
 
+def long_horizon_cases(default_scenario, kf, cell):
+    """(spectrum, threshold) of both hypotheses of a scenario."""
+    s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=kf, **cell))
+    z = threshold(detector_from_scenario(s))
+    return s, [(sp, z) for sp in error_analysis._spectra(s.stats1(), s.stats2(), kf)]
+
+
+LONG_HORIZON_CELLS = pytest.mark.parametrize(
+    "cell", [{}, {"m2": 1.0, "k2": 4.0}], ids=["default", "m1k4"]
+)
+
+
 @pytest.mark.parametrize("kf", [200, 1000, 10_000])
-@pytest.mark.parametrize("cell", [{}, {"m2": 1.0, "k2": 4.0}], ids=["default", "m1k4"])
-def test_total_error_closed_form_matches_eigen_sum(
-    monkeypatch, default_scenario, kf, cell
-):
+@LONG_HORIZON_CELLS
+def test_closed_form_budget_matches_eigen_sum_budget(default_scenario, kf, cell):
+    """The default pair and the surface cell (mass 1, gain 4): the O(1)
+    budget equals the one summed over the eigenvalues in its term counts,
+    kept order and extremes, and its grid step and Chernoff bound to 1e-12
+    relative."""
+    _, cases = long_horizon_cases(default_scenario, kf, cell)
+    for sp, z in cases:
+        closed = accuracy_budget(sp, z)
+        summed = accuracy_budget(QuadFormSpectrum(sp.eigenvalues), z)
+        for name in ("n_terms_options", "kept_order", "lambda_abs_max", "lambda_abs_min"):
+            assert getattr(closed, name) == getattr(summed, name), name
+        for name in ("grid_step", "chernoff_bound"):  # the bound is inf at kf 1e4
+            got, want = getattr(closed, name), getattr(summed, name)
+            assert got == want or abs(got - want) <= 1e-12 * want, name
+
+
+@pytest.mark.parametrize("kf", [200, 1000, 10_000])
+@LONG_HORIZON_CELLS
+def test_total_error_closed_form_matches_eigen_sum(default_scenario, kf, cell):
     """The default pair and the surface cell (mass 1, gain 4): the report
     through the closed form agrees with the eigen-sum's within the target,
-    on identical budgets."""
-    s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=kf, **cell))
-    closed = total_error(s)
-    monkeypatch.setattr(error_analysis, "_CLOSED_FORM_MIN", kf + 1)
-    summed = total_error(s)
-    assert closed.budget_given_1 == summed.budget_given_1
-    assert closed.budget_given_2 == summed.budget_given_2
+    both on one shared budget per hypothesis."""
+    s, cases = long_horizon_cases(default_scenario, kf, cell)
+    budgets = [accuracy_budget(sp, z) for sp, z in cases]
+    reports = [
+        ErrorReport(
+            s.sampling.prior1,
+            cases[0][1],
+            *budgets,
+            *(cdf_quadratic_form_raw(make(sp), z, b) for (sp, z), b in zip(cases, budgets)),
+        )
+        for make in (lambda sp: sp, lambda sp: QuadFormSpectrum(sp.eigenvalues))
+    ]
+    closed, summed = reports
+    assert closed.total_error == total_error(s).total_error
     for name in ("total_error", "raw_cdf_given_1", "raw_cdf_given_2"):
         assert abs(getattr(closed, name) - getattr(summed, name)) <= 1e-6, name
 

@@ -93,6 +93,16 @@ def test_shape_validation():
             kms_inverse_apply(m, bad)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_dimension_below_one_is_refused(n):
+    """The empty matrix's log-determinant is 0, not the formula's
+    -ln(1 - rho**2) at n = 0; both functions refuse n < 1 by name."""
+    m = sk.ClassStatistics(alpha=1.0, rho=0.5)
+    for fn in (kms_logdet, kms_cholesky_factor):
+        with pytest.raises(ConfigError, match=f"n must be >= 1, got {n}"):
+            fn(m, n)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
