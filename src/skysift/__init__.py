@@ -32,7 +32,6 @@ from .simulator import (
 from .detector import (
     DetectionReport,
     DetectorSpec,
-    RocPoint,
     SufficientStatistics,
     build_detector,
     conditional_error,
@@ -41,14 +40,12 @@ from .detector import (
     detector_from_scenario,
     fit_class_statistics,
     remove_mean,
-    roc_sweep,
     stream_update,
     threshold,
 )
 from .error_analysis import (
     AccuracyBudget,
     ErrorReport,
-    ErrorSurface,
     QuadFormSpectrum,
     accuracy_budget,
     cdf_quadratic_form_raw,
@@ -83,7 +80,6 @@ __all__ = [
     "write_batch_csv",
     "DetectionReport",
     "DetectorSpec",
-    "RocPoint",
     "SufficientStatistics",
     "build_detector",
     "conditional_error",
@@ -92,12 +88,10 @@ __all__ = [
     "detector_from_scenario",
     "fit_class_statistics",
     "remove_mean",
-    "roc_sweep",
     "stream_update",
     "threshold",
     "AccuracyBudget",
     "ErrorReport",
-    "ErrorSurface",
     "QuadFormSpectrum",
     "accuracy_budget",
     "cdf_quadratic_form_raw",

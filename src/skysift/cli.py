@@ -167,15 +167,12 @@ def _cmd_error_total(scenario: Scenario, args) -> None:
 
 
 def _cmd_error_surface(scenario: Scenario, args) -> None:
-    surface = error_surface(
-        scenario,
-        _parse_floats(args.gain_ratios, "--gain-ratios"),
-        _parse_floats(args.mass_ratios, "--mass-ratios"),
-        args.accuracy,
-    )
+    gains = _parse_floats(args.gain_ratios, "--gain-ratios")
+    masses = _parse_floats(args.mass_ratios, "--mass-ratios")
+    errors = error_surface(scenario, gains, masses, args.accuracy)
     out = args.out or (args.out_dir / "surface.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_surface_csv(surface, out)
+    write_surface_csv(gains, masses, errors, out)
 
 
 def _cmd_error_vs_horizon(scenario: Scenario, args) -> None:

@@ -24,7 +24,6 @@ __all__ = [
     "DetectorSpec",
     "SufficientStatistics",
     "DetectionReport",
-    "RocPoint",
     "build_detector",
     "detector_from_scenario",
     "threshold",
@@ -32,7 +31,6 @@ __all__ = [
     "detect_simplified",
     "stream_update",
     "conditional_error",
-    "roc_sweep",
     "fit_class_statistics",
     "remove_mean",
 ]
@@ -180,7 +178,6 @@ class DetectionReport:
     threshold: float
     margin: float = field(init=False)
     conditional_error: float = field(init=False)
-    samples_used: int
 
     def __post_init__(self):
         margin = self.threshold - self.statistic
@@ -237,10 +234,6 @@ def threshold(spec: DetectorSpec, horizon: int | None = None) -> float:
     )
 
 
-def _report(spec: DetectorSpec, statistic: float, n: int) -> DetectionReport:
-    return DetectionReport(statistic, threshold(spec, n), n)
-
-
 def _coerce_samples(y) -> np.ndarray:
     if isinstance(y, MeasurementSeries):
         return y.samples
@@ -260,7 +253,7 @@ def detect_full(spec: DetectorSpec, y) -> DetectionReport:
     statistic = kms_quadratic_form(spec.stats1, samples) - kms_quadratic_form(
         spec.stats2, samples
     )
-    return _report(spec, statistic, samples.size)
+    return DetectionReport(statistic, threshold(spec, samples.size))
 
 
 def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> DetectionReport:
@@ -270,7 +263,7 @@ def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> Detect
         + spec.lag_coef * stats.sum_lag
         + spec.edge_coef * (stats.first_sq + stats.last_sq)
     )
-    return _report(spec, statistic, stats.count)
+    return DetectionReport(statistic, threshold(spec, stats.count))
 
 
 def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
@@ -311,13 +304,6 @@ def conditional_error(spec: DetectorSpec, statistic: float, horizon: int) -> flo
     return _conditional_error_from_margin(threshold(spec, horizon) - statistic)
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    false_positive_rate: float
-    true_positive_rate: float
-
-
 def _full_statistics(spec: DetectorSpec, samples: np.ndarray) -> np.ndarray:
     """``detect_full`` statistic of each row of a (trials, n) matrix, bit for
     bit: the stacked matmul runs the same BLAS dot per row as ``v @ v``."""
@@ -341,37 +327,6 @@ def _length_groups(batch: TrialBatch):
     for n in np.unique(lengths).tolist():
         trials = np.flatnonzero(lengths == n)
         yield trials, batch.samples[starts[trials, None] + np.arange(n)]
-
-
-def roc_sweep(spec: DetectorSpec, batch: TrialBatch, thresholds) -> list[RocPoint]:
-    """Empirical operating points as the decision threshold is varied.
-
-    Class 2 is the 'positive' call: TPR is the fraction of true class-2
-    trials decided 2, FPR the fraction of class-1 trials decided 2.  A trial
-    is decided 2 when its ``detect_full`` statistic exceeds the threshold, so
-    lowering the threshold relaxes the detector toward more class-2 calls.
-    """
-    statistics = np.empty(batch.label.size)
-    for trials, samples in _length_groups(batch):
-        statistics[trials] = _full_statistics(spec, samples)
-    return _roc_points(batch.labels(), statistics, thresholds)
-
-
-def _roc_points(labels: np.ndarray, statistics: np.ndarray, thresholds) -> list[RocPoint]:
-    if not ((labels == 1).any() and (labels == 2).any()):
-        raise ConfigError("ROC sweep needs both classes present in the batch")
-    is2 = labels == 2
-    points = []
-    for thr in thresholds:
-        called2 = statistics > thr
-        points.append(
-            RocPoint(
-                threshold=float(thr),
-                false_positive_rate=float(called2[~is2].mean()),
-                true_positive_rate=float(called2[is2].mean()),
-            )
-        )
-    return points
 
 
 def fit_class_statistics(series_set) -> ClassStatistics:

@@ -67,7 +67,6 @@ __all__ = [
     "QuadFormSpectrum",
     "AccuracyBudget",
     "ErrorReport",
-    "ErrorSurface",
     "q_sigma_eigenvalues",
     "accuracy_budget",
     "cdf_quadratic_form_raw",
@@ -83,7 +82,7 @@ DROP_TOLERANCE = 1e-12
 # evaluation noise is kept three orders below the requested accuracy target
 _EVAL_SLACK = 1e-3
 
-_DIRECT_CAP = 1 << 15  # sum series directly up to this many terms; see _inversion_sum
+_DIRECT_CAP = 1 << 15  # longest series summed directly; see cdf_quadratic_form_raw
 _HEAD_MIN = 1 << 12
 _HEAD_MAX = 1 << 26
 _TAIL_MAX_ORDER = 16
@@ -803,27 +802,19 @@ def _head_len(abs_min: float, delta: float) -> int:
     return max(math.ceil(10.0 / (abs_min * delta)), _HEAD_MIN)
 
 
-def _inversion_sum(
+def _series_fallback(
     spectrum: QuadFormSpectrum,
     z: float,
     budget: AccuracyBudget,
+    head_len: int,
     tol: float,
-    direct_cap: int = _DIRECT_CAP,
 ) -> float:
-    """The full truncated series sum_{i=0}^{N} Im[...]/(i+1/2), N and the
-    grid step from the spectrum's budget, to within tol.
-
-    Series of up to ``direct_cap`` terms, or ending before the tail could
-    start, are summed directly, the rest as a direct head plus the asymptotic
-    tail; only the tail reads the eigenvalues.  On the surface grid at kf
-    2-8, prior1 0.2/0.5/0.8 (525 reports, 2 cores), caps 2**14 and 2**15 tie
-    at 1.2 s (2**12: 1.5 s, 2**21: 3.4 s).
-    """
+    """The truncated series sum_{i=0}^{N} Im[...]/(i+1/2), N and the grid
+    step from the budget, to within tol, for N past both _DIRECT_CAP and
+    head_len: a direct head plus the asymptotic tail, or the head alone
+    where a tail starting past _HEAD_MAX is negligible.  Only the tail
+    reads the eigenvalues."""
     delta, n_terms = budget.grid_step, budget.n_terms
-    head_len = _head_len(budget.lambda_abs_min, delta)
-    if n_terms <= max(direct_cap, min(head_len, _HEAD_MAX)):
-        return _direct_partial_sum(spectrum, z, delta, 0, n_terms)
-
     eigs, kept = spectrum.eigenvalues, spectrum.kept()
     if kept.size != eigs.size:
         # dropped eigenvalues are treated as exactly zero in the tail; make
@@ -988,16 +979,25 @@ def cdf_quadratic_form_raw(
     spectrum: QuadFormSpectrum, z: float, budget: AccuracyBudget
 ) -> float:
     """Unclamped value of the CDF of Z at z; may leave [0, 1] by up to the
-    accuracy target (:func:`total_error` clamps it).  A series that would
-    need the asymptotic tail takes the branch-cut integrals instead, where
-    they can be certified (:func:`_cut_cdf`)."""
+    accuracy target (:func:`total_error` clamps it).
+
+    Series of up to _DIRECT_CAP terms, or ending before the tail could
+    start, are summed directly.  Longer ones take the branch-cut integrals
+    where they can be certified (:func:`_cut_cdf`), else the head + tail
+    :func:`_series_fallback`.  On the surface grid at kf 2-8, prior1
+    0.2/0.5/0.8 (525 reports, 2 cores), caps 2**14 and 2**15 tie at 1.2 s
+    (2**12: 1.5 s, 2**21: 3.4 s).
+    """
     tol = _EVAL_SLACK * budget.target
-    head_len = _head_len(budget.lambda_abs_min, budget.grid_step)
-    if budget.n_terms > max(_DIRECT_CAP, min(head_len, _HEAD_MAX)):
+    delta, n_terms = budget.grid_step, budget.n_terms
+    head_len = _head_len(budget.lambda_abs_min, delta)
+    if n_terms <= max(_DIRECT_CAP, min(head_len, _HEAD_MAX)):
+        series = _direct_partial_sum(spectrum, z, delta, 0, n_terms)
+    else:
         cut = _cut_cdf(spectrum, z, tol)
         if cut is not None:
             return cut[0]
-    series = _inversion_sum(spectrum, z, budget, tol=tol * math.pi)
+        series = _series_fallback(spectrum, z, budget, head_len, tol * math.pi)
     return 0.5 - series / math.pi
 
 
@@ -1073,23 +1073,15 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     return ErrorReport(p1, z, budget1, budget2, raw1, raw2)
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorSurface:
-    """Total error over a grid of class-2/class-1 parameter ratios."""
-
-    gain_ratios: np.ndarray
-    mass_ratios: np.ndarray
-    total_errors: np.ndarray  # shape (len(mass_ratios), len(gain_ratios))
-
-
 def error_surface(
     scenario: Scenario,
     gain_ratios,
     mass_ratios,
     target: float = 1e-6,
-) -> ErrorSurface:
+) -> np.ndarray:
     """Sweep class 2 as a (gain, mass) ratio of class 1 and tabulate the error.
 
+    Returns the total errors, shape (len(mass_ratios), len(gain_ratios)).
     The base scenario's class-1 parameters, noise, and sampling are held
     fixed; each grid cell rebuilds class 2 at the given ratios.  The (1, 1)
     cell makes the classes identical, so it returns min(prior1, prior2).
@@ -1108,6 +1100,4 @@ def error_surface(
                 k2=base["k1"] * float(gr),
             )
             errors[i, j] = total_error(Scenario.from_dict(cell), target).total_error
-    return ErrorSurface(
-        gain_ratios=gain_ratios, mass_ratios=mass_ratios, total_errors=errors
-    )
+    return errors

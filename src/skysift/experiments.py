@@ -18,13 +18,12 @@ import numpy as np
 from . import __version__
 from .detector import (
     _full_statistics,
-    _roc_points,
     _stream_reports,
     detect_batch,
     detector_from_scenario,
     threshold,
 )
-from .error_analysis import ErrorSurface, error_surface, total_error
+from .error_analysis import error_surface, total_error
 from .errors import ConfigError
 from .model import Scenario
 from .simulator import _simulate_samples, simulate_batch
@@ -167,15 +166,15 @@ def _write_csv(path: Path, header, rows) -> None:
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def write_surface_csv(surface: ErrorSurface, path) -> None:
-    """Matrix CSV: rows are mass ratios, columns gain ratios, cells log10 of
-    the total error; a cell whose error is 0.0 is left blank, so the file
-    carries no non-finite value."""
+def write_surface_csv(gain_ratios, mass_ratios, errors, path) -> None:
+    """Matrix CSV of an :func:`error_surface` result: rows are mass ratios,
+    columns gain ratios, cells log10 of the total error; a cell whose error
+    is 0.0 is left blank, so the file carries no non-finite value."""
     rows = (
-        [mass] + [math.log10(e) if e > 0 else None for e in errors]
-        for mass, errors in zip(surface.mass_ratios.tolist(), surface.total_errors.tolist())
+        [float(mass)] + [math.log10(e) if e > 0 else None for e in row]
+        for mass, row in zip(mass_ratios, errors)
     )
-    _write_csv(path, ["mass_ratio\\gain_ratio"] + surface.gain_ratios.tolist(), rows)
+    _write_csv(path, ["mass_ratio\\gain_ratio"] + [float(g) for g in gain_ratios], rows)
 
 
 def horizon_errors(scenario: Scenario, kf_values, accuracy: float) -> tuple:
@@ -336,9 +335,9 @@ def run_surface(
     is SURFACE_RATIOS, the powers of two from 1/4 to 4, on both axes.
     """
     started = _prepare(config)
-    surface = error_surface(config.scenario, gain_ratios, mass_ratios, config.accuracy)
+    errors = error_surface(config.scenario, gain_ratios, mass_ratios, config.accuracy)
     csv_path = config.out_dir / "surface.csv"
-    write_surface_csv(surface, csv_path)
+    write_surface_csv(gain_ratios, mass_ratios, errors, csv_path)
     return _finish(config, [csv_path], started)
 
 
@@ -369,7 +368,10 @@ def run_roc(config: ExperimentConfig) -> RunManifest:
 
     Outputs roc.csv with columns threshold,false_positive_rate,
     true_positive_rate; the MAP threshold is included as one of the sweep
-    points.
+    points.  Class 2 is the 'positive' call: a trial is called 2 when its
+    ``detect_full`` statistic exceeds the threshold, TPR is the fraction of
+    class-2 trials called 2 and FPR that of class-1 trials.  A batch
+    without both classes is refused.
     """
     started = _prepare(config)
     labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
@@ -384,15 +386,16 @@ def run_roc(config: ExperimentConfig) -> RunManifest:
             ]
         )
     )
-    points = _roc_points(labels, statistics, sweep)
+    is2 = labels == 2
+    if is2.all() or not is2.any():
+        raise ConfigError("ROC sweep needs both classes present in the batch")
+    called2 = statistics > sweep[:, None]
+    fpr, tpr = called2[:, ~is2].mean(axis=1), called2[:, is2].mean(axis=1)
     csv_path = config.out_dir / "roc.csv"
     _write_csv(
         csv_path,
         ("threshold", "false_positive_rate", "true_positive_rate"),
-        (
-            (p.threshold, p.false_positive_rate, p.true_positive_rate)
-            for p in points
-        ),
+        zip(sweep.tolist(), fpr.tolist(), tpr.tolist()),
     )
     return _finish(config, [csv_path], started)
 

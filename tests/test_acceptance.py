@@ -244,10 +244,10 @@ def test_criterion_08_error_surface_structure():
     the classes (with priors swapped) leaves the error invariant, and a mass
     change is easier to detect than the same ratio applied to the gain."""
     ratios = np.geomspace(0.25, 4.0, 5)
-    surface = error_surface(Scenario.default(), ratios, ratios)
-    assert surface.total_errors[2, 2] == 0.5  # (1, 1) cell, equal priors
-    assert np.all(surface.total_errors > 0.0)
-    assert np.all(surface.total_errors <= 0.5)
+    errors = error_surface(Scenario.default(), ratios, ratios)
+    assert errors[2, 2] == 0.5  # (1, 1) cell, equal priors
+    assert np.all(errors > 0.0)
+    assert np.all(errors <= 0.5)
 
     # unequal priors: the (1, 1) cell floors at the smaller prior
     floor = total_error(
@@ -274,8 +274,8 @@ def test_criterion_08_error_surface_structure():
     for idx, ratio in enumerate(ratios):
         if idx == 2:
             continue
-        gain_only = surface.total_errors[2, idx]
-        mass_only = surface.total_errors[idx, 2]
+        gain_only = errors[2, idx]
+        mass_only = errors[idx, 2]
         lines.append(
             f"ratio {ratio:.2f}: gain-only error {gain_only:.3e}, "
             f"mass-only error {mass_only:.3e}"

@@ -477,6 +477,13 @@ def test_experiment_subcommand(tmp_path):
     assert manifest["config"]["n_trials"] == 40
 
 
+def test_roc_requires_both_classes(tmp_path, capsys):
+    # a single trial cannot hold both classes
+    assert run("--out-dir", tmp_path, "experiment", "roc", "--trials", 1) == 2
+    assert "both classes" in capsys.readouterr().err
+    assert not (tmp_path / "roc.csv").exists()
+
+
 def test_config_file_applied(tmp_path):
     cfg = write_config(tmp_path, {"kf": 5})
     assert run("--config", cfg, "--out-dir", tmp_path, "simulate", "--trials", 3) == 0

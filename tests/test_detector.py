@@ -20,7 +20,6 @@ from skysift.detector import (
     detector_from_scenario,
     fit_class_statistics,
     remove_mean,
-    roc_sweep,
     stream_update,
     threshold,
 )
@@ -251,9 +250,7 @@ def test_detection_report_dict(default_detector):
         "threshold",
         "margin",
         "conditional_error",
-        "samples_used",
     }
-    assert d["samples_used"] == 20
 
 
 def test_majority_of_each_class_on_its_side(default_scenario):
@@ -269,20 +266,6 @@ def test_majority_of_each_class_on_its_side(default_scenario):
         assert correct > len(decisions) / 2
 
 
-def test_roc_sweep_extremes_and_monotonicity(default_scenario):
-    batch = simulate_batch(default_scenario, 400, 9)
-    spec = detector_from_scenario(default_scenario)
-    points = roc_sweep(spec, batch, [-math.inf, -50.0, -20.0, -5.0, 0.0, math.inf])
-    assert points[0].false_positive_rate == 1.0
-    assert points[0].true_positive_rate == 1.0
-    assert points[-1].false_positive_rate == 0.0
-    assert points[-1].true_positive_rate == 0.0
-    fprs = [p.false_positive_rate for p in points]
-    tprs = [p.true_positive_rate for p in points]
-    assert fprs == sorted(fprs, reverse=True)
-    assert tprs == sorted(tprs, reverse=True)
-
-
 @pytest.mark.parametrize("horizon", [1, 2, 20, 1000])
 def test_full_statistics_bit_identical_to_detect_full(default_detector, horizon):
     rng = np.random.default_rng(horizon)
@@ -290,24 +273,6 @@ def test_full_statistics_bit_identical_to_detect_full(default_detector, horizon)
     got = _full_statistics(default_detector, samples)
     expected = np.array([detect_full(default_detector, row).statistic for row in samples])
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
-
-
-def test_roc_sweep_ragged_batch(default_detector):
-    """Trials of different lengths: every rate is the detect_full count."""
-    rng = np.random.default_rng(3)
-    lengths = (7, 20, 7, 1, 20, 2, 7)
-    trials = tuple(
-        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n)))
-        for i, n in enumerate(lengths)
-    )
-    batch = sk.TrialBatch.from_trials(trials)
-    stats = np.array([detect_full(default_detector, s).statistic for _, s in trials])
-    is2 = batch.labels() == 2
-    thresholds = np.concatenate([stats, [-np.inf, 0.0, np.inf]])
-    points = roc_sweep(default_detector, batch, thresholds)
-    for thr, point in zip(thresholds, points):
-        assert point.false_positive_rate == (stats[~is2] > thr).mean()
-        assert point.true_positive_rate == (stats[is2] > thr).mean()
 
 
 def test_detect_batch_equals_detect_simplified_per_trial(default_detector):
@@ -334,32 +299,6 @@ def test_detect_batch_refuses_an_overflowing_trial(default_detector):
     trials.append((2, MeasurementSeries(samples=np.full(5, 1e200))))
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="trial 2"):
         detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
-
-
-def test_roc_map_point_matches_exact_rates(default_scenario):
-    n = 4000
-    batch = simulate_batch(default_scenario, n, 12)
-    spec = detector_from_scenario(default_scenario)
-    z = threshold(spec)
-    (point,) = roc_sweep(spec, batch, [z])
-    report = sk.total_error(default_scenario)
-    # at the MAP threshold: FPR is the class-1 miss rate, TPR one minus class-2 miss
-    labels = batch.labels()
-    n1 = int(np.sum(labels == 1))
-    n2 = n - n1
-    se1 = math.sqrt(report.miss_given_1 * (1 - report.miss_given_1) / n1)
-    se2 = math.sqrt(report.miss_given_2 * (1 - report.miss_given_2) / n2)
-    assert abs(point.false_positive_rate - report.miss_given_1) <= 4 * se1
-    assert abs(point.true_positive_rate - (1 - report.miss_given_2)) <= 4 * se2
-
-
-def test_roc_requires_both_classes():
-    series = MeasurementSeries(samples=np.array([1.0, 2.0]))
-    batch = sk.TrialBatch.from_trials(((1, series), (1, series)))
-    st = sk.ClassStatistics(alpha=0.5, rho=0.5)
-    spec = build_detector(st, sk.ClassStatistics(alpha=0.2, rho=0.3), 0.5, 2)
-    with pytest.raises(ConfigError):
-        roc_sweep(spec, batch, [0.0])
 
 
 def test_fit_recovers_parameters(default_scenario):

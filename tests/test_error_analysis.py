@@ -21,11 +21,12 @@ from skysift.detector import detector_from_scenario, threshold
 from skysift.error_analysis import (
     AccuracyBudget,
     ErrorReport,
-    ErrorSurface,
     QuadFormSpectrum,
     _cut_cdf,
-    _inversion_sum,
+    _direct_partial_sum,
+    _head_len,
     _phi_arrays,
+    _series_fallback,
     accuracy_budget,
     cdf_quadratic_form_raw,
     error_surface,
@@ -760,9 +761,18 @@ def test_head_tail_split_matches_direct_summation():
     budget = accuracy_budget(sp, z, 1e-6)
     assert budget.n_terms > 1 << 21  # needs the tail path at the real cap
     tol = 1e-3 * budget.target * math.pi
-    direct = _inversion_sum(sp, z, budget, tol, direct_cap=budget.n_terms + 1)
-    split = _inversion_sum(sp, z, budget, tol, direct_cap=1024)
+    direct = _direct_partial_sum(sp, z, budget.grid_step, 0, budget.n_terms)
+    head_len = _head_len(budget.lambda_abs_min, budget.grid_step)
+    split = _series_fallback(sp, z, budget, head_len, tol)
     assert abs(direct - split) <= 1e-9
+
+
+def series_cdf(monkeypatch, sp, z, budget, direct_cap):
+    """cdf_quadratic_form_raw with the branch cuts off and the direct-sum
+    cap at direct_cap: a series past it takes the head + tail fallback."""
+    monkeypatch.setattr(error_analysis, "_cut_cdf", lambda *args: None)
+    monkeypatch.setattr(error_analysis, "_DIRECT_CAP", direct_cap)
+    return cdf_quadratic_form_raw(sp, z, budget)
 
 
 def series_cases(overrides):
@@ -774,16 +784,15 @@ def series_cases(overrides):
         yield sp, z, budget, 1e-3 * budget.target * math.pi
 
 
-def test_series_ending_before_the_tail_is_summed_directly():
+def test_series_ending_before_the_tail_is_summed_directly(monkeypatch):
     # hypothesis 2 of this cell needs 29,247 terms but its tail could start
     # only at 29,286; a cap below the series length used to ask the power
     # sums for the empty range [29286, 29247]
     _, (sp, z, budget, tol) = series_cases({"kf": 8, "m2": 1.0, "k2": 0.25})
     assert budget.n_terms == 29_247
-    args = (sp, z, budget, tol)
-    forced = _inversion_sum(*args, direct_cap=1 << 14)
-    direct = _inversion_sum(*args, direct_cap=1 << 21)
-    assert abs(forced - direct) <= tol
+    forced = series_cdf(monkeypatch, sp, z, budget, 1 << 14)
+    direct = series_cdf(monkeypatch, sp, z, budget, 1 << 21)
+    assert abs(forced - direct) <= tol / math.pi
 
 
 def test_direct_sum_stops_at_the_budget(monkeypatch):
@@ -805,10 +814,10 @@ def test_direct_sum_stops_at_the_budget(monkeypatch):
     assert report.total_error == pytest.approx(0.008671413090171609, abs=1e-9)
 
 
-def test_tail_crossover_matches_direct_summation():
+def test_tail_crossover_matches_direct_summation(monkeypatch):
     """A sample of the surface grid at kf 3-8 (kf 2 needs ~8e12 terms): the
     default split agrees with direct summation to 2**21 terms."""
-    split = 0
+    split, cap = 0, error_analysis._DIRECT_CAP
     for kf in range(3, 9):
         for m, g in ((0, 3), (0, 4), (1, 4), (2, 0), (2, 1), (4, 1)):
             cell = {"kf": kf, "m2": SURFACE_RATIOS[m], "k2": SURFACE_RATIOS[g]}
@@ -816,11 +825,10 @@ def test_tail_crossover_matches_direct_summation():
                 n = budget.n_terms
                 if n > 1 << 21:
                     continue
-                split += n > error_analysis._DIRECT_CAP
-                args = (sp, z, budget, tol)
-                got = _inversion_sum(*args)
-                want = _inversion_sum(*args, direct_cap=1 << 21)
-                assert abs(got - want) <= tol, (cell, n)
+                split += n > cap
+                got = series_cdf(monkeypatch, sp, z, budget, cap)
+                want = series_cdf(monkeypatch, sp, z, budget, 1 << 21)
+                assert abs(got - want) <= tol / math.pi, (cell, n)
     assert split >= 10
 
 
@@ -839,8 +847,8 @@ def test_near_zero_eigenvalue_guard_raises():
     sp = QuadFormSpectrum(eigenvalues=np.array([1.0, 1e-13]))
     budget = accuracy_budget(sp, 0.5, 1e-6)
     assert budget.kept_order == 1
-    with pytest.raises(NumericalError):
-        _inversion_sum(sp, 0.5, budget, 1e-9)
+    with pytest.raises(NumericalError, match="near-zero eigenvalues"):
+        cdf_quadratic_form_raw(sp, 0.5, budget)
 
 
 def test_cdf_against_monte_carlo(default_scenario):
@@ -1087,6 +1095,20 @@ def test_near_identical_classes_fall_back_to_the_series(caplog):
     assert any("series fallback" in r.getMessage() for r in caplog.records)
 
 
+def test_threshold_near_zero_at_the_default_target():
+    """The default pair at kf 3 with prior1 0.775618399260971 puts the
+    threshold at -4.4e-16.  Both semi-infinite cut bounds miss their share
+    there, so both CDFs take the head + power-sum tail fallback; the report
+    lands within its target of the 30-digit cut integrals."""
+    s = sk.Scenario.from_dict({"kf": 3, "prior1": 0.775618399260971})
+    z = threshold(detector_from_scenario(s))
+    assert -1e-15 < z < 0.0
+    report = total_error(s)
+    cdf1, cdf2 = (cut_integrals_mp(sp.eigenvalues, z) for sp in spectra_for(s))
+    want = report.prior2 * cdf2 + report.prior1 * (1.0 - cdf1)
+    assert abs(report.total_error - want) <= 1e-6
+
+
 def test_total_error_invariant_under_noise_rescale(default_scenario):
     # doubling q rescales both variances; the decision problem is unchanged
     doubled = sk.Scenario.from_dict(dict(default_scenario.to_dict(), q=2.0))
@@ -1108,20 +1130,20 @@ def test_total_error_never_beats_prior_guess():
 
 def test_error_surface_grid(default_scenario):
     ratios = [0.5, 1.0, 2.0]
-    surface = error_surface(default_scenario, ratios, ratios)
-    assert surface.total_errors.shape == (3, 3)
-    assert surface.total_errors[1, 1] == 0.5  # identical classes, equal priors
-    assert np.all(surface.total_errors <= 0.5)
-    assert np.all(surface.total_errors > 0.0)
+    errors = error_surface(default_scenario, ratios, ratios)
+    assert errors.shape == (3, 3)
+    assert errors[1, 1] == 0.5  # identical classes, equal priors
+    assert np.all(errors <= 0.5)
+    assert np.all(errors > 0.0)
     with pytest.raises(ConfigError):
         error_surface(default_scenario, [0.5, -1.0], ratios)
 
 
 def test_error_surface_csv(tmp_path, default_scenario):
     ratios = [0.5, 1.0, 2.0]
-    surface = error_surface(default_scenario, ratios, ratios)
+    errors = error_surface(default_scenario, ratios, ratios)
     path = tmp_path / "surface.csv"
-    write_surface_csv(surface, path)
+    write_surface_csv(ratios, ratios, errors, path)
     # the bytes the csv-module writer produced
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "f610fb6c7bb1c000bb6b0e978fa0af2b9f940b96245a9f95a49108c15e50c84e"
@@ -1134,13 +1156,9 @@ def test_error_surface_csv(tmp_path, default_scenario):
         cells = line.split(",")
         assert float(cells[0]) == ratios[i]
         for j, cell in enumerate(cells[1:]):
-            assert float(cell) == math.log10(surface.total_errors[i, j])
+            assert float(cell) == math.log10(errors[i, j])
     # a total error clamped to 0.0 has no finite log10: the cell stays blank
-    zero_cell = ErrorSurface(
-        gain_ratios=np.array([1.0, 3.0]),
-        mass_ratios=np.array([1.0]),
-        total_errors=np.array([[0.5, 0.0]]),
-    )
-    write_surface_csv(zero_cell, path)
+    # and integer ratios are written as floats
+    write_surface_csv([1, 3], [1], np.array([[0.5, 0.0]]), path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[1] == f"1.0,{math.log10(0.5)!r},"
+    assert lines == ["mass_ratio\\gain_ratio,1.0,3.0", f"1.0,{math.log10(0.5)!r},"]

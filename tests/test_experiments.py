@@ -218,6 +218,23 @@ def test_run_roc(tmp_path):
     assert any(t == z for t in thresholds)
 
 
+def test_roc_map_point_matches_exact_rates(tmp_path):
+    """Law check: at the MAP threshold, FPR is the class-1 miss rate and TPR
+    one minus the class-2 miss rate, each within 4 standard errors."""
+    n = 4000
+    cfg = make_config(tmp_path, "roc", n_trials=n, seed=12)
+    run_roc(cfg)
+    _, rows = read_csv(cfg.out_dir / "roc.csv")
+    z = threshold(detector_from_scenario(cfg.scenario))
+    [(fpr, tpr)] = [(float(r[1]), float(r[2])) for r in rows if float(r[0]) == z]
+    report = sk.total_error(cfg.scenario)
+    n1 = int(np.sum(simulate_batch(cfg.scenario, n, 12).label == 1))
+    se1 = math.sqrt(report.miss_given_1 * (1 - report.miss_given_1) / n1)
+    se2 = math.sqrt(report.miss_given_2 * (1 - report.miss_given_2) / (n - n1))
+    assert abs(fpr - report.miss_given_1) <= 4 * se1
+    assert abs(tpr - (1 - report.miss_given_2)) <= 4 * se2
+
+
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_run_roc_one_statistic_path(tmp_path, seed):
     """Sweep points and rates come from the same statistics: no trial exceeds

@@ -98,6 +98,15 @@ def test_types_carry_only_what_the_model_reads():
     assert [f.name for f in dataclasses.fields(sk.QuadFormSpectrum)] == ["eigenvalues"]
 
 
+def test_public_names_and_settable_fields_are_counted():
+    """The public surface: 40 names plus ``__version__``, and the settable
+    (init) fields of the public dataclasses."""
+    assert len(sk.__all__) == 41
+    public = [getattr(sk, name) for name in sk.__all__]
+    classes = [obj for obj in public if dataclasses.is_dataclass(obj)]
+    assert sum(f.init for cls in classes for f in dataclasses.fields(cls)) == 50
+
+
 def test_derived_fields_are_refused_and_follow_their_inputs():
     st1, st2 = sk.Scenario.default().stats1(), sk.Scenario.default().stats2()
     spec = sk.DetectorSpec(st1, st2, 0.3, 20)
@@ -111,7 +120,7 @@ def test_derived_fields_are_refused_and_follow_their_inputs():
     simplified = sk.detect_simplified(spec, sk.SufficientStatistics.from_series(y))
     assert sk.detect_full(spec, y).decision == simplified.decision
 
-    tie, far = sk.DetectionReport(1.5, 1.5, 4), sk.DetectionReport(2.0, -1.0, 4)
+    tie, far = sk.DetectionReport(1.5, 1.5), sk.DetectionReport(2.0, -1.0)
     assert (tie.decision, tie.margin, tie.conditional_error) == (1, 0.0, 0.5)
     assert (far.decision, far.margin) == (2, -3.0)
     assert far.conditional_error == math.exp(-1.5) / (1.0 + math.exp(-1.5))
@@ -140,7 +149,7 @@ def test_derived_fields_are_refused_and_follow_their_inputs():
 
     given = {
         sk.DetectorSpec: dict(stats1=st1, stats2=st2, prior1=0.5, horizon=20),
-        sk.DetectionReport: dict(statistic=1.0, threshold=0.0, samples_used=3),
+        sk.DetectionReport: dict(statistic=1.0, threshold=0.0),
         sk.ErrorReport: {f.name: getattr(err, f.name) for f in dataclasses.fields(err) if f.init},
         sk.AccuracyBudget: {
             f.name: getattr(budget, f.name) for f in dataclasses.fields(budget) if f.init
