@@ -25,7 +25,7 @@ from skysift.detector import (
 )
 from skysift.errors import ConfigError
 from skysift.kms import kms_logdet
-from skysift.simulator import MeasurementSeries, simulate_batch
+from skysift.simulator import MeasurementSeries, _simulate_samples, simulate_batch
 
 # Frozen oracle values for the default scenario, cross-checked at build time
 # against dense inverse-covariance matrices.
@@ -264,6 +264,25 @@ def test_majority_of_each_class_on_its_side(default_scenario):
         ]
         correct = sum(1 for d in decisions if d == label)
         assert correct > len(decisions) / 2
+
+
+def test_roc_sweep_extremes_and_monotonicity(default_scenario):
+    """The ROC that run_roc sweeps over _full_statistics: every trial is called
+    class 2 below every statistic and none above, and both rates fall as the
+    threshold rises."""
+    labels, samples = _simulate_samples(default_scenario, 400, 9)
+    spec = detector_from_scenario(default_scenario)
+    statistics = _full_statistics(spec, samples)
+    is2 = labels == 2
+    thresholds = [-math.inf, -50.0, -20.0, -5.0, 0.0, math.inf]
+    fprs = [float((statistics[~is2] > thr).mean()) for thr in thresholds]
+    tprs = [float((statistics[is2] > thr).mean()) for thr in thresholds]
+    assert fprs[0] == 1.0
+    assert tprs[0] == 1.0
+    assert fprs[-1] == 0.0
+    assert tprs[-1] == 0.0
+    assert fprs == sorted(fprs, reverse=True)
+    assert tprs == sorted(tprs, reverse=True)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 20, 1000])
