@@ -10,41 +10,32 @@ characteristic function) to sums of the form
 with s > 1.  This module evaluates P to a requested absolute tolerance for
 any 0 <= a <= b, using whichever of four methods fits the regime:
 
-- direct summation for short ranges (vectorized, float64);
+- direct summation at 60 digits for ranges of at most 91 terms;
 - Hurwitz zeta differences when the frequency reduces to exactly zero;
 - Euler-Maclaurin with an incomplete-gamma integral when the reduced
   frequency is tiny (the summand barely oscillates, so smoothness methods
   apply but the geometric-decay method below would lose its footing);
 - summation by parts otherwise: Abel summation unrolled ``depth`` times with
   forward differences at both boundaries, whose residual shrinks like
-  (s)_d * (a+1/2)**-(s+d-1) / |q-1|**d, q = exp(-1j*w).
+  (s)_d * (a+1/2)**-(s+d-1) / |q-1|**d, q = exp(-1j*w).  A start index
+  too low for it to converge is pushed up, and the gap summed directly.
 
 The two series methods do work in proportion to the depth or order at
 which they stop, not to their caps: summation by parts finds its stop depth
 from the residual bound before it evaluates anything, and Euler-Maclaurin
 builds its derivative polynomials one correction at a time.
 
-Every tail order of an inversion series asks for the same (a, b, f) with a
-new exponent, so the per-range work is memoised: summation by parts'
-boundary phases, the bridge's indices and phases (read-only), and the last
-small-argument incomplete gamma value, from which Euler-Maclaurin's next
-order steps down by recurrence.  One entry each suffices, as a report's two
-hypotheses run one after the other; the bridge's holds under 50/|q-1| < 5e5
-points (12 MB).  With it the inversion series sums directly only up to
-2**15 terms, the crossover measured there.
-
 The half-offset indices make frequency reduction clean: adding 2*pi to w
 multiplies every term by exp(-1j*pi*(2i+1)) = -1, so w is first folded into
-(-pi, pi] with a sign flip per wrap.  Indices reach ~8e12, so the boundary
-phases w*a and w*(b+1) need ~13 integer digits cancelled before any
-fractional precision remains: they are reduced mod 2*pi at 60 digits.  The
-rest of summation by parts is float64, its difference tables taken from
-Taylor series rather than by subtracting neighbours (see ``_sbp_sum``);
-Euler-Maclaurin and the short direct sum at huge indices stay at 60 digits.
+(-pi, pi] with a sign flip per wrap.  Every method then works in mpmath,
+at 60 digits or more, except the zeta difference and the bridge's float64
+gap, whose phases stay below 25*pi: indices reach ~8e12, so the phases
+w*(i+1/2) need ~13 integer digits cancelled before any fractional precision
+remains, and summation by parts' difference tables lose digits at small
+|q-1| (see ``_sbp_sum``).  Nothing is memoised; a call depends on its
+arguments alone.
 """
 
-import cmath
-import functools
 import logging
 import math
 
@@ -60,11 +51,6 @@ logger = logging.getLogger(__name__)
 
 _MP_DPS = 60
 _SBP_MAX_DEPTH = 26
-_SBP_SERIES_TERMS = 64  # Taylor terms per difference level
-_SBP_MIN_START = 4 * _SBP_MAX_DEPTH  # the difference series need x well above the depth
-# rounding bound of the float64 SBP kernel relative to its largest terms
-# (the test grid against a 60-digit oracle peaks at 5.4 units)
-_F64_ROUNDING = 256 * 2.0**-53
 _EM_MAX_FREQ = 1e-4
 _EM_MAX_ORDER = 8
 _SBP_MIN_PHASE = 50.0  # require (a+1/2)*|q-1| above this before using SBP
@@ -74,14 +60,15 @@ _DIRECT_MAX = 90
 def pinned_power_sum(
     exponent: float, start: int, stop: int, freq: float, tol: float
 ) -> complex:
-    """P(exponent, start, stop, freq) with absolute error at most ``tol``.
+    """P(exponent, start, stop, freq) with absolute error at most ``tol``
+    before the final rounding to complex128.
 
-    Raises NumericalError if no method can certify the tolerance (which only
-    happens for tolerances near or below machine precision of the result).
-    At DEBUG level it logs the branch that ran (zeta, direct-mp, SBP, EM or
-    a bridge into SBP or direct-mp) and, for SBP and EM, the depth or order
-    at which it stopped with the residual there: SBP's residual bound, or
-    the last Euler-Maclaurin correction.
+    Raises NumericalError if no method can certify the tolerance: summation
+    by parts within _SBP_MAX_DEPTH levels or Euler-Maclaurin within
+    _EM_MAX_ORDER corrections.  At DEBUG level it logs the branch that ran
+    (zeta, direct-mp, SBP, EM or a bridge into SBP or direct-mp) and, for
+    SBP and EM, the depth or order at which it stopped with the residual
+    there: SBP's residual bound, or the last Euler-Maclaurin correction.
     """
     if not exponent > 1.0:
         raise NumericalError(f"power-sum exponent must exceed 1, got {exponent}")
@@ -117,43 +104,27 @@ def _dispatch(s: float, a: int, b: int, f: float, tol: float):
     gap = 2.0 * math.sin(0.5 * f)  # |q - 1|
     if b - a <= _DIRECT_MAX:
         return "direct-mp", _direct_sum_mp(s, a, b, f), None
-    if (a + 0.5) * gap >= _SBP_MIN_PHASE and a >= _SBP_MIN_START:
+    if (a + 0.5) * gap >= _SBP_MIN_PHASE:
         return "SBP", *_sbp_sum(s, a, b, f, tol)
     if f < _EM_MAX_FREQ:
         return "EM", *_euler_maclaurin_sum(s, a, b, f, tol)
-    # slow phase or small index at the low end only: push the start index up
-    # to where summation by parts converges, summing the short gap directly.
-    # Every phase f*x in the gap stays below max(50*f/|q-1|, f*_SBP_MIN_START)
-    # <= 104*pi, so float64 is exact enough.
-    a2 = min(max(int(math.ceil(_SBP_MIN_PHASE / gap)), _SBP_MIN_START), b)
-    head = _direct_sum_np(s, a, a2 - 1, f) if a2 > a else 0.0
+    # slow phase at the low end only: push the start index up to where
+    # summation by parts converges, summing the short gap directly.  Every
+    # phase f*x in the gap stays below 50*f/|q-1| <= 25*pi, so float64 is
+    # exact enough.
+    a2 = min(int(math.ceil(_SBP_MIN_PHASE / gap)), b)
+    x = np.arange(a, a2, dtype=float) + 0.5
+    head = complex(np.sum(x ** (-s) * np.exp(-1j * f * x)))
     if b - a2 <= _DIRECT_MAX:
         return "bridge+direct-mp", head + _direct_sum_mp(s, a2, b, f), None
     value, halt = _sbp_sum(s, a2, b, f, tol)
     return "bridge+SBP", head + value, halt
 
 
-def _direct_sum_np(s: float, a: int, b: int, f: float) -> complex:
-    x, phase = _bridge_frame(a, b, f)
-    return complex(np.sum(x ** (-s) * phase))
-
-
-@functools.lru_cache(maxsize=1)
-def _bridge_frame(a: int, b: int, f: float):
-    """x = i + 1/2 over [a, b] and exp(-1j*f*x), shared by the tail orders."""
-    x = np.arange(a, b + 1, dtype=float) + 0.5
-    phase = np.exp(-1j * f * x)
-    x.flags.writeable = phase.flags.writeable = False
-    return x, phase
-
-
 def _direct_sum_mp(s: float, a: int, b: int, f: float) -> complex:
     # safe at arbitrarily large indices, where f*x overwhelms float64 phases
-    if b < a:
-        return 0.0 + 0.0j
     with mp.workdps(_MP_DPS):
-        sig = mp.mpf(s)
-        bet = mp.mpf(f)
+        sig, bet = mp.mpf(s), mp.mpf(f)
         total = mp.mpc(0)
         for i in range(a, b + 1):
             x = mp.mpf(2 * i + 1) / 2
@@ -173,26 +144,25 @@ def _sbp_sum(s: float, a: int, b: int, f: float, tol: float):
     and |q-1| alone, so the stop depth D comes first, from running logs
     (a**-(s+D) underflows float64 at the far ends this module serves).
 
-    Everything else is float64.  Differences of neighbouring float64 values
-    would lose about (2/|q-1|)**d of accuracy at level d, so the differences
-    at x = a+1/2 and x = b+1/2 come from their Taylor series instead:
-    Delta**d x**-s = x**-s sum_{n>=d} C(-s, n) d! S(n, d) x**-n, where
-    d! S(n, d) <= d**n counts surjections (``_SURJ``).  Backward differences
-    at b give Delta**d h(b-d).  With |C(-s, n)| = (s)_n/n! and the level
-    weights folded in, the end at x contributes x**-s sum_d z**d e_d(t),
-    e_d(t) = sum_j d! S(d+j, d) |C(-s, d+j)| t**j, where z = q/((q-1) x),
-    t = -1/x at a and z = 1/((q-1) x), t = 1/x at b: |z| <= 1/50, so no
-    level's weight overflows, and the series at b has no cancellation.
-    The series converges for x > d.  From x >= _SBP_MIN_START = 4 * the
-    maximum depth, _SBP_SERIES_TERMS terms leave a truncation error that
-    ``_sbp_truncation`` bounds; that bound and a float64 rounding bound are
-    added to the residual before the tolerance is certified.  Returns P and
-    (D, residual bound).
+    The difference tables are taken by repeated subtraction in mpmath, at
+    _MP_DPS digits plus D*log10(2/|q-1|): with u = mp.eps (twice the unit
+    roundoff) and H = (a+1/2)**-s, the largest entry, each x**-s errs by at
+    most u H and level d's entries by (d+1) 2**d u H, as each subtraction
+    doubles the inherited error and rounds a result under 2**d H.  The
+    weights 1/(q-1) (-q/(q-1))**d, q - 1 taken as -2i sin(f/2) exp(-if/2)
+    without cancellation, and the phases q**(b-d+1), one division by q per
+    level, err by (2d+4) u relative at most (q**a and q**(b+1) have exact
+    arguments).  So term d, of size under 2**(d+1) H / |q-1|**(d+1), errs
+    by 8(d+2) u 2**d H / |q-1|**(d+1) at most; summing the 2(D+1) terms and
+    rotating by exp(-if/2) adds 2(D+2) u times their sizes.  As
+    2/|q-1| >= 1, rounding <= 16 (D+1)(D+2) u H (2/|q-1|)**D / |q-1|.
+    Residual plus rounding must meet the tolerance (the final rounding to
+    complex128 aside).  Returns P and (D, residual bound).
     """
-    q, inv_qm1, abs_qm1, qa, qb, half = _sbp_frame(a, b, f)
+    log_x, log_tol = math.log(a + 0.5), math.log(tol)
+    log_gap = math.log(2.0 * math.sin(0.5 * f))  # log |q - 1|
     # remainder after unrolling depth+1 levels, in logs:
     # (s)_{depth+1} (a+1/2)**-(s+depth) / ((s+depth) |q-1|**(depth+1))
-    log_x, log_gap, log_tol = math.log(a + 0.5), math.log(abs_qm1), math.log(tol)
     log_poch = math.log(s)
     for depth in range(min(_SBP_MAX_DEPTH, b - a - 2) + 1):
         log_resid = (
@@ -201,106 +171,35 @@ def _sbp_sum(s: float, a: int, b: int, f: float, tol: float):
         if log_resid <= log_tol:
             break
         log_poch += math.log(s + depth + 1)
-    else:
-        raise NumericalError(
-            f"summation by parts cannot reach tolerance {tol:g} "
-            f"(s={s}, a={a}, freq={f:g}); residual bound {math.exp(log_resid):g}"
+    log_growth = depth * (math.log(2.0) - log_gap)  # log (2/|q-1|)**D
+    with mp.workdps(_MP_DPS + math.ceil(log_growth / math.log(10.0))):
+        log_rounding = (
+            math.log(16 * (depth + 1) * (depth + 2)) + float(mp.log(mp.eps))
+            - s * log_x + log_growth - log_gap
         )
-    resid = math.exp(log_resid)
-
-    xa, xb = a + 0.5, b + 0.5
-    terms = depth + _SBP_SERIES_TERMS
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            binom = np.ones(terms)  # |C(-s, n)|
-            steps = _STEPS[: terms - 1]
-            np.cumprod((s - 1.0 + steps) / steps, out=binom[1:])
-            coef = _SURJ[: depth + 1] * binom[_HANKEL[: depth + 1]]
-            t = [-1.0 / xa, 1.0 / xa, 1.0 / xb]  # the middle one bounds |terms| at a
-            e = coef @ np.vander(t, _SBP_SERIES_TERMS, increasing=True).T
-            z = np.vander([q * inv_qm1 / xa, inv_qm1 / xb], depth + 1, increasing=True)
-            lo, hi = z[0] @ e[:, 0], z[1] @ e[:, 2]
-            pa, pb = xa ** -s, xb ** -s
-            scale = abs(inv_qm1) * (pa * abs(z[0]) @ e[:, 1] + pb * abs(z[1]) @ e[:, 2])
-            value = complex(half * inv_qm1 * (qb * pb * hi - qa * pa * lo))
-    except FloatingPointError as exc:
-        raise NumericalError(
-            f"summation by parts overflows float64 (s={s}, a={a}, freq={f:g})"
-        ) from exc
-    slack = scale * (_F64_ROUNDING + _sbp_truncation(s, xa, abs_qm1, depth))
-    if not resid + slack <= tol:  # also refuses a NaN slack
-        raise NumericalError(
-            f"summation by parts cannot reach tolerance {tol:g} in float64 "
-            f"(s={s}, a={a}, freq={f:g}); residual bound {resid + slack:g}"
-        )
-    return value, (depth, resid)
-
-
-def _sbp_truncation(s: float, x: float, abs_qm1: float, depth: int) -> float:
-    """Bound on the dropped Taylor terms of every level, relative to the
-    leading term x**-s / |q-1|, summed over both ends.
-
-    Row d drops n >= d + K (K = _SBP_SERIES_TERMS), each at most
-    |C(-s, n)| (D/x)**n; consecutive terms shrink by at most
-    rho = r D/x, r = (s+K)/(K+1), and |C(-s, d+K)| <= |C(-s, K)| r**d, so
-    level d weighted by |q-1|**-d contributes at most
-    |C(-s, K)| (D/x)**K / (1 - rho) * (r D / (x |q-1|))**d; the far end,
-    at a larger x, at most as much again.
-    """
-    if depth == 0:
-        return 0.0  # level 0 is the single term n = 0
-    k = _SBP_SERIES_TERMS
-    r = (s + k) / (k + 1)
-    rho = r * depth / x
-    if rho >= 1.0:
-        return math.inf
-    growth = max(0.0, depth * math.log(r * depth / (x * abs_qm1)))
-    log_bound = (
-        math.lgamma(s + k) - math.lgamma(s) - math.lgamma(k + 1)
-        + k * math.log(depth / x) - math.log1p(-rho) + growth
-    )
-    return 2.0 * (depth + 1) * math.exp(min(log_bound, 700.0))
-
-
-def _surjection_table() -> np.ndarray:
-    """d! S(d+j, d), the surjections of d+j items onto d, as float64 rows
-    d <= _SBP_MAX_DEPTH by columns j < _SBP_SERIES_TERMS (exact integers
-    first: T(n, d) = d (T(n-1, d) + T(n-1, d-1)), T(n, 0) = [n == 0])."""
-    width = _SBP_MAX_DEPTH + _SBP_SERIES_TERMS
-    prev = [1] + [0] * (width - 1)
-    rows = [prev[:_SBP_SERIES_TERMS]]
-    for d in range(1, _SBP_MAX_DEPTH + 1):
-        cur = [0] * width
-        for n in range(1, width):
-            cur[n] = d * (cur[n - 1] + prev[n - 1])
-        rows.append(cur[d : d + _SBP_SERIES_TERMS])
-        prev = cur
-    return np.array(rows, dtype=float)
-
-
-_SURJ = _surjection_table()
-_STEPS = np.arange(1.0, _SBP_MAX_DEPTH + _SBP_SERIES_TERMS)
-# binomial index d + j of each (d, j) entry of _SURJ
-_HANKEL = np.add.outer(np.arange(_SBP_MAX_DEPTH + 1), np.arange(_SBP_SERIES_TERMS))
-
-
-@functools.lru_cache(maxsize=1)
-def _sbp_frame(a: int, b: int, f: float):
-    """q, 1/(q-1), |q-1|, q**a, q**(b+1) and exp(-1j*f/2) as complex128
-    (q = exp(-1j*f)): the part of _sbp_sum that depends on the range alone.
-
-    Only the boundary phases f*a and f*(b+1) need more than float64: they
-    are reduced mod 2*pi at 60 digits, where ~13 integer digits cancel.
-    q - 1 is taken as -2j sin(f/2) exp(-1j*f/2), free of cancellation."""
-    with mp.workdps(_MP_DPS):
-        bet, two_pi = mp.mpf(f), 2 * mp.pi
-        phase_a = float(mp.fmod(bet * a, two_pi))
-        phase_b = float(mp.fmod(bet * (b + 1), two_pi))
-    half = cmath.exp(-0.5j * f)
-    gap = 2.0 * math.sin(0.5 * f)
-    inv_qm1 = 1.0 / (-1j * gap * half)
-    q = cmath.exp(-1j * f)
-    return q, inv_qm1, gap, cmath.exp(-1j * phase_a), cmath.exp(-1j * phase_b), half
+        bound = math.exp(log_resid) + math.exp(log_rounding)
+        if not bound <= tol:
+            raise NumericalError(
+                f"summation by parts cannot reach tolerance {tol:g} "
+                f"(s={s}, a={a}, freq={f:g}); residual bound {bound:g}"
+            )
+        sig, bet = mp.mpf(s), mp.mpf(f)
+        half = mp.expj(-bet / 2)
+        q = half * half
+        weight = 1 / (-2j * mp.sin(bet / 2) * half)  # 1/(q-1), then times -q/(q-1)
+        ratio = -q * weight
+        qa, qb = mp.expj(-bet * a), mp.expj(-bet * (b + 1))
+        lo = [(mp.mpf(2 * i + 1) / 2) ** -sig for i in range(a, a + depth + 1)]
+        hi = [(mp.mpf(2 * i + 1) / 2) ** -sig for i in range(b - depth, b + 1)]
+        total = mp.mpc(0)
+        for _ in range(depth + 1):
+            # lo[0] is the d-th difference at a, hi[-1] at b - d; qb = q**(b-d+1)
+            total += weight * (hi[-1] * qb - lo[0] * qa)
+            lo = [y - x for x, y in zip(lo, lo[1:])]
+            hi = [y - x for x, y in zip(hi, hi[1:])]
+            weight *= ratio
+            qb /= q
+        return complex(total * half), (depth, math.exp(log_resid))
 
 
 def _euler_maclaurin_sum(s: float, a: int, b: int, f: float, tol: float):
@@ -364,13 +263,9 @@ def _upper_gamma(s1, x):
 
     For |x| >= 50 the large-argument asymptotic series is used when its
     terms fall below 1e-45 within 39 terms.  Otherwise (small |x|, or a
-    series that has not converged, as for large -s1 near |x| = 50) the value
-    comes one step down from the last one, when that was Gamma(s1 + 1, x):
-    Gamma(s1, x) = (Gamma(s1 + 1, x) - x**s1 exp(-x)) / s1, which loses no
-    digits here, as each tail order asks for s1 one lower at the same x.
-    Failing that, from mpmath's gammainc.
+    series that has not converged, as for large -s1 near |x| = 50) the
+    value comes from mpmath's gammainc.
     """
-    global _last_gamma
     if abs(x) >= 50:
         acc = term = mp.mpc(1)
         for t in range(1, 40):
@@ -378,13 +273,4 @@ def _upper_gamma(s1, x):
             acc += term
             if abs(term) < mp.mpf("1e-45"):
                 return x ** (s1 - 1) * mp.exp(-x) * acc
-    last = _last_gamma
-    if last is not None and last[0] == x and last[1] - s1 == 1:
-        value = (last[2] - x**s1 * mp.exp(-x)) / s1
-    else:
-        value = mp.gammainc(s1, x, mp.inf)
-    _last_gamma = (x, s1, value)
-    return value
-
-
-_last_gamma = None  # (x, s1, Gamma(s1, x)) from the last call that needed it
+    return mp.gammainc(s1, x, mp.inf)

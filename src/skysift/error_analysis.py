@@ -94,6 +94,7 @@ _NODE_COUNTS = [1 << j for j in range(6, _CUT_NODES_MAX.bit_length())]
 _FRACTIONS = np.concatenate([0.5 ** np.arange(1, 24), 1.0 - 0.5 ** np.arange(2, 24)])
 _TRAPEZOID_SPANS = 2.0 ** (np.arange(-8, 73) / 4.0)
 _EPS = float(np.finfo(float).eps)
+_SYMBOL_ROUNDING = 16 * _EPS  # of one _symbols value: ~12 operations, each eps/2
 # grid points per _log_phi call: the closed form keeps ~15 complex temporaries
 _CHUNK = 1 << 16
 # (eigenvalue, grid point) pairs per _phi_arrays block: cache-sized, and no
@@ -251,13 +252,18 @@ class _KmsSpectrum(QuadFormSpectrum):
         and bisection (_first_kept).
 
         Equal rhos give n eigenvalues lam_c (see q_sigma_eigenvalues).
-        Where _log_mgf's inputs degenerate, the eigenvalues are built."""
+        Where _log_mgf's inputs degenerate, or the symbol's two ends agree
+        to within _SYMBOL_ROUNDING, so that rounding, not the symbol's
+        monotonicity, orders the eigenvalues, the eigenvalues are built."""
         n = self.horizon
         if n < _CLOSED_FORM_MIN:
             return _eigen_summary(self.kept())
+        lam_0, lam_pi, lam_c = self.ends
         if self.pair.r1 == self.pair.r2:
-            abs_max = abs_min = abs(self.ends[2])
+            abs_max = abs_min = abs(lam_c)
             kept = n if abs_max > 0.0 else 0
+        elif abs(lam_0 - lam_pi) <= _SYMBOL_ROUNDING * max(abs(lam_0), abs(lam_pi)):
+            return _eigen_summary(self.kept())
         else:
             abs_max, abs_min, kept = self._extremes()
         if kept == 0:
@@ -658,22 +664,37 @@ def _log_mgf(spectrum: "_KmsSpectrum", s: float):
     1 - 2s lam(0) or 1 - 2s lam(pi) may be negative and s_0 or s_pi
     imaginary; only w = s_0 s_pi = 0, where r+ - r- = (1 - rho**2) w
     vanishes, leaves the formula 0/0.
+
+    Rounding.  m = (hi + lo)/2 and, for rho near 1, beta lie near 1, so
+    forming them would cost the (n - 1)-fold terms (n - 1) eps.  As
+    s_x - 1 = -2s lam_x / (1 + s_x), m = 1 + d with d = -s ((1 - rho) lam_0
+    / (1 + s_0) + (1 + rho) lam_pi / (1 + s_pi)), and beta = 1 - lo / m:
+    log m and log beta come from _log1p of d and of -lo / m.
     """
     n, rho = spectrum.horizon, spectrum.rho
     lam_0, lam_pi, lam_c = spectrum.ends
     s_0, s_pi = cmath.sqrt(1.0 - 2.0 * s * lam_0), cmath.sqrt(1.0 - 2.0 * s * lam_pi)
-    lo, hi = (1.0 - rho) * s_0, (1.0 + rho) * s_pi
+    d = -s * ((1.0 - rho) * lam_0 / (1.0 + s_0) + (1.0 + rho) * lam_pi / (1.0 + s_pi))
+    lo = (1.0 - rho) * s_0
     w, z_c = s_0 * s_pi, 1.0 - 2.0 * s * lam_c
     try:
-        t = ((hi - lo) / (hi + lo)) ** (n - 1) * ((z_c - w) / (z_c + w))
+        t = cmath.exp((n - 1) * _log1p(-lo / (1.0 + d))) * ((z_c - w) / (z_c + w))
         return (
-            -(n - 1) * math.log(abs(0.5 * (hi + lo)))
+            -(n - 1) * _log1p(d).real
             - math.log(abs(0.5 * (z_c + w)))
             + 0.5 * math.log(abs(w))
             - 0.5 * math.log(abs(1.0 - t * t))
         )
     except (ArithmeticError, ValueError):  # a zero divisor or log argument
         return None
+
+
+def _log1p(x: complex) -> complex:
+    """log(1 + x), with log|1 + x| = log1p(2 Re x + |x|**2) / 2 exact for small x."""
+    return complex(
+        0.5 * math.log1p(2.0 * x.real + (x.real * x.real + x.imag * x.imag)),
+        cmath.phase(1.0 + x),
+    )
 
 
 def _sqrt_right(y: np.ndarray) -> np.ndarray:

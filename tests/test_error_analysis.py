@@ -431,6 +431,9 @@ def assert_summary_matches_eigen_path(stats1, stats2, horizon, index):
     horizon=st.integers(min_value=50, max_value=3000),
     index=st.integers(min_value=1, max_value=3000),
 )
+# rho near its 0.9999 bound: each n - 1 fold of log M lost (n - 1) eps
+@example(alpha1=16.0, rho1=0.9998999999999999, alpha2=0.75, rho2=0.5, horizon=1913, index=1)
+@example(alpha1=0.1837, rho1=0.8545, alpha2=16.27, rho2=0.99916, horizon=1852, index=1)
 def test_budget_summary_matches_eigen_path(alpha1, rho1, alpha2, rho2, horizon, index):
     assert_summary_matches_eigen_path(
         sk.ClassStatistics(alpha=alpha1, rho=rho1),
@@ -480,6 +483,8 @@ def test_budget_summary_matches_eigen_path_sign_change(default_scenario, kf):
 # at its zero crossing; the second pair drops 2,997 of hypothesis 1's 3,000
 @example(alpha1=0.5, rho1=0.6065306597126334, alpha2=0.5, rho2=0.9692332344763441, horizon=200)
 @example(alpha1=1.0, rho1=0.9999, alpha2=2.0, rho2=0.5, horizon=3000)
+# rhos one ulp apart: lam(0) and lam(pi) of hypothesis 1 differ by one ulp
+@example(alpha1=1.0, rho1=1.0000000000000002e-4, alpha2=2.0, rho2=1e-4, horizon=50)
 def test_budget_summary_finds_dropped_runs(alpha1, rho1, alpha2, rho2, horizon):
     """A drop tolerance of 1e-2 drops runs of eigenvalues about the zero
     crossing, up to one end: the summary's kept order and smallest kept
@@ -986,6 +991,10 @@ CERTIFY_SHORT = (
     ]
     + [{"kf": 20, "k2": 1.05}, {"kf": 1, "prior1": 0.634}, {"kf": 1, "prior1": 0.633}]
 )
+# certify-long's scenarios: the default pair and the cell (mass 1, gain 4)
+CERTIFY_LONG = [
+    {"kf": kf, **cell} for kf in (200, 400, 600, 800, 1000) for cell in ({}, {"m2": 1.0, "k2": 4.0})
+]
 SURFACE_KF_1_TO_8 = [
     {"kf": kf, "m2": m, "k2": g, "prior1": prior1}
     for kf in range(1, 9)
@@ -1078,11 +1087,36 @@ def test_rounding_level_spectrum_gives_the_prior_floor(m2, k2, prior1):
 def test_no_surface_or_certify_short_cdf_reaches_the_series_fallback(monkeypatch, caplog):
     """The surface grid at kf 1-8, prior1 0.2/0.5/0.8, and certify-short: every
     CDF that needs more than the direct sum is certified by the cut
-    integrals; none logs a series fallback."""
+    integrals; none logs a series fallback.  With the power sums made to
+    raise, neither these nor certify-long and the default scenario call
+    them at 1e-6."""
+
+    def refuse(*args):
+        raise AssertionError(f"pinned_power_sum{args} reached")
+
+    monkeypatch.setattr(error_analysis, "pinned_power_sum", refuse)
     with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
         calls = routed_to_cuts(monkeypatch, SURFACE_KF_1_TO_8 + CERTIFY_SHORT)
     assert [r.getMessage() for r in caplog.records if "series fallback" in r.getMessage()] == []
     assert len(calls) == 488 and all(result is not None for _, _, result in calls)
+    for overrides in CERTIFY_LONG + [{}]:
+        total_error(sk.Scenario.from_dict(overrides), 1e-6)
+
+
+@pytest.mark.parametrize(
+    "prior1, branch, want",
+    [(0.5, "SBP", 0.0013467702111404356), (0.05, "bridge+SBP", 0.001299396896793481)],
+)
+def test_tight_target_reports_through_summation_by_parts(prior1, branch, want, caplog):
+    """At a 1e-10 target these reports fall back to the series, whose tail
+    power sums all take summation by parts, directly or bridged; their
+    total_error is pinned bit for bit."""
+    s = sk.Scenario.from_dict(
+        {"m2": 0.1, "k2": 0.15848931924611134, "kf": 5, "prior1": prior1}
+    )
+    with caplog.at_level(logging.DEBUG, logger="skysift._powersum"):
+        assert total_error(s, 1e-10).total_error == want
+    assert {r.getMessage().split(": ")[1].split(",")[0] for r in caplog.records} == {branch}
 
 
 def test_near_identical_classes_fall_back_to_the_series(caplog):

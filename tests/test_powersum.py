@@ -3,7 +3,8 @@
 Each regime of the dispatcher is compared against an independent brute-force
 sum over a range where brute force is trustworthy: mpmath at high precision
 for short or high-index ranges, chunked float64 where the phases stay small
-enough that its error is provably below the comparison tolerance.
+enough that its error is provably below the comparison tolerance; long
+ranges at huge indices against mpmath's Lerch transcendent.
 """
 
 import logging
@@ -13,12 +14,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from skysift import _powersum
 from skysift._powersum import (
     _MP_DPS,
-    _SBP_MAX_DEPTH,
     _SBP_MIN_PHASE,
-    _SBP_MIN_START,
     _sbp_sum,
     _upper_gamma,
     pinned_power_sum,
@@ -198,129 +196,50 @@ def test_debug_log_names_branch_and_stop(caplog):
     assert not caplog.records
 
 
-def test_memoised_frames_match_fresh_calls():
-    """Calls interleaved over two ranges (SBP, and bridge+SBP with its own
-    SBP range) give bit for bit what fresh calls give after cache_clear()."""
-    sbp = (4096, 7736527939539, 0.0576)
-    bridge = (4096, 7666205587751, 4.44e-4)
-    calls = [
-        (1.5, sbp), (2.5, sbp), (1.5, bridge), (3.5, sbp), (2.5, bridge), (3.5, bridge)
-    ]
-    _powersum._sbp_frame.cache_clear()
-    _powersum._bridge_frame.cache_clear()
-    memoised = [pinned_power_sum(s, *rng, 1e-12) for s, rng in calls]
-    assert _powersum._sbp_frame.cache_info().hits == 2
-    assert _powersum._bridge_frame.cache_info().hits == 2
-    for (s, rng), got in zip(calls, memoised):
-        _powersum._sbp_frame.cache_clear()
-        _powersum._bridge_frame.cache_clear()
-        assert pinned_power_sum(s, *rng, 1e-12) == got
-    x, phase = _powersum._bridge_frame(0, 9, 0.5)
-    assert not (x.flags.writeable or phase.flags.writeable)
-
-
-def sbp_sum_mp(s, a, b, f, tol):
-    """Summation by parts in mpmath throughout: the same unrolling, stop
-    depth rule and residual bound as ``_sbp_sum``, with difference tables
-    of (i+1/2)**-s taken by repeated subtraction.  Level d carries the
-    rounding of h(a) into the sum with weight |q-1|**-(d+1), so the working
-    precision is 60 digits plus d*log10(2/|q-1|) at the deepest level
-    (at 60 digits flat, a = 500001, f = 1e-4 and depth 14 came out wrong
-    in the fifth digit).  Returns P and (stop depth, residual bound)."""
-    lost = _SBP_MAX_DEPTH * math.log10(1 / math.sin(f / 2))
-    with mp.workdps(_MP_DPS + math.ceil(lost)):
-        sig, bet = mp.mpf(s), mp.mpf(f)
-        q = mp.exp(-1j * bet)
-        inv_qm1 = 1 / (q - 1)
-        ratio, abs_qm1 = -q * inv_qm1, abs(q - 1)
-        a_half = mp.mpf(2 * a + 1) / 2
-        poch, a_pow, gap_pow = sig, a_half ** (-sig), abs_qm1
-        for depth in range(min(_SBP_MAX_DEPTH, b - a - 2) + 1):
-            resid = poch * a_pow / ((sig + depth) * gap_pow)
-            if resid <= tol:
-                break
-            poch *= sig + depth + 1
-            a_pow /= a_half
-            gap_pow *= abs_qm1
-        else:
-            raise NumericalError(
-                f"summation by parts cannot reach tolerance {tol:g} "
-                f"(s={s}, a={a}, freq={f:g}); residual bound {float(resid):g}"
-            )
-        lod = [[(mp.mpf(2 * i + 1) / 2) ** (-sig) for i in range(a, a + depth + 1)]]
-        hid = [[(mp.mpf(2 * i + 1) / 2) ** (-sig) for i in range(b - depth, b + 1)]]
-        for _ in range(depth):
-            lod.append([x - y for y, x in zip(lod[-1], lod[-1][1:])])
-            hid.append([x - y for y, x in zip(hid[-1], hid[-1][1:])])
-        total, fac, qa, qb = mp.mpc(0), inv_qm1, q**a, q ** (b + 1)
-        for d in range(depth + 1):
-            # hid[d][depth - d] is the d-th difference at b - d; qb = q**(b-d+1)
-            total += fac * (hid[d][depth - d] * qb - lod[d][0] * qa)
-            fac *= ratio
-            qb /= q
-        return complex(total * mp.exp(-1j * (bet / 2))), (depth, float(resid))
-
-
 def sbp_grid():
-    """(s, a, b, f, tol) from the SBP floor up, including the SBP part of
-    bridged ranges (start pushed up to 50/|q-1|), tolerances relative to the
-    leading term (a+1/2)**-s / |q-1|."""
+    """(s, a, b, f) from the lowest start where summation by parts applies,
+    (a+1/2)|q-1| >= 50, up, including the SBP part of bridged ranges (start
+    pushed up to 50/|q-1|): 201 terms from each start, and from the lowest
+    start to 1e13."""
     for s in (1.25, 2.5, 4.5, 9.0):
         for f in (1e-4, 3e-3, 0.1, 1.0, math.pi):
-            gap = 2 * math.sin(f / 2)
-            for a0 in (_SBP_MIN_START, 1000, 10**5):
-                a = max(a0, math.ceil(_SBP_MIN_PHASE / gap))
-                for b in (a + 200, 10**7, 10**13):
-                    if b <= a + 100:
-                        continue
-                    for rel in (1e-6, 1e-10):
-                        yield s, a, b, f, rel * (a + 0.5) ** -s / gap
+            floor = math.ceil(_SBP_MIN_PHASE / (2 * math.sin(f / 2)))
+            starts = sorted({max(a0, floor) for a0 in (100, 1000, 10**5)})
+            for a in starts:
+                yield s, a, a + 200, f
+            yield s, starts[0], 10**13, f
 
 
-def test_float64_sbp_matches_60_digit_oracle():
-    cases = list(sbp_grid())
-    assert len(cases) > 300
-    for case in cases:
-        value, halt = _sbp_sum(*case)
-        want, want_halt = sbp_sum_mp(*case)
-        assert halt[0] == want_halt[0], case
-        assert halt[1] == pytest.approx(want_halt[1], rel=1e-12), case
-        assert abs(value - want) <= 1e-3 * case[4], case
+def test_sbp_matches_independent_oracles():
+    """Every sbp_grid range at tolerances 1e-6 and 1e-10 of its leading term
+    (a+1/2)**-s / |q-1|: the short ranges against a 40-digit direct sum,
+    the long ones against the Lerch transcendent."""
+    ranges = list(sbp_grid())
+    assert len(ranges) == 68
+    for s, a, b, f in ranges:
+        want = brute_mp(s, a, b, f) if b - a <= 200 else lerch_oracle(s, a, b, f)
+        lead = (a + 0.5) ** -s / (2 * math.sin(f / 2))
+        for tol in (1e-6 * lead, 1e-10 * lead):
+            value, _ = _sbp_sum(s, a, b, f, tol)
+            assert abs(value - want) <= tol, (s, a, b, f, tol)
 
 
-def test_sbp_kernel_uses_no_mpmath(monkeypatch):
-    """Past its memoised frame (the two boundary phases, reduced at 60
-    digits), summation by parts is float64 throughout."""
-    case = (2.5, 4096, 7736527939539, 0.0576, 1.77e-11)
-    _powersum._sbp_frame(*case[1:4])
-    monkeypatch.setattr(_powersum, "mp", None)
-    value, _ = _sbp_sum(*case)
-    monkeypatch.undo()
-    assert abs(value - sbp_sum_mp(*case)[0]) <= 1e-3 * case[4]
+def test_sbp_at_a_small_gap_matches_a_direct_sum():
+    """(a+1/2)|q-1| just above 50 at f = 1e-4, stop depth 14: the difference
+    tables lose 14*log10(2/|q-1|) ~ 60 digits, which the working precision
+    makes up (at 60 digits flat this sum came out wrong in the fifth digit)."""
+    case = (1.25, 500001, 500201, 1e-4, 7.5e-16)
+    value, (depth, _) = _sbp_sum(*case)
+    assert depth == 14
+    assert abs(value - brute_mp(*case[:4])) <= case[4]
 
 
-def test_sbp_float64_overflow_is_refused():
-    # |C(-s, n)| for s = 1e7 overflows float64 within the 64 Taylor terms
-    with np.errstate(over="warn", invalid="warn"):
-        with pytest.raises(NumericalError, match="overflows float64"):
-            pinned_power_sum(1e7, 10**5, 10**9, 0.5, 1e-12)
+def test_sbp_certifies_a_tolerance_below_float64():
+    # the sum is near 1e-3: no float64 evaluation could certify 1e-20
+    case = (1.25, 200, 10**6, 1.0, 1e-20)
+    assert abs(pinned_power_sum(*case) - lerch_oracle(*case[:4])) <= case[4]
 
 
-def test_sbp_tolerance_below_float64_is_refused():
-    # the residual bound alone would stop at some depth; float64 rounding
-    # of a result near 1e-3 cannot certify 1e-20
-    with pytest.raises(NumericalError, match="in float64 .* residual bound"):
-        pinned_power_sum(1.25, 200, 10**6, 1.0, 1e-20)
-
-
-@pytest.mark.parametrize("modulus", [0.047, 0.41, 50.0])
-def test_upper_gamma_steps_down_one_order_at_a_time(modulus):
-    """Tail orders ask for s1 = 1 - sigma one lower each time at the same x;
-    after the first, each value comes from the previous one by recurrence."""
-    with mp.workdps(_MP_DPS):
-        x = mp.mpc(0, modulus)
-        _powersum._last_gamma = None
-        for sigma in np.arange(1.5, 19.0, 1.0):
-            s1 = 1 - mp.mpf(sigma)
-            want = mp.gammainc(s1, x, mp.inf)
-            assert abs(_upper_gamma(s1, x) - want) <= 1e-40 * abs(want), sigma
+def test_sbp_huge_exponent_sums_to_zero():
+    # every term is below 1e-(5e7), far under float64's range
+    assert abs(pinned_power_sum(1e7, 10**5, 10**9, 0.5, 1e-12)) <= 1e-12
