@@ -708,16 +708,37 @@ def _polar(z: np.ndarray):
     return np.log(np.abs(z)), np.arctan2(z.imag, z.real)
 
 
+def _log_tail_bounds(spectrum: QuadFormSpectrum, z: float) -> tuple:
+    """(log B+, log B-) of the Chernoff tail bounds (Chernoff 1952)
+
+        B+ = e^(-tz) M(t) >= P(Z > z),   B- = e^(tz) M(-t) >= P(Z <= z),
+
+    Markov's inequality on e^(tZ) and e^(-tZ), at the budget's t =
+    1/(4 max|lam|), the edge of _log_mgf's proven range.  A smaller t can
+    bound lower, but no search is made: on the surface grid at kf 2-1000,
+    prior1 0.2/0.5/0.8 (1,152 miss-side bounds), a search over (0, t]
+    took one more below a 1e-6 target.  Logs, as B+- over- or underflow at
+    long horizons.  The spectrum must keep an eigenvalue."""
+    summary = spectrum._summary
+    t = 1.0 / (4.0 * summary.lambda_abs_max)
+    log_plus, log_minus = summary.log_mgf
+    return -z * t + log_plus, z * t + log_minus
+
+
 def accuracy_budget(
     spectrum: QuadFormSpectrum, z: float, target: float = 1e-6
 ) -> AccuracyBudget:
     """Choose grid step and term count so resolution + truncation error <= target.
 
     The Chernoff parameter t = 1/(4 max|lam|) keeps every factor 1 - 2*s*lam
-    positive over s in [-t, t].  The grid step splits half the target into
-    the resolution (aliasing) term via the bound
-    grid_step = 2*pi*t / (log(bound) + log(2/target)); the term count takes
-    the more conservative of the two published truncation-bound constants.
+    positive over s in [-t, t].  The grid step delta splits half the target
+    into the resolution (aliasing) term: with L = 2*pi/delta, the series on
+    that grid errs by the sum over k >= 1 of +-(P(Z <= z - kL) -
+    P(Z > z + kL)) (Davies 1973), and each difference is at most the larger
+    of _log_tail_bounds' B- and B+ at z times e^(-tkL).  With bound that
+    larger one, grid_step = 2*pi*t / (log(bound) + log(2/target)); the term
+    count takes the more conservative of the two published truncation-bound
+    constants.
     The spectrum's extremes, kept order and log M(+-t) come from its
     eigenvalues, or, for a spectrum of _spectra from n = _CLOSED_FORM_MIN on,
     in O(1) without them (see _KmsSpectrum._summary).
@@ -731,11 +752,10 @@ def accuracy_budget(
         )
     abs_max, abs_min, k = summary.lambda_abs_max, summary.lambda_abs_min, summary.kept_order
     t = 1.0 / (4.0 * abs_max)
-    # log of max(e^{zt} prod(1-2t*lam)^(-1/2), e^{-zt} prod(1+2t*lam)^(-1/2});
-    # the max of the two is always >= 1 (their product is >= 1), so the
-    # grid-step denominator below is strictly positive.
-    log_plus, log_minus = summary.log_mgf
-    log_bound = max(z * t + log_plus, -z * t + log_minus)
+    # the larger of the two bounds is always >= 1 (their product M(t) M(-t)
+    # is >= 1 and does not depend on z), so the grid-step denominator below
+    # is strictly positive.
+    log_bound = max(_log_tail_bounds(spectrum, z))
     grid_step = 2.0 * math.pi * t / (log_bound + math.log(2.0 / target))
     base = 1.0 / (2.0 * grid_step * abs_min)
     n_a = math.ceil(base * (math.pi / 4.0 * target * k) ** (-2.0 / k))
@@ -1029,7 +1049,10 @@ class ErrorReport:
     The probabilities follow from prior1 and the raw CDFs P(Z <= threshold | h)
     clamped to [0, 1]; an excursion is logged at DEBUG level.
     miss_given_1 is the probability a class-1 series is called 2;
-    miss_given_2 the probability a class-2 series is called 1.  When the two
+    miss_given_2 the probability a class-2 series is called 1.  Each is
+    within the budget's target of the truth: an inverted CDF, or, where the
+    Chernoff bound on that miss is at most the target, the bound itself
+    (total_error then inverts nothing for it).  When the two
     classes coincide the statistic is identically zero and the report is the
     degenerate prior-only result (budgets are None in that case).
     """
@@ -1069,7 +1092,9 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     prior2 * Pr(decide 1 | class 2) + prior1 * Pr(decide 2 | class 1).
     Identical classes short-circuit: the decision is then the larger prior
     and the error is exactly min(prior1, prior2).  The raw CDFs may leave
-    [0, 1] by up to the target; :class:`ErrorReport` clamps them.
+    [0, 1] by up to the target; :class:`ErrorReport` clamps them.  A miss
+    whose Chernoff bound is within the target is reported as that bound,
+    with no inversion (see _raw_cdf).
     """
     _check_target(target)
     stats1, stats2 = scenario.stats1(), scenario.stats2()
@@ -1089,9 +1114,28 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
 
     budget1 = accuracy_budget(spectrum1, z, target)
     budget2 = accuracy_budget(spectrum2, z, target)
-    raw1 = cdf_quadratic_form_raw(spectrum1, z, budget1)
-    raw2 = cdf_quadratic_form_raw(spectrum2, z, budget2)
+    raw1 = _raw_cdf(spectrum1, z, budget1, 1)
+    raw2 = _raw_cdf(spectrum2, z, budget2, 2)
     return ErrorReport(p1, z, budget1, budget2, raw1, raw2)
+
+
+def _raw_cdf(
+    spectrum: QuadFormSpectrum, z: float, budget: AccuracyBudget, hypothesis: int
+) -> float:
+    """P(Z <= z) under hypothesis 1 or 2 for total_error.  Where the
+    Chernoff bound B on that hypothesis's miss (P(Z > z) under 1, P(Z <= z)
+    under 2; see _log_tail_bounds) is at most the target, the miss is
+    reported as B and the CDF is not inverted: 0 <= miss <= B <= target
+    meets the inversion's own accuracy contract."""
+    log_miss = _log_tail_bounds(spectrum, z)[hypothesis - 1]
+    if log_miss > math.log(budget.target):
+        return cdf_quadratic_form_raw(spectrum, z, budget)
+    miss = math.exp(log_miss)
+    logger.debug(
+        "hypothesis %d: Chernoff bound %g on the miss is within the target %g; "
+        "inversion skipped", hypothesis, miss, budget.target,
+    )
+    return 1.0 - miss if hypothesis == 1 else miss
 
 
 def error_surface(

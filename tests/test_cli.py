@@ -21,7 +21,7 @@ from skysift.simulator import (
     write_batch_csv,
 )
 
-TOTAL_ERROR = 0.08114205761444201  # defaults, accuracy 1e-6
+TOTAL_ERROR = 0.08114205761453896  # defaults, accuracy 1e-6
 
 
 def run(*argv):
@@ -97,7 +97,7 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
         (
             "mc-vs-exact",
             "mc_vs_exact.csv",
-            "12a234db755a1d2dd41afa9f73c72339a6453d44ca2f3bd54d40eeb65302a92b",
+            "53c5f7a14df6b7d2276f1a259edd1c1ebb805586e9a9639d27713d6cecf5d9a2",
         ),
         (
             "scatter",
@@ -127,17 +127,17 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
         (
             "horizon-sweep",
             "horizon_sweep.csv",
-            "561f2f44c3d934b7bd8119d9871660e03a34160152f5810915ec36e361932df4",
+            "6f72567160f82ab8d9d3e176821f7143dd33ff5599fb16b34b2d2f1d6d6ba981",
         ),
         (
             "horizon-sweep",
             "horizon_sweep_summary.json",
-            "e71ccfad5dfd8a3f90e1a8c254464bc25710213097f392d82a1258b6c3edf21b",
+            "22a1c53feaf8dd6c51ebb8888f7c80ab4228e51d889017ecfe70529c085a0926",
         ),
         (
             "surface",
             "surface.csv",
-            "57946a53961b87f75edded1b86bc690c835fdf4a4dbcaa879d687d843faf692c",
+            "82668e2f5bd920930706fb661513243f51af15c5e9d85423130de772a29b27cd",
         ),
     ],
 )
@@ -154,27 +154,27 @@ def test_experiment_bytes_pinned(tmp_path, name, output, digest):
         (
             ("error-total",),
             None,
-            "c40cc8051d48cc1d90dad3d38ea5979d7e5231c93adf862a88a1c5c16b8e2aef",
+            "2f7f624d5548251010e04de6f95a41fa3954369685e891a90ebca862550964a8",
         ),
         (
             ("error-surface",),
             "surface.csv",
-            "57946a53961b87f75edded1b86bc690c835fdf4a4dbcaa879d687d843faf692c",
+            "82668e2f5bd920930706fb661513243f51af15c5e9d85423130de772a29b27cd",
         ),
         (
             ("error-surface", "--gain-ratios", "0.5,1,3", "--mass-ratios", "0.25,2"),
             "surface.csv",
-            "57102d81cd8e8d2ec50e79dad1ad9465fa70880a82eac57883018e4433cf6ce1",
+            "f291695861591fa4f88e6fd7134feea9cd18c660bcc3040cfc30c869018ba52b",
         ),
         (
             ("error-vs-horizon", "--horizons", "1,2,5,10,20,40"),
             None,
-            "106d2612330f6fb0d1de38cd8d64827b48796992fb0bc9d0fcb5b49d3311d77a",
+            "e1059b77f8bdefc732a3dc584796e9ec1ba020ffd7889857e268738926ac2038",
         ),
         (
             ("error-vs-horizon",),
             None,
-            "8b390fd6e5f1ad4f639107a4ffa9270692bfc639e21a22e07bda22ab29b9b7e9",
+            "fc722518f7630dd76b34db4c98f5b91f08b4dd2b4dc09326f0c966a360793a58",
         ),
     ],
     ids=[

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import hashlib
 import json
 import logging
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincc
 from scipy.stats import chi2
 
 import skysift as sk
@@ -41,13 +43,13 @@ from skysift.kms import kms_cholesky_factor, kms_inverse_apply
 # dense eigensolves and a closed-form trace identity when first computed.
 SPECTRUM1_TRACE = -29.73651465857662
 SPECTRUM2_TRACE = -8.673527078495063
-TOTAL_ERROR = 0.08114205761444201
-MISS_GIVEN_1 = 0.1054705111914076
-MISS_GIVEN_2 = 0.05681360403747643
-BUDGET1_N = 633
-BUDGET2_N = 132
-BUDGET1_STEP = 0.015002641316473124
-BUDGET2_STEP = 0.08369524894169349
+TOTAL_ERROR = 0.08114205761453896
+MISS_GIVEN_1 = 0.10547051119143025
+MISS_GIVEN_2 = 0.05681360403764768
+BUDGET1_N = 590
+BUDGET2_N = 100
+BUDGET1_STEP = 0.016096294043867067
+BUDGET2_STEP = 0.11049526837716246
 
 
 def closed_form_cdf(eigenvalue: float, z: float) -> float:
@@ -790,20 +792,34 @@ def series_cases(overrides):
 
 
 def test_series_ending_before_the_tail_is_summed_directly(monkeypatch):
-    # hypothesis 2 of this cell needs 29,247 terms but its tail could start
-    # only at 29,286; a cap below the series length used to ask the power
-    # sums for the empty range [29286, 29247]
+    # hypothesis 2 of this cell needs 28,710 terms but its tail could start
+    # only at 28,748; a cap below the series length used to ask the power
+    # sums for the empty range [28748, 28710]
     _, (sp, z, budget, tol) = series_cases({"kf": 8, "m2": 1.0, "k2": 0.25})
-    assert budget.n_terms == 29_247
+    assert budget.n_terms == 28_710
+    assert _head_len(budget.lambda_abs_min, budget.grid_step) == 28_748
     forced = series_cdf(monkeypatch, sp, z, budget, 1 << 14)
     direct = series_cdf(monkeypatch, sp, z, budget, 1 << 21)
     assert abs(forced - direct) <= tol / math.pi
 
 
-def test_direct_sum_stops_at_the_budget(monkeypatch):
+@functools.lru_cache(maxsize=None)
+def refined_total_error(kf, m2, k2):
+    """The total error of a scenario with both CDFs inverted on their
+    report budgets refined 2x, as an oracle for the report's own grid."""
+    s = sk.Scenario.from_dict({"kf": kf, "m2": m2, "k2": k2})
+    z = threshold(detector_from_scenario(s))
+    cdf1, cdf2 = (
+        cdf_quadratic_form_raw(sp, z, accuracy_budget(sp, z).refined(2)) for sp in spectra_for(s)
+    )
+    return s.sampling.prior2 * cdf2 + s.sampling.prior1 * (1.0 - cdf1)
+
+
+def test_direct_sum_stops_at_the_budget(monkeypatch, caplog):
     """kf 600 (mass 0.5, gain 4): hypothesis 1's tail would start past
-    _HEAD_MAX, but its 8,374,621-term series ends before that; summing to
-    _HEAD_MAX instead took 67,108,865 terms."""
+    _HEAD_MAX, but its 6,512,189-term series ends before that; summing to
+    _HEAD_MAX instead took 67,108,865 terms.  Hypothesis 2's miss is within
+    the target by its Chernoff bound, so its series is not summed."""
     ranges = []
     summed = error_analysis._direct_partial_sum
 
@@ -812,11 +828,102 @@ def test_direct_sum_stops_at_the_budget(monkeypatch):
         return summed(spectrum, z, delta, i_first, i_last)
 
     monkeypatch.setattr(error_analysis, "_direct_partial_sum", recording)
-    report = total_error(sk.Scenario.from_dict({"kf": 600, "m2": 0.5, "k2": 4.0}))
+    with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
+        report = total_error(sk.Scenario.from_dict({"kf": 600, "m2": 0.5, "k2": 4.0}))
     budgets = [report.budget_given_1.n_terms, report.budget_given_2.n_terms]
-    assert budgets == [8_374_621, 1_500_141]
-    assert ranges == [(0, n) for n in budgets]
-    assert report.total_error == pytest.approx(0.008671413090171609, abs=1e-9)
+    assert budgets == [6_512_189, 2_061_464]
+    assert ranges == [(0, budgets[0])]
+    (skip,) = [r.getMessage() for r in caplog.records if "inversion skipped" in r.getMessage()]
+    assert skip.startswith("hypothesis 2:")
+    assert report.miss_given_2 <= 1e-12
+    assert abs(report.total_error - refined_total_error(600, 0.5, 4.0)) <= 1e-6
+
+
+def tail_bounds(sp, z):
+    """(B+, B-) of _log_tail_bounds, inf where they overflow."""
+    return tuple(math.exp(min(b, 709.0)) for b in error_analysis._log_tail_bounds(sp, z))
+
+
+@pytest.mark.parametrize("kf", [200, 400, 600])
+def test_aliasing_bound_pairs_each_tail_with_its_alias(kf):
+    """Cell (mass 0.5, gain 4): the aliases at z + 2 pi / grid_step are
+    bounded by e^(-tz) M(t) and those at z - 2 pi / grid_step by
+    e^(tz) M(-t).  Pairing each with the other sign's bound made the grid
+    too coarse here: the reports read 3.0e-5, 1.7e-3 and 8.7e-3 against a
+    2x refined grid's 5.1e-6, 2.0e-10 and 3.4e-14."""
+    s = sk.Scenario.from_dict({"kf": kf, "m2": 0.5, "k2": 4.0})
+    assert abs(total_error(s).total_error - refined_total_error(kf, 0.5, 4.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("kf", [5, 60, 400])
+@pytest.mark.parametrize("m2", [0.5, 2.0])
+def test_tail_bounds_dominate_the_chi2_law(kf, m2):
+    """Equal rhos (gain / mass as class 1's) make Z = lam chi2_n, lam of
+    either sign; both Chernoff bounds lie above its tails from
+    gammainc/gammaincc over z from -4 to 4 times |E Z|."""
+    s = sk.Scenario.from_dict({"kf": kf, "m2": m2, "k2": m2})
+    for sp in spectra_for(s):
+        lam = float(sp.eigenvalues[0])
+        assert np.all(sp.eigenvalues == lam)
+        for z in kf * abs(lam) * np.linspace(-4.0, 4.0, 41):
+            x = z / (2.0 * lam)
+            below = gammainc(0.5 * kf, x) if x > 0.0 else 0.0  # P(lam chi2 between 0 and z)
+            above = gammaincc(0.5 * kf, x) if x > 0.0 else 1.0
+            upper, lower = (above, below) if lam > 0.0 else (below, above)
+            bound_upper, bound_lower = tail_bounds(sp, z)
+            assert upper <= bound_upper * (1.0 + 1e-12), (lam, z)
+            assert lower <= bound_lower * (1.0 + 1e-12), (lam, z)
+
+
+def test_no_report_exceeds_its_tail_bound():
+    """The surface grid at kf 5-400 and certify-long: no miss probability
+    lies above its Chernoff bound, beyond the rounding of 1 - B to half an
+    ulp (a miss given 1 is reported through its CDF)."""
+    scenarios = [
+        {"kf": kf, "m2": m, "k2": g}
+        for kf in (5, 20, 60, 200, 400)
+        for m in SURFACE_RATIOS
+        for g in SURFACE_RATIOS
+        if (m, g) != (1.0, 1.0)
+    ] + CERTIFY_LONG
+    for overrides in scenarios:
+        s = sk.Scenario.from_dict(overrides)
+        report = total_error(s)
+        sp1, sp2 = spectra_for(s)
+        bounds = tail_bounds(sp1, report.threshold)[0], tail_bounds(sp2, report.threshold)[1]
+        for miss, bound in zip((report.miss_given_1, report.miss_given_2), bounds):
+            assert miss <= bound + 2.0**-54, (overrides, miss, bound)
+
+
+def test_long_horizon_report_takes_the_bounds(monkeypatch):
+    """Cell (mass 4, gain 0.25) at kf 1e4: both misses are far below the
+    target by their Chernoff bounds, so neither CDF is inverted; inverting
+    hypothesis 1 took 4.5 s to print 5.9e-13."""
+
+    def refuse(*args):
+        raise AssertionError("cdf_quadratic_form_raw reached")
+
+    monkeypatch.setattr(error_analysis, "cdf_quadratic_form_raw", refuse)
+    s = sk.Scenario.from_dict({"kf": 10_000, "m2": 4.0, "k2": 0.25})
+    started = time.perf_counter()
+    report = total_error(s)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 0.05, f"kf 1e4 took {elapsed * 1e3:.1f} ms"
+    assert 0.0 <= report.total_error <= 1e-100
+
+
+def test_report_with_bounds_above_the_target_inverts_both_cdfs(default_scenario):
+    """The default pair at kf 200: both Chernoff bounds on the misses exceed
+    the target, so the report is the router's, bit for bit, and its value
+    is pinned."""
+    s = sk.Scenario.from_dict(dict(default_scenario.to_dict(), kf=200))
+    sp1, sp2 = spectra_for(s)
+    report = total_error(s)
+    z = report.threshold
+    assert tail_bounds(sp1, z)[0] > 1e-6 and tail_bounds(sp2, z)[1] > 1e-6
+    raws = [cdf_quadratic_form_raw(sp, z, accuracy_budget(sp, z)) for sp in (sp1, sp2)]
+    assert [report.raw_cdf_given_1, report.raw_cdf_given_2] == raws
+    assert report.total_error == 3.9076215775368794e-06
 
 
 def test_tail_crossover_matches_direct_summation(monkeypatch):
@@ -925,7 +1032,10 @@ def test_closed_form_budget_matches_eigen_sum_budget(default_scenario, kf, cell)
 def test_total_error_closed_form_matches_eigen_sum(default_scenario, kf, cell):
     """The default pair and the surface cell (mass 1, gain 4): the report
     through the closed form agrees with the eigen-sum's within the target,
-    both on one shared budget per hypothesis."""
+    both on one shared budget per hypothesis.  total_error inverts a CDF
+    through the closed form, bit for bit, unless the Chernoff bound on its
+    miss is within the target; it then reports that bound, and both
+    inversions lie within the target of it."""
     s, cases = long_horizon_cases(default_scenario, kf, cell)
     budgets = [accuracy_budget(sp, z) for sp, z in cases]
     reports = [
@@ -938,7 +1048,17 @@ def test_total_error_closed_form_matches_eigen_sum(default_scenario, kf, cell):
         for make in (lambda sp: sp, lambda sp: QuadFormSpectrum(sp.eigenvalues))
     ]
     closed, summed = reports
-    assert closed.total_error == total_error(s).total_error
+    report = total_error(s)
+    for h, ((sp, z), name) in enumerate(zip(cases, ("raw_cdf_given_1", "raw_cdf_given_2"))):
+        log_miss = error_analysis._log_tail_bounds(sp, z)[h]
+        got = getattr(report, name)
+        if log_miss > math.log(1e-6):
+            assert got == getattr(closed, name), name
+            continue
+        bound = math.exp(log_miss)
+        assert got == (1.0 - bound if h == 0 else bound), name
+        for inverted in (closed, summed):
+            assert abs(getattr(inverted, name) - got) <= 1e-6, name
     for name in ("total_error", "raw_cdf_given_1", "raw_cdf_given_2"):
         assert abs(getattr(closed, name) - getattr(summed, name)) <= 1e-6, name
 
@@ -973,8 +1093,13 @@ def test_total_error_degenerate_path():
 
 def test_near_identical_classes_fail_loudly():
     # classes that differ by 1e-13 relative: no honest answer at the default
-    # target, so the computation must refuse rather than fabricate one
+    # target, so the computation must refuse rather than fabricate one; the
+    # Chernoff bound on hypothesis 1's miss is above the target, so its CDF
+    # is still inverted
     s = sk.Scenario.from_dict({"m2": 1.0 + 1e-13, "k2": 1.0, "prior1": 0.3})
+    sp1, _ = spectra_for(s)
+    z = threshold(detector_from_scenario(s))
+    assert tail_bounds(sp1, z)[0] > 1e-6
     with pytest.raises(NumericalError):
         total_error(s)
 
@@ -1089,7 +1214,9 @@ def test_no_surface_or_certify_short_cdf_reaches_the_series_fallback(monkeypatch
     CDF that needs more than the direct sum is certified by the cut
     integrals; none logs a series fallback.  With the power sums made to
     raise, neither these nor certify-long and the default scenario call
-    them at 1e-6."""
+    them at 1e-6.  473 CDFs reach the cut integrals; the other series end
+    within the direct sum, or, for 4 at kf 1, their miss is within the
+    target by its Chernoff bound and is not inverted."""
 
     def refuse(*args):
         raise AssertionError(f"pinned_power_sum{args} reached")
@@ -1098,14 +1225,14 @@ def test_no_surface_or_certify_short_cdf_reaches_the_series_fallback(monkeypatch
     with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
         calls = routed_to_cuts(monkeypatch, SURFACE_KF_1_TO_8 + CERTIFY_SHORT)
     assert [r.getMessage() for r in caplog.records if "series fallback" in r.getMessage()] == []
-    assert len(calls) == 488 and all(result is not None for _, _, result in calls)
+    assert len(calls) == 473 and all(result is not None for _, _, result in calls)
     for overrides in CERTIFY_LONG + [{}]:
         total_error(sk.Scenario.from_dict(overrides), 1e-6)
 
 
 @pytest.mark.parametrize(
     "prior1, branch, want",
-    [(0.5, "SBP", 0.0013467702111404356), (0.05, "bridge+SBP", 0.001299396896793481)],
+    [(0.5, "SBP", 0.0013467702111404356), (0.05, "bridge+SBP", 0.0012993968967934281)],
 )
 def test_tight_target_reports_through_summation_by_parts(prior1, branch, want, caplog):
     """At a 1e-10 target these reports fall back to the series, whose tail
@@ -1180,7 +1307,7 @@ def test_error_surface_csv(tmp_path, default_scenario):
     write_surface_csv(ratios, ratios, errors, path)
     # the bytes the csv-module writer produced
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f610fb6c7bb1c000bb6b0e978fa0af2b9f940b96245a9f95a49108c15e50c84e"
+        "aefdaff1868f127377812a4ea0e7c62c8efa084591259a8394362c93389c1c38"
     )
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     header = lines[0].split(",")
