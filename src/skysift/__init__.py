@@ -56,7 +56,6 @@ from .error_analysis import (
 from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
-    RunManifest,
     run_experiment,
 )
 
@@ -100,6 +99,5 @@ __all__ = [
     "total_error",
     "EXPERIMENT_NAMES",
     "ExperimentConfig",
-    "RunManifest",
     "run_experiment",
 ]

@@ -254,23 +254,6 @@ def _oscillatory_integral(sig, bet, ya, yb):
     """
     s1 = 1 - sig
     return (1j * bet) ** (sig - 1) * (
-        _upper_gamma(s1, 1j * bet * ya) - _upper_gamma(s1, 1j * bet * yb)
+        mp.gammainc(s1, 1j * bet * ya, mp.inf) - mp.gammainc(s1, 1j * bet * yb, mp.inf)
     )
 
-
-def _upper_gamma(s1, x):
-    """Gamma(s1, x) at working precision.
-
-    For |x| >= 50 the large-argument asymptotic series is used when its
-    terms fall below 1e-45 within 39 terms.  Otherwise (small |x|, or a
-    series that has not converged, as for large -s1 near |x| = 50) the
-    value comes from mpmath's gammainc.
-    """
-    if abs(x) >= 50:
-        acc = term = mp.mpc(1)
-        for t in range(1, 40):
-            term *= (s1 - t) / x
-            acc += term
-            if abs(term) < mp.mpf("1e-45"):
-                return x ** (s1 - 1) * mp.exp(-x) * acc
-    return mp.gammainc(s1, x, mp.inf)

@@ -1,6 +1,7 @@
 """Reproduction harness: seeded experiment runs with CSV/JSON artifacts.
 
-Each run writes plot-ready CSV files plus a manifest (config snapshot, seed,
+Each ``run_<name>`` function writes plot-ready CSV files and returns their
+paths; :func:`run_experiment` adds the manifest (config snapshot, seed,
 package version, SHA-256 of every output, wall time) sufficient to re-run
 bit-identically.  Plotting itself is out of scope; the column contracts are
 documented per run function.
@@ -10,7 +11,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .simulator import _simulate_samples, simulate_batch
 
 __all__ = [
     "ExperimentConfig",
-    "RunManifest",
     "EXPERIMENT_NAMES",
     "run_scatter",
     "run_streaming",
@@ -40,6 +40,8 @@ __all__ = [
     "run_roc",
     "run_experiment",
 ]
+
+EXPERIMENT_NAMES = ("scatter", "streaming", "mc-vs-exact", "surface", "horizon-sweep", "roc")
 
 # trial-count defaults, used when the config leaves n_trials unset
 _DEFAULT_TRIALS = {
@@ -106,43 +108,12 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record for one run; checksums cover every written artifact.
-    ``version`` (the package's) and ``seed`` (the config's) are derived."""
-
-    config: dict
-    version: str = field(init=False)
-    seed: int = field(init=False)
-    outputs: dict
-    wall_seconds: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "version", __version__)
-        object.__setattr__(self, "seed", self.config["seed"])
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _finish(config: ExperimentConfig, paths: list, started: float) -> RunManifest:
-    manifest = RunManifest(
-        config=config.to_dict(),
-        outputs={p.name: _sha256(p) for p in paths},
-        wall_seconds=time.monotonic() - started,
-    )
-    _write_json(config.out_dir / f"{config.name}_manifest.json", asdict(manifest))
-    return manifest
-
-
-def _prepare(config: ExperimentConfig) -> float:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    return time.monotonic()
 
 
 def _cell(v) -> str:
@@ -187,13 +158,12 @@ def horizon_errors(scenario: Scenario, kf_values, accuracy: float) -> tuple:
     return horizons, [total_error(s, accuracy).total_error for s in scenarios]
 
 
-def run_scatter(config: ExperimentConfig) -> RunManifest:
+def run_scatter(config: ExperimentConfig) -> list:
     """Per-trial statistic vs threshold.
 
     Outputs: scatter.csv with columns trial,label,statistic,z and
     scatter_summary.json with the empirical confusion matrix.
     """
-    started = _prepare(config)
     batch = simulate_batch(config.scenario, config.trials(), config.seed)
     detector = detector_from_scenario(config.scenario)
     decisions, statistics, thresholds = detect_batch(detector, batch)
@@ -219,10 +189,10 @@ def run_scatter(config: ExperimentConfig) -> RunManifest:
         "empirical_error": float(np.mean(decisions != labels)),
     }
     summary_path = _write_json(config.out_dir / "scatter_summary.json", summary)
-    return _finish(config, [csv_path, summary_path], started)
+    return [csv_path, summary_path]
 
 
-def run_streaming(config: ExperimentConfig) -> RunManifest:
+def run_streaming(config: ExperimentConfig) -> list:
     """Running decision trace on the first class-2 trial of a seeded batch.
 
     The trial is whichever class-2 trial the seed produces first; it is not
@@ -230,7 +200,6 @@ def run_streaming(config: ExperimentConfig) -> RunManifest:
     columns k,y,statistic,z,decision,conditional_error and
     streaming_summary.json with the stabilization horizon.
     """
-    started = _prepare(config)
     labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
     class2 = np.flatnonzero(labels == 2)
     if class2.size == 0:
@@ -263,10 +232,10 @@ def run_streaming(config: ExperimentConfig) -> RunManifest:
         "stabilized_from_count": stable_from + 1,  # samples needed, 1-based
     }
     summary_path = _write_json(config.out_dir / "streaming_summary.json", summary)
-    return _finish(config, [csv_path, summary_path], started)
+    return [csv_path, summary_path]
 
 
-def run_mc_vs_exact(config: ExperimentConfig) -> RunManifest:
+def run_mc_vs_exact(config: ExperimentConfig) -> list:
     """Cumulative empirical error against the computed exact value.
 
     Outputs mc_vs_exact.csv with columns
@@ -274,7 +243,6 @@ def run_mc_vs_exact(config: ExperimentConfig) -> RunManifest:
     empirical_miss2,exact_miss2 (per-conclusion components included; an
     empirical component is blank until its class has appeared).
     """
-    started = _prepare(config)
     report = total_error(config.scenario, config.accuracy)
     batch = simulate_batch(config.scenario, config.trials(), config.seed)
     decisions = detect_batch(detector_from_scenario(config.scenario), batch)[0]
@@ -323,33 +291,29 @@ def run_mc_vs_exact(config: ExperimentConfig) -> RunManifest:
         ),
         rows,
     )
-    return _finish(config, [csv_path], started)
+    return [csv_path]
 
 
-def run_surface(
-    config: ExperimentConfig, gain_ratios=SURFACE_RATIOS, mass_ratios=SURFACE_RATIOS
-) -> RunManifest:
+def run_surface(config: ExperimentConfig) -> list:
     """Total error over a grid of class-2/class-1 gain and mass ratios.
 
-    Outputs surface.csv (see :func:`write_surface_csv`).  The default grid
-    is SURFACE_RATIOS, the powers of two from 1/4 to 4, on both axes.
+    Outputs surface.csv (see :func:`write_surface_csv`).  The grid is
+    SURFACE_RATIOS, the powers of two from 1/4 to 4, on both axes.
     """
-    started = _prepare(config)
-    errors = error_surface(config.scenario, gain_ratios, mass_ratios, config.accuracy)
+    errors = error_surface(config.scenario, SURFACE_RATIOS, SURFACE_RATIOS, config.accuracy)
     csv_path = config.out_dir / "surface.csv"
-    write_surface_csv(gain_ratios, mass_ratios, errors, csv_path)
-    return _finish(config, [csv_path], started)
+    write_surface_csv(SURFACE_RATIOS, SURFACE_RATIOS, errors, csv_path)
+    return [csv_path]
 
 
-def run_horizon_sweep(config: ExperimentConfig, kf_values=SWEEP_HORIZONS) -> RunManifest:
-    """Exact total error as a function of the horizon.
+def run_horizon_sweep(config: ExperimentConfig) -> list:
+    """Exact total error at each of the SWEEP_HORIZONS.
 
     Outputs horizon_sweep.csv with columns kf,total_error and
     horizon_sweep_summary.json recording the fitted slope of log(error)
     versus horizon (the decay is expected to look exponential).
     """
-    started = _prepare(config)
-    kf_values, errors = horizon_errors(config.scenario, kf_values, config.accuracy)
+    kf_values, errors = horizon_errors(config.scenario, SWEEP_HORIZONS, config.accuracy)
     csv_path = config.out_dir / "horizon_sweep.csv"
     _write_csv(csv_path, ("kf", "total_error"), zip(kf_values, errors))
 
@@ -359,10 +323,10 @@ def run_horizon_sweep(config: ExperimentConfig, kf_values=SWEEP_HORIZONS) -> Run
         summary["log_error_slope"] = float(slope)
         summary["log_error_intercept"] = float(intercept)
     summary_path = _write_json(config.out_dir / "horizon_sweep_summary.json", summary)
-    return _finish(config, [csv_path, summary_path], started)
+    return [csv_path, summary_path]
 
 
-def run_roc(config: ExperimentConfig) -> RunManifest:
+def run_roc(config: ExperimentConfig) -> list:
     """Empirical ROC by sweeping the decision threshold across the observed
     statistic range.
 
@@ -373,7 +337,6 @@ def run_roc(config: ExperimentConfig) -> RunManifest:
     class-2 trials called 2 and FPR that of class-1 trials.  A batch
     without both classes is refused.
     """
-    started = _prepare(config)
     labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
     detector = detector_from_scenario(config.scenario)
     statistics = _full_statistics(detector, samples)
@@ -397,20 +360,28 @@ def run_roc(config: ExperimentConfig) -> RunManifest:
         ("threshold", "false_positive_rate", "true_positive_rate"),
         zip(sweep.tolist(), fpr.tolist(), tpr.tolist()),
     )
-    return _finish(config, [csv_path], started)
+    return [csv_path]
 
 
-_RUNNERS = {
-    "scatter": run_scatter,
-    "streaming": run_streaming,
-    "mc-vs-exact": run_mc_vs_exact,
-    "surface": run_surface,
-    "horizon-sweep": run_horizon_sweep,
-    "roc": run_roc,
-}
-EXPERIMENT_NAMES = tuple(_RUNNERS)
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run the experiment ``config.name`` (see EXPERIMENT_NAMES) and return
+    its manifest.
 
-
-def run_experiment(config: ExperimentConfig) -> RunManifest:
-    """Dispatch a named experiment; see EXPERIMENT_NAMES."""
-    return _RUNNERS[config.name](config)
+    Creates ``config.out_dir``, calls ``run_<name>`` (looked up in this
+    module when called) and writes ``<name>_manifest.json``: the config
+    snapshot, package version, seed, SHA-256 of every output and the wall
+    time of the run and the hashing.
+    """
+    runner = globals()["run_" + config.name.replace("-", "_")]
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.monotonic()
+    paths = runner(config)
+    manifest = {
+        "config": config.to_dict(),
+        "version": __version__,
+        "seed": config.seed,
+        "outputs": {p.name: _sha256(p) for p in paths},
+        "wall_seconds": time.monotonic() - started,
+    }
+    _write_json(config.out_dir / f"{config.name}_manifest.json", manifest)
+    return manifest

@@ -1,8 +1,8 @@
 """Closed-form linear algebra for exponential-correlation Toeplitz matrices.
 
-A matrix with entries alpha * rho**|i-j| has a tridiagonal inverse and a
-two-factor determinant, so solves, quadratic forms, and log-determinants all
-cost O(n) with no factorization; (alpha, rho) come from ``ClassStatistics``.
+A matrix with entries alpha * rho**|i-j| has a tridiagonal inverse, so
+solves and quadratic forms cost O(n) with no factorization; (alpha, rho)
+come from ``ClassStatistics``.
 The detector path relies on these closed forms exclusively; dense matrices
 exist only in the tests' oracles.
 """
@@ -16,7 +16,6 @@ from .model import ClassStatistics
 
 __all__ = [
     "kms_inverse_apply",
-    "kms_logdet",
     "kms_quadratic_form",
     "kms_cholesky_factor",
 ]
@@ -52,18 +51,6 @@ def kms_inverse_apply(stats: ClassStatistics, v: np.ndarray) -> np.ndarray:
 def _check_dim(n: int) -> None:
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-
-
-def kms_logdet(stats: ClassStatistics, n: int) -> float:
-    """log-determinant of the n x n matrix: n * ln(alpha) + (n - 1) * ln(1 - rho**2).
-
-    Works directly in log space; the determinant itself underflows for large
-    dimensions, so it is never formed.  n < 1 is refused: the formula's
-    (n - 1) term would not vanish.
-    """
-    _check_dim(n)
-    # log1p keeps precision when rho is close to 1 and 1 - rho**2 is tiny.
-    return n * math.log(stats.alpha) + (n - 1) * math.log1p(-stats.rho * stats.rho)
 
 
 def kms_quadratic_form(stats: ClassStatistics, v: np.ndarray) -> float:

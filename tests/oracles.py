@@ -5,6 +5,8 @@ stream; these reference routines check the O(n) closed forms and the
 per-trial streams against the textbook constructions.
 """
 
+import math
+
 import numpy as np
 
 from skysift.error_analysis import QuadFormSpectrum, _log_phi
@@ -23,6 +25,20 @@ def covariance_matrix(stats: ClassStatistics, horizon: int) -> np.ndarray:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     idx = np.arange(horizon)
     return stats.alpha * stats.rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def kms_logdet(stats: ClassStatistics, n: int) -> float:
+    """log-determinant of the n x n covariance: n * ln(alpha) + (n - 1) * ln(1 - rho**2).
+
+    Works directly in log space; the determinant itself underflows for large
+    dimensions, so it is never formed.  n < 1 is refused: the formula's
+    (n - 1) term would not vanish.  ``detector.threshold`` is the difference
+    of two of these plus the prior term.
+    """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    # log1p keeps precision when rho is close to 1 and 1 - rho**2 is tiny.
+    return n * math.log(stats.alpha) + (n - 1) * math.log1p(-stats.rho * stats.rho)
 
 
 def sample_matrix(

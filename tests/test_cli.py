@@ -140,6 +140,17 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
             "82668e2f5bd920930706fb661513243f51af15c5e9d85423130de772a29b27cd",
         ),
     ],
+    ids=[
+        "mc_vs_exact.csv",
+        "scatter.csv",
+        "scatter_summary.json",
+        "streaming.csv",
+        "streaming_summary.json",
+        "roc.csv",
+        "horizon_sweep.csv",
+        "horizon_sweep_summary.json",
+        "surface.csv",
+    ],
 )
 def test_experiment_bytes_pinned(tmp_path, name, output, digest):
     """Digests of the seed-1, 1000-trial experiment outputs."""

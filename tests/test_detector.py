@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skysift as sk
-from oracles import covariance_matrix, sample_matrix
+from oracles import covariance_matrix, kms_logdet, sample_matrix
 from skysift.detector import (
     DetectionReport,
     SufficientStatistics,
@@ -24,7 +24,6 @@ from skysift.detector import (
     threshold,
 )
 from skysift.errors import ConfigError
-from skysift.kms import kms_logdet
 from skysift.simulator import MeasurementSeries, _simulate_samples, simulate_batch
 
 # Frozen oracle values for the default scenario, cross-checked at build time

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skysift as sk
+from skysift import experiments
 from skysift.detector import (
     SufficientStatistics,
     detect_full,
@@ -17,13 +18,8 @@ from skysift.errors import ConfigError
 from skysift.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
+    horizon_errors,
     run_experiment,
-    run_horizon_sweep,
-    run_mc_vs_exact,
-    run_roc,
-    run_scatter,
-    run_streaming,
-    run_surface,
 )
 from skysift.simulator import simulate_batch
 
@@ -60,7 +56,7 @@ def test_config_validation(tmp_path):
 
 def test_run_scatter(tmp_path):
     cfg = make_config(tmp_path, "scatter", n_trials=80, seed=3)
-    manifest = run_scatter(cfg)
+    manifest = run_experiment(cfg)
 
     header, rows = read_csv(cfg.out_dir / "scatter.csv")
     assert header == ["trial", "label", "statistic", "z"]
@@ -87,21 +83,21 @@ def test_run_scatter(tmp_path):
     assert sum(confusion.values()) == 80
     assert summary["n_trials"] == 80
 
-    assert set(manifest.outputs) == {"scatter.csv", "scatter_summary.json"}
-    assert manifest.seed == 3
+    assert set(manifest["outputs"]) == {"scatter.csv", "scatter_summary.json"}
+    assert manifest["seed"] == 3
 
 
 def test_scatter_deterministic_outputs(tmp_path):
     cfg_a = make_config(tmp_path / "a", "scatter", n_trials=40, seed=5)
     cfg_b = make_config(tmp_path / "b", "scatter", n_trials=40, seed=5)
-    hashes_a = run_scatter(cfg_a).outputs
-    hashes_b = run_scatter(cfg_b).outputs
+    hashes_a = run_experiment(cfg_a)["outputs"]
+    hashes_b = run_experiment(cfg_b)["outputs"]
     assert hashes_a == hashes_b
 
 
 def test_manifest_rerun_reproduces_checksums(tmp_path):
     cfg = make_config(tmp_path / "first", "scatter", n_trials=30, seed=8)
-    first = run_scatter(cfg)
+    first = run_experiment(cfg)
     manifest_path = cfg.out_dir / "scatter_manifest.json"
     assert manifest_path.exists()
 
@@ -110,12 +106,12 @@ def test_manifest_rerun_reproduces_checksums(tmp_path):
     assert rebuilt.n_trials == cfg.n_trials
     assert rebuilt.scenario.to_dict() == cfg.scenario.to_dict()
     second = run_experiment(rebuilt)
-    assert second.outputs == first.outputs
+    assert second["outputs"] == first["outputs"]
 
 
 def test_run_mc_vs_exact(tmp_path):
     cfg = make_config(tmp_path, "mc-vs-exact", n_trials=2000, seed=1)
-    run_mc_vs_exact(cfg)
+    run_experiment(cfg)
     header, rows = read_csv(cfg.out_dir / "mc_vs_exact.csv")
     assert header == [
         "n_trials",
@@ -148,7 +144,7 @@ def test_run_mc_vs_exact(tmp_path):
 
 def test_run_streaming(tmp_path):
     cfg = make_config(tmp_path, "streaming", seed=2)
-    run_streaming(cfg)
+    run_experiment(cfg)
     header, rows = read_csv(cfg.out_dir / "streaming.csv")
     assert header == ["k", "y", "statistic", "z", "decision", "conditional_error"]
     assert len(rows) == cfg.scenario.sampling.horizon
@@ -167,43 +163,47 @@ def test_run_streaming_requires_a_class2_trial(tmp_path):
     scenario = sk.Scenario.from_dict({"prior1": 0.999})
     cfg = make_config(tmp_path, "streaming", scenario=scenario, n_trials=2, seed=1)
     with pytest.raises(ConfigError):
-        run_streaming(cfg)
+        run_experiment(cfg)
 
 
 def test_run_horizon_sweep(tmp_path):
     cfg = make_config(tmp_path, "horizon-sweep")
-    run_horizon_sweep(cfg, kf_values=(1, 5, 10, 20, 40))
+    run_experiment(cfg)
     header, rows = read_csv(cfg.out_dir / "horizon_sweep.csv")
     assert header == ["kf", "total_error"]
     errors = [float(r[1]) for r in rows]
-    assert [int(r[0]) for r in rows] == [1, 5, 10, 20, 40]
+    assert [int(r[0]) for r in rows] == list(experiments.SWEEP_HORIZONS)
     assert all(b < a for a, b in zip(errors, errors[1:]))
-    assert errors[0] < 0.5  # even one sample beats guessing
 
     summary = json.loads((cfg.out_dir / "horizon_sweep_summary.json").read_text())
     assert summary["log_error_slope"] < 0.0
+
+
+def test_horizon_errors(monkeypatch):
+    scenario = sk.Scenario.default()
+    [error] = horizon_errors(scenario, (1,), 1e-6)[1]
+    assert error < 0.5  # even one sample beats guessing
     # a value that is not an integer >= 1 is refused by name, never
-    # truncated, and before any file is written
-    bad_cfg = make_config(tmp_path / "bad", "horizon-sweep")
+    # truncated, and before any error is computed
+    monkeypatch.setattr(experiments, "total_error", None)
     for bad in (0, -3, 2.5, math.nan, math.inf):
         with pytest.raises(ConfigError, match=repr(bad)):
-            run_horizon_sweep(bad_cfg, kf_values=(5, bad))
-    assert list(bad_cfg.out_dir.iterdir()) == []
+            horizon_errors(scenario, (5, bad), 1e-6)
 
 
 def test_run_surface(tmp_path):
     cfg = make_config(tmp_path, "surface")
-    run_surface(cfg, gain_ratios=[0.5, 1.0, 2.0], mass_ratios=[0.5, 1.0, 2.0])
+    run_experiment(cfg)
     header, rows = read_csv(cfg.out_dir / "surface.csv")
-    assert header[0] == "mass_ratio\\gain_ratio"
-    assert len(rows) == 3
-    center = float(rows[1][2])
+    assert header == ["mass_ratio\\gain_ratio"] + list(map(repr, experiments.SURFACE_RATIOS))
+    assert [float(r[0]) for r in rows] == list(experiments.SURFACE_RATIOS)
+    center = float(rows[2][3])  # identical classes
     assert center == math.log10(0.5)
 
 
 def test_run_roc(tmp_path):
     cfg = make_config(tmp_path, "roc", n_trials=300, seed=4)
-    run_roc(cfg)
+    run_experiment(cfg)
     header, rows = read_csv(cfg.out_dir / "roc.csv")
     assert header == ["threshold", "false_positive_rate", "true_positive_rate"]
     thresholds = [float(r[0]) for r in rows]
@@ -223,7 +223,7 @@ def test_roc_map_point_matches_exact_rates(tmp_path):
     one minus the class-2 miss rate, each within 4 standard errors."""
     n = 4000
     cfg = make_config(tmp_path, "roc", n_trials=n, seed=12)
-    run_roc(cfg)
+    run_experiment(cfg)
     _, rows = read_csv(cfg.out_dir / "roc.csv")
     z = threshold(detector_from_scenario(cfg.scenario))
     [(fpr, tpr)] = [(float(r[1]), float(r[2])) for r in rows if float(r[0]) == z]
@@ -240,7 +240,7 @@ def test_run_roc_one_statistic_path(tmp_path, seed):
     """Sweep points and rates come from the same statistics: no trial exceeds
     the point at the largest statistic, and every rate recomputes exactly."""
     cfg = make_config(tmp_path, "roc", n_trials=500, seed=seed)
-    run_roc(cfg)
+    run_experiment(cfg)
     _, rows = read_csv(cfg.out_dir / "roc.csv")
     batch = simulate_batch(cfg.scenario, 500, seed)
     spec = detector_from_scenario(cfg.scenario)
@@ -265,9 +265,26 @@ def test_run_experiment_dispatch(tmp_path):
         )
         manifest = run_experiment(cfg)
         manifest_path = cfg.out_dir / f"{name}_manifest.json"
-        assert manifest_path.exists()
         recorded = json.loads(manifest_path.read_text())
-        assert recorded["outputs"] == manifest.outputs
+        assert recorded == manifest
+        assert list(recorded) == ["config", "version", "seed", "outputs", "wall_seconds"]
         assert recorded["config"]["name"] == name
-        for filename in manifest.outputs:
-            assert (cfg.out_dir / filename).exists()
+        written = {p.name for p in cfg.out_dir.iterdir()} - {manifest_path.name}
+        assert set(manifest["outputs"]) == written
+
+
+def test_run_experiment_calls_the_module_runner(tmp_path, monkeypatch):
+    """The runner is looked up when ``run_experiment`` is called, so a
+    rebinding of ``experiments.run_roc`` (as a tracer makes) is the one run."""
+    calls = []
+    original = experiments.run_roc
+
+    def recording(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(experiments, "run_roc", recording)
+    cfg = make_config(tmp_path, "roc", n_trials=60, seed=2)
+    manifest = run_experiment(cfg)
+    assert calls == [cfg]
+    assert set(manifest["outputs"]) == {"roc.csv"}

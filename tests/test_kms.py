@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skysift as sk
-from oracles import covariance_matrix
+from oracles import covariance_matrix, kms_logdet
 from skysift.errors import ConfigError
 from skysift.kms import (
     kms_cholesky_factor,
     kms_inverse_apply,
-    kms_logdet,
     kms_quadratic_form,
 )
 

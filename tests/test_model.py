@@ -99,15 +99,15 @@ def test_types_carry_only_what_the_model_reads():
 
 
 def test_public_names_and_settable_fields_are_counted():
-    """The public surface: 40 names plus ``__version__``, and the settable
+    """The public surface: 39 names plus ``__version__``, and the settable
     (init) fields of the public dataclasses."""
-    assert len(sk.__all__) == 41
+    assert len(sk.__all__) == 40
     public = [getattr(sk, name) for name in sk.__all__]
     classes = [obj for obj in public if dataclasses.is_dataclass(obj)]
-    assert sum(f.init for cls in classes for f in dataclasses.fields(cls)) == 50
+    assert sum(f.init for cls in classes for f in dataclasses.fields(cls)) == 47
 
 
-def test_derived_fields_are_refused_and_follow_their_inputs():
+def test_derived_fields_are_refused_and_follow_their_inputs(tmp_path):
     st1, st2 = sk.Scenario.default().stats1(), sk.Scenario.default().stats2()
     spec = sk.DetectorSpec(st1, st2, 0.3, 20)
     g1, g2 = (1.0 / (s.alpha * (1.0 - s.rho * s.rho)) for s in (st1, st2))
@@ -144,8 +144,9 @@ def test_derived_fields_are_refused_and_follow_their_inputs():
     assert budget.drop_tolerance == DROP_TOLERANCE
     assert budget.refined(4).n_terms_options == tuple(4 * n for n in budget.n_terms_options)
 
-    manifest = sk.RunManifest({"seed": 9}, {}, 0.5)
-    assert (manifest.version, manifest.seed) == (sk.__version__, 9)
+    config = sk.ExperimentConfig(sk.Scenario.default(), "scatter", tmp_path, seed=9, n_trials=5)
+    manifest = sk.run_experiment(config)
+    assert (manifest["version"], manifest["seed"]) == (sk.__version__, 9)
 
     given = {
         sk.DetectorSpec: dict(stats1=st1, stats2=st2, prior1=0.5, horizon=20),
@@ -154,14 +155,12 @@ def test_derived_fields_are_refused_and_follow_their_inputs():
         sk.AccuracyBudget: {
             f.name: getattr(budget, f.name) for f in dataclasses.fields(budget) if f.init
         },
-        sk.RunManifest: dict(config={"seed": 9}, outputs={}, wall_seconds=0.5),
     }
     derived = {
         sk.DetectorSpec: ("energy_coef", "lag_coef", "edge_coef", "log_prior_ratio"),
         sk.DetectionReport: ("decision", "margin", "conditional_error"),
         sk.ErrorReport: ("total_error", "miss_given_1", "miss_given_2", "prior2", "degenerate"),
         sk.AccuracyBudget: ("chernoff_t", "n_terms", "drop_tolerance"),
-        sk.RunManifest: ("version", "seed"),
     }
     for cls, names in derived.items():
         built = cls(**given[cls])

@@ -14,13 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from skysift._powersum import (
-    _MP_DPS,
-    _SBP_MIN_PHASE,
-    _sbp_sum,
-    _upper_gamma,
-    pinned_power_sum,
-)
+from skysift._powersum import _SBP_MIN_PHASE, _sbp_sum, pinned_power_sum
 from skysift.errors import NumericalError
 
 
@@ -71,7 +65,7 @@ def test_euler_maclaurin_regime_small_argument():
 
 
 def test_euler_maclaurin_regime_large_argument():
-    # f*(b+1/2) ~ 150: the boundary integral must use its asymptotic form
+    # f*(b+1/2) ~ 150: the boundary integral takes Gamma at a large argument
     s, a, b, f = 2.2, 100, 3_000_000, 5e-5
     value = pinned_power_sum(s, a, b, f, 1e-14)
     assert abs(value - brute_np(s, a, b, f)) <= 1e-12
@@ -168,17 +162,6 @@ def test_summation_by_parts_refusal_reports_bound():
 def test_euler_maclaurin_refusal():
     with pytest.raises(NumericalError, match="not converged at order 8"):
         pinned_power_sum(2.2, 100, 300_000, 5e-5, 1e-300)
-
-
-@pytest.mark.parametrize("sigma, modulus", [(18.5, 50.0), (1.5, 50.0), (1.5, 8.9e7)])
-def test_upper_gamma_at_working_precision(sigma, modulus):
-    # at |x| = 50 the asymptotic series has not converged within its 39
-    # terms (relative error 1.6e-6 at sigma 18.5); at 8.9e7 it has
-    with mp.workdps(_MP_DPS):
-        s1 = 1 - mp.mpf(sigma)
-        x = mp.mpc(0, modulus)
-        want = mp.gammainc(s1, x, mp.inf)
-        assert abs(_upper_gamma(s1, x) - want) <= 1e-40 * abs(want)
 
 
 def test_debug_log_names_branch_and_stop(caplog):
