@@ -103,28 +103,45 @@ _PHI_BLOCK = 1 << 15
 _NEWTON_MAX_ITER = 100  # safeguarded Newton on the eigen-angles
 # horizons from which _log_phi takes the closed form (measured; see there)
 _CLOSED_FORM_MIN = 50
+_LADDER_TOP = 16  # _chernoff_ladder's last rung, in units of the budget's t
 
 
 class _Summary(NamedTuple):
     """What accuracy_budget reads of a spectrum: the largest and smallest
     |lam| kept (see DROP_TOLERANCE), how many are kept, and (log M(t),
     log M(-t)) for the moment generating function M(s) = E[exp(s Z)] at the
-    Chernoff t = 1/(4 lambda_abs_max); None if nothing is kept."""
+    Chernoff t = 1/(4 lambda_abs_max); None if nothing is kept.  For
+    _chernoff_ladder: the signed ends (min lam, max lam) of the spectrum,
+    and the kept eigenvalues its log M came from, None for _log_mgf."""
 
     lambda_abs_max: float
     lambda_abs_min: float
     kept_order: int
     log_mgf: "tuple | None"
+    ends: tuple = (0.0, 0.0)
+    kept: "np.ndarray | None" = None
+
+    def log_mgf_at(self, spectrum: "QuadFormSpectrum", s: float):
+        """log M(s) by the path the summary took; None where _log_mgf is 0/0."""
+        if self.kept is None:
+            return _log_mgf(spectrum, s)
+        return _eigen_log_mgf(self.kept, s)
+
+
+def _eigen_log_mgf(kept: np.ndarray, s: float) -> float:
+    """log M(s) = -1/2 sum log1p(-2 s lam) over the kept eigenvalues."""
+    return -0.5 * float(np.log1p(-2.0 * s * kept).sum())
 
 
 def _eigen_summary(kept: np.ndarray) -> _Summary:
-    """The summary from the kept eigenvalues, log M(s) = -1/2 sum log1p(-2 s lam)."""
+    """The summary from the kept eigenvalues."""
     if kept.size == 0:
         return _Summary(0.0, 0.0, 0, None)
-    abs_max = float(np.max(np.abs(kept)))
+    ends = (float(kept.min()), float(kept.max()))
+    abs_max = max(-ends[0], ends[1])
     t = 1.0 / (4.0 * abs_max)
-    log_mgf = tuple(-0.5 * float(np.sum(np.log1p(-2.0 * s * kept))) for s in (t, -t))
-    return _Summary(abs_max, float(np.min(np.abs(kept))), int(kept.size), log_mgf)
+    log_mgf = (_eigen_log_mgf(kept, t), _eigen_log_mgf(kept, -t))
+    return _Summary(abs_max, float(np.abs(kept).min()), int(kept.size), log_mgf, ends, kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,20 +279,22 @@ class _KmsSpectrum(QuadFormSpectrum):
         if self.pair.r1 == self.pair.r2:
             abs_max = abs_min = abs(lam_c)
             kept = n if abs_max > 0.0 else 0
+            ends = (lam_c, lam_c)
         elif abs(lam_0 - lam_pi) <= _SYMBOL_ROUNDING * max(abs(lam_0), abs(lam_pi)):
             return _eigen_summary(self.kept())
         else:
-            abs_max, abs_min, kept = self._extremes()
+            abs_max, abs_min, kept, ends = self._extremes()
         if kept == 0:
             return _Summary(0.0, 0.0, 0, None)
         t = 1.0 / (4.0 * abs_max)
         log_mgf = (_log_mgf(self, t), _log_mgf(self, -t))
         if None in log_mgf:
             return _eigen_summary(self.kept())
-        return _Summary(abs_max, abs_min, kept, log_mgf)
+        return _Summary(abs_max, abs_min, kept, log_mgf, ends)
 
     def _extremes(self) -> tuple:
-        """(max |lam|, min |lam| kept, kept count) for unequal rhos (see _summary)."""
+        """(max |lam|, min |lam| kept, kept count, (min lam, max lam)) for
+        unequal rhos (see _summary)."""
         n, pair, h = self.horizon, self.pair, self.hypothesis - 1
 
         def size(m):
@@ -309,7 +328,8 @@ class _KmsSpectrum(QuadFormSpectrum):
         left = _first_kept(size, j, -1, n, floor)
         right = _first_kept(size, j + 1, 1, n, floor)
         abs_min = min(size(m) for m in (left, right) if 1 <= m <= n)
-        return abs_max, abs_min, n - (right - left - 1)
+        ends = (min(first, last), max(first, last))
+        return abs_max, abs_min, n - (right - left - 1), ends
 
 
 def _first_kept(size, m: int, step: int, n: int, floor: float) -> int:
@@ -649,27 +669,32 @@ def _log_phi(spectrum: QuadFormSpectrum, u: np.ndarray):
 
 
 def _log_mgf(spectrum: "_KmsSpectrum", s: float):
-    """log M_h(s) = -1/2 log det(I - 2s Q Sigma_h) at a real s with
-    2|s| max|lam| <= 1/2, in O(1); None where r+ = r-.
+    """log M_h(s) = -1/2 log det(I - 2s Q Sigma_h) at a real s where every
+    factor 1 - 2s lam_j is at least 1/2, in O(1); None where r+ = r-.
 
     _log_phi's closed form at u = -is: its z = 1 - 2iu lam become the real
     1 - 2s lam, and the determinant identity behind it is algebraic, so it
-    holds for these inputs too.  Positivity: every factor 1 - 2s lam_j lies
-    in [1/2, 3/2], so det(I - 2s Q Sigma_h) = prod_j (1 - 2s lam_j) > 0, and
-    log M is minus half its log.  The closed form's factors multiply to that
-    determinant whichever square roots s_0 and s_pi take (a flip of either
-    swaps r+ and r-, and D_k is symmetric in them), so log M is the sum of
-    their log-magnitudes and no branch has to be followed.  The symbol's
-    ends lie outside the eigenvalues' range (theta_1 > 0, theta_n < pi), so
-    1 - 2s lam(0) or 1 - 2s lam(pi) may be negative and s_0 or s_pi
-    imaginary; only w = s_0 s_pi = 0, where r+ - r- = (1 - rho**2) w
-    vanishes, leaves the formula 0/0.
+    holds for these inputs too.  Positivity: the budget's |s| <= t =
+    1/(4 max|lam|) puts every factor in [1/2, 3/2], and _chernoff_ladder's
+    rungs, s up to 16 t but never past 1/(4 lam_edge) on the side they
+    bound, in [1/2, 9] (see there); so det(I - 2s Q Sigma_h) =
+    prod_j (1 - 2s lam_j) > 0, and log M is minus half its log.  The
+    closed form's factors multiply to that determinant whichever square
+    roots s_0 and s_pi take (a flip of either swaps r+ and r-, and D_k is
+    symmetric in them), so log M is the sum of their log-magnitudes and no
+    branch has to be followed.  The symbol's ends lie outside the
+    eigenvalues' range (theta_1 > 0, theta_n < pi), so 1 - 2s lam(0) or
+    1 - 2s lam(pi) may be negative and s_0 or s_pi imaginary; only
+    w = s_0 s_pi = 0, where r+ - r- = (1 - rho**2) w vanishes, leaves the
+    formula 0/0.
 
     Rounding.  m = (hi + lo)/2 and, for rho near 1, beta lie near 1, so
     forming them would cost the (n - 1)-fold terms (n - 1) eps.  As
     s_x - 1 = -2s lam_x / (1 + s_x), m = 1 + d with d = -s ((1 - rho) lam_0
     / (1 + s_0) + (1 + rho) lam_pi / (1 + s_pi)), and beta = 1 - lo / m:
-    log m and log beta come from _log1p of d and of -lo / m.
+    log m and log beta come from _log1p of d and of -lo / m.  At the 859
+    ladder rungs of the surface grid at kf 50, 51, 200, 999 and 3000 it
+    matches the eigen-sum to 2.7e-15 relative.
     """
     n, rho = spectrum.horizon, spectrum.rho
     lam_0, lam_pi, lam_c = spectrum.ends
@@ -714,15 +739,57 @@ def _log_tail_bounds(spectrum: QuadFormSpectrum, z: float) -> tuple:
         B+ = e^(-tz) M(t) >= P(Z > z),   B- = e^(tz) M(-t) >= P(Z <= z),
 
     Markov's inequality on e^(tZ) and e^(-tZ), at the budget's t =
-    1/(4 max|lam|), the edge of _log_mgf's proven range.  A smaller t can
-    bound lower, but no search is made: on the surface grid at kf 2-1000,
-    prior1 0.2/0.5/0.8 (1,152 miss-side bounds), a search over (0, t]
-    took one more below a 1e-6 target.  Logs, as B+- over- or underflow at
-    long horizons.  The spectrum must keep an eigenvalue."""
+    1/(4 max|lam|), where every factor 1 - 2s lam of M(+-t) lies in
+    [1/2, 3/2].  The budget's aliasing bound takes both at this t;
+    total_error's bound on a miss starts here and climbs _chernoff_ladder.
+    Logs, as B+- over- or underflow at long horizons.  The spectrum must
+    keep an eigenvalue."""
     summary = spectrum._summary
     t = 1.0 / (4.0 * summary.lambda_abs_max)
     log_plus, log_minus = summary.log_mgf
     return -z * t + log_plus, z * t + log_minus
+
+
+def _chernoff_ladder(
+    spectrum: QuadFormSpectrum, z: float, sign: int, log_target: float
+) -> tuple:
+    """(log B, s/t): the smallest Chernoff bound B = e^(f(s)) on P(Z > z)
+    (sign 1) or P(Z <= z) (sign -1), f(s) = -sign s z + log M(sign s), found
+    on the doubling ladder s = t, 2t, 4t, ... from the t of _log_tail_bounds.
+
+    Range.  The ladder ends at S = min(_LADDER_TOP t, 1/(4 lam_edge)), the
+    last rung S itself, where lam_edge = max_j sign lam_j is the extreme
+    eigenvalue on the bounded side (S = _LADDER_TOP t if there is none).
+    For 0 < s <= S every factor 1 - 2 sign s lam_j of M(sign s) is at least
+    1/2 (sign lam_j <= lam_edge), and at most 1 + 2 S max|lam| <= 9, so the
+    determinant stays positive and each factor within a factor 9 of 1, as
+    _log_mgf needs.  The optimum s* of f often lies past t (Chernoff 1952):
+    where max|lam| sits on the other side, S > t.
+
+    Stops.  At the first rung whose bound is within the target, at the
+    first rung whose bound rises (f is convex, as a log moment generating
+    function plus a linear term, so it rises from there on), and at S.
+    Convexity gate: f(0) = log M(0) = 0, so f(s') >= (s'/s) f(s) for every
+    s' >= s; once (S/s) f(s) > log_target no rung up to S can reach the
+    target, and none is taken.  On short horizons this stops the walk at t.
+    Each rung takes log M from the path its summary took (_Summary.log_mgf_at):
+    _log_mgf from _CLOSED_FORM_MIN on, the kept eigenvalues' sum below."""
+    summary = spectrum._summary
+    t = 1.0 / (4.0 * summary.lambda_abs_max)
+    best = _log_tail_bounds(spectrum, z)[(1 - sign) // 2]
+    edge = summary.ends[1] if sign > 0 else -summary.ends[0]
+    top = _LADDER_TOP * t if edge <= 0.0 else min(_LADDER_TOP * t, 0.25 / edge)
+    s = best_s = t
+    while best > log_target and s < top and (top / s) * best <= log_target:
+        s = min(2.0 * s, top)
+        log_mgf = summary.log_mgf_at(spectrum, sign * s)
+        if log_mgf is None:
+            break
+        f = log_mgf - sign * s * z
+        if f >= best:
+            break
+        best, best_s = f, s
+    return best, best_s / t
 
 
 def accuracy_budget(
@@ -1025,9 +1092,15 @@ def cdf_quadratic_form_raw(
     Series of up to _DIRECT_CAP terms, or ending before the tail could
     start, are summed directly.  Longer ones take the branch-cut integrals
     where they can be certified (:func:`_cut_cdf`), else the head + tail
-    :func:`_series_fallback`.  On the surface grid at kf 2-8, prior1
-    0.2/0.5/0.8 (525 reports, 2 cores), caps 2**14 and 2**15 tie at 1.2 s
-    (2**12: 1.5 s, 2**21: 3.4 s).
+    :func:`_series_fallback`.  The cap was tuned against the head + tail,
+    before the cut integrals: on the surface grid at kf 2-8, prior1
+    0.2/0.5/0.8 (525 reports, 2 cores), caps 2**14 and 2**15 tied at 1.2 s
+    (2**12: 1.5 s, 2**21: 3.4 s).  Against the cuts (best of 3 per call,
+    2-vCPU Xeon; certify-short's reports and the surface grid at kf 1-16,
+    674 series under the cap, 93 of them refused by the cuts), the direct
+    sum loses at kf 3 (median 28,339 terms: 1.39 vs 0.015 ms) and kf 4
+    (7,066 terms: 0.28 vs 0.17 ms) and wins from kf 5 on (2,325 terms:
+    0.12 vs 0.23 ms; kf 10, 356 terms: 0.05 vs 0.35 ms).
     """
     tol = _EVAL_SLACK * budget.target
     delta, n_terms = budget.grid_step, budget.n_terms
@@ -1094,7 +1167,7 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     and the error is exactly min(prior1, prior2).  The raw CDFs may leave
     [0, 1] by up to the target; :class:`ErrorReport` clamps them.  A miss
     whose Chernoff bound is within the target is reported as that bound,
-    with no inversion (see _raw_cdf).
+    with no inversion (see _raw_cdf and _chernoff_ladder).
     """
     _check_target(target)
     stats1, stats2 = scenario.stats1(), scenario.stats2()
@@ -1124,17 +1197,22 @@ def _raw_cdf(
 ) -> float:
     """P(Z <= z) under hypothesis 1 or 2 for total_error.  Where the
     Chernoff bound B on that hypothesis's miss (P(Z > z) under 1, P(Z <= z)
-    under 2; see _log_tail_bounds) is at most the target, the miss is
+    under 2; see _chernoff_ladder) is at most the target, the miss is
     reported as B and the CDF is not inverted: 0 <= miss <= B <= target
     meets the inversion's own accuracy contract."""
-    log_miss = _log_tail_bounds(spectrum, z)[hypothesis - 1]
-    if log_miss > math.log(budget.target):
+    sign = 1 if hypothesis == 1 else -1
+    log_target = math.log(budget.target)
+    log_miss, rung = _chernoff_ladder(spectrum, z, sign, log_target)
+    if log_miss > log_target:
         return cdf_quadratic_form_raw(spectrum, z, budget)
     miss = math.exp(log_miss)
-    logger.debug(
-        "hypothesis %d: Chernoff bound %g on the miss is within the target %g; "
-        "inversion skipped", hypothesis, miss, budget.target,
-    )
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "hypothesis %d: Chernoff bound %g at s = %g t on the miss (%g at t) is "
+            "within the target %g; inversion skipped",
+            hypothesis, miss, rung,
+            math.exp(_log_tail_bounds(spectrum, z)[hypothesis - 1]), budget.target,
+        )
     return 1.0 - miss if hypothesis == 1 else miss
 
 

@@ -398,7 +398,8 @@ def test_phi_arrays_blocks_match_per_eigenvalue_loop(monkeypatch, default_scenar
 
 def assert_summary_matches_eigen_path(stats1, stats2, horizon, index):
     """Both hypotheses' O(1) budget summaries against the eigenvalues': kept
-    order equal, extremes within 4 ulp, log M(+-t) within 1e-12 of the
+    order equal, extremes and signed ends within 4 ulp (an end the drop
+    tolerance removes within that tolerance), log M(+-t) within 1e-12 of the
     summed terms' size sum_j |log(1 - 2s lam_j)| / 2 (log M itself can
     cancel to 1e-3 of it); every angle the summaries solved, and
     theta_index, equal to the vector solve's."""
@@ -413,6 +414,9 @@ def assert_summary_matches_eigen_path(stats1, stats2, horizon, index):
         if want.kept_order == 0:  # identical classes
             assert got == want
             continue
+        floor = error_analysis.DROP_TOLERANCE * want.lambda_abs_max
+        for exact, end in zip(want.ends, got.ends):  # the O(1) ends may be dropped ones
+            assert abs(end - exact) <= max(4 * abs(np.spacing(exact)), floor), (end, exact)
         t = 1.0 / (4.0 * want.lambda_abs_max)
         for s, closed, summed in zip((t, -t), got.log_mgf, want.log_mgf):
             size = 0.5 * float(np.sum(np.abs(np.log1p(-2.0 * s * sp.eigenvalues))))
@@ -471,6 +475,41 @@ def test_budget_summary_matches_eigen_path_sign_change(default_scenario, kf):
     for sp in error_analysis._spectra(st1, st2, kf):
         assert sp.eigenvalues[0] < 0.0 < sp.eigenvalues[-1]
     assert_summary_matches_eigen_path(st1, st2, kf, kf // 3)
+
+
+def ladder_rungs(summary, sign):
+    """Every s, in units of t, that _chernoff_ladder may try on one side."""
+    edge = summary.ends[1] if sign > 0 else -summary.ends[0]
+    top = 16.0 if edge <= 0.0 else min(16.0, summary.lambda_abs_max / edge)
+    return [min(2.0**k, top) for k in range(1, 5) if 2.0 ** (k - 1) < top]
+
+
+@pytest.mark.parametrize("kf", [50, 51, 200, 999, 3000])
+def test_log_mgf_matches_eigen_sum_on_every_rung(kf):
+    """The surface grid: _log_mgf's closed form against the eigen-sum at
+    every rung of the Chernoff ladder, both signs, to 1e-12 of the summed
+    terms' size; every factor 1 - 2s lam there is at least 1/2."""
+    rungs = 0
+    for m in SURFACE_RATIOS:
+        for g in SURFACE_RATIOS:
+            if (m, g) == (1.0, 1.0):
+                continue
+            s = sk.Scenario.from_dict({"kf": kf, "m2": m, "k2": g})
+            for sp in error_analysis._spectra(s.stats1(), s.stats2(), kf):
+                summary = sp._summary
+                assert summary.kept is None  # the closed-form path
+                t = 1.0 / (4.0 * summary.lambda_abs_max)
+                for sign in (1, -1):
+                    for rung in ladder_rungs(summary, sign):
+                        x = -2.0 * sign * rung * t * sp.eigenvalues
+                        assert np.min(x) >= -0.5 * (1.0 + 1e-12), (m, g, sign, rung)
+                        terms = np.log1p(x)
+                        summed = -0.5 * float(np.sum(terms))
+                        closed = error_analysis._log_mgf(sp, sign * rung * t)
+                        size = 0.5 * float(np.sum(np.abs(terms)))
+                        assert abs(closed - summed) <= 1e-12 * size, (m, g, sign, rung)
+                        rungs += rung > 1.0
+    assert rungs >= 100
 
 
 @settings(max_examples=40, deadline=None)
@@ -815,11 +854,11 @@ def refined_total_error(kf, m2, k2):
     return s.sampling.prior2 * cdf2 + s.sampling.prior1 * (1.0 - cdf1)
 
 
-def test_direct_sum_stops_at_the_budget(monkeypatch, caplog):
+def test_direct_sum_stops_at_the_budget(monkeypatch):
     """kf 600 (mass 0.5, gain 4): hypothesis 1's tail would start past
     _HEAD_MAX, but its 6,512,189-term series ends before that; summing to
-    _HEAD_MAX instead took 67,108,865 terms.  Hypothesis 2's miss is within
-    the target by its Chernoff bound, so its series is not summed."""
+    _HEAD_MAX instead took 67,108,865 terms.  total_error takes that miss's
+    Chernoff bound (see the next test), so the router is called directly."""
     ranges = []
     summed = error_analysis._direct_partial_sum
 
@@ -827,21 +866,50 @@ def test_direct_sum_stops_at_the_budget(monkeypatch, caplog):
         ranges.append((i_first, i_last))
         return summed(spectrum, z, delta, i_first, i_last)
 
+    s = sk.Scenario.from_dict({"kf": 600, "m2": 0.5, "k2": 4.0})
+    z = threshold(detector_from_scenario(s))
+    sp1, sp2 = spectra_for(s)
+    budgets = [accuracy_budget(sp, z) for sp in (sp1, sp2)]
+    assert [b.n_terms for b in budgets] == [6_512_189, 2_061_464]
     monkeypatch.setattr(error_analysis, "_direct_partial_sum", recording)
+    miss = 1.0 - cdf_quadratic_form_raw(sp1, z, budgets[0])
+    assert ranges == [(0, 6_512_189)]
+    assert abs(miss - (1.0 - total_error(s).raw_cdf_given_1)) <= 1e-6
+
+
+def test_ladder_bound_skips_the_long_direct_sum(monkeypatch, caplog):
+    """kf 600 (mass 0.5, gain 4): the Chernoff bound on hypothesis 1's miss
+    is 4.0e-6 at t, but 1.6e-9 at s = 2t, so neither CDF is inverted; the
+    6,512,189-term series of the test above took 1.6-2.0 s here."""
+
+    def refuse(*args):
+        raise AssertionError("cdf_quadratic_form_raw reached")
+
+    monkeypatch.setattr(error_analysis, "cdf_quadratic_form_raw", refuse)
+    s = sk.Scenario.from_dict({"kf": 600, "m2": 0.5, "k2": 4.0})
     with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
-        report = total_error(sk.Scenario.from_dict({"kf": 600, "m2": 0.5, "k2": 4.0}))
-    budgets = [report.budget_given_1.n_terms, report.budget_given_2.n_terms]
-    assert budgets == [6_512_189, 2_061_464]
-    assert ranges == [(0, budgets[0])]
-    (skip,) = [r.getMessage() for r in caplog.records if "inversion skipped" in r.getMessage()]
-    assert skip.startswith("hypothesis 2:")
+        started = time.perf_counter()
+        report = total_error(s)
+        elapsed = time.perf_counter() - started
+    assert elapsed < 0.05, f"kf 600 took {elapsed * 1e3:.1f} ms"
+    skips = [r.getMessage() for r in caplog.records if "inversion skipped" in r.getMessage()]
+    assert [m.split(":")[0] for m in skips] == ["hypothesis 1", "hypothesis 2"]
+    assert "at s = 2 t" in skips[0] and "(3.98292e-06 at t)" in skips[0]
     assert report.miss_given_2 <= 1e-12
+    monkeypatch.undo()
     assert abs(report.total_error - refined_total_error(600, 0.5, 4.0)) <= 1e-6
 
 
 def tail_bounds(sp, z):
     """(B+, B-) of _log_tail_bounds, inf where they overflow."""
     return tuple(math.exp(min(b, 709.0)) for b in error_analysis._log_tail_bounds(sp, z))
+
+
+def ladder_bound(sp, z, hypothesis, target=1e-6):
+    """The Chernoff ladder's bound on hypothesis 1's or 2's miss, and its
+    bound at t (see tail_bounds); inf where they overflow."""
+    log_b, _ = error_analysis._chernoff_ladder(sp, z, 3 - 2 * hypothesis, math.log(target))
+    return math.exp(min(log_b, 709.0)), tail_bounds(sp, z)[hypothesis - 1]
 
 
 @pytest.mark.parametrize("kf", [200, 400, 600])
@@ -859,9 +927,14 @@ def test_aliasing_bound_pairs_each_tail_with_its_alias(kf):
 @pytest.mark.parametrize("m2", [0.5, 2.0])
 def test_tail_bounds_dominate_the_chi2_law(kf, m2):
     """Equal rhos (gain / mass as class 1's) make Z = lam chi2_n, lam of
-    either sign; both Chernoff bounds lie above its tails from
-    gammainc/gammaincc over z from -4 to 4 times |E Z|."""
+    either sign; both Chernoff bounds at t, and the ladder's bound on each
+    tail, lie above its tails from gammainc/gammaincc over z from -4 to 4
+    times |E Z|.  The tail on the side away from lam's sign may climb the
+    ladder to 16 t; at kf 5 and 60 it does somewhere on this z grid (at
+    kf 400 the bound at t is either within the target there, or its
+    optimum s lies below t)."""
     s = sk.Scenario.from_dict({"kf": kf, "m2": m2, "k2": m2})
+    rungs = set()
     for sp in spectra_for(s):
         lam = float(sp.eigenvalues[0])
         assert np.all(sp.eigenvalues == lam)
@@ -870,15 +943,19 @@ def test_tail_bounds_dominate_the_chi2_law(kf, m2):
             below = gammainc(0.5 * kf, x) if x > 0.0 else 0.0  # P(lam chi2 between 0 and z)
             above = gammaincc(0.5 * kf, x) if x > 0.0 else 1.0
             upper, lower = (above, below) if lam > 0.0 else (below, above)
-            bound_upper, bound_lower = tail_bounds(sp, z)
-            assert upper <= bound_upper * (1.0 + 1e-12), (lam, z)
-            assert lower <= bound_lower * (1.0 + 1e-12), (lam, z)
+            for sign, tail, at_t in zip((1, -1), (upper, lower), tail_bounds(sp, z)):
+                assert tail <= at_t * (1.0 + 1e-12), (lam, z)
+                log_b, rung = error_analysis._chernoff_ladder(sp, z, sign, math.log(1e-6))
+                assert tail <= math.exp(min(log_b, 709.0)) * (1.0 + 1e-12), (lam, z, sign, rung)
+                rungs.add(rung)
+    assert max(rungs) > 1.0 or kf == 400
 
 
 def test_no_report_exceeds_its_tail_bound():
     """The surface grid at kf 5-400 and certify-long: no miss probability
-    lies above its Chernoff bound, beyond the rounding of 1 - B to half an
-    ulp (a miss given 1 is reported through its CDF)."""
+    lies above the ladder's Chernoff bound, beyond the rounding of 1 - B to
+    half an ulp (a miss given 1 is reported through its CDF), and that bound
+    never lies above the one at t."""
     scenarios = [
         {"kf": kf, "m2": m, "k2": g}
         for kf in (5, 20, 60, 200, 400)
@@ -889,10 +966,10 @@ def test_no_report_exceeds_its_tail_bound():
     for overrides in scenarios:
         s = sk.Scenario.from_dict(overrides)
         report = total_error(s)
-        sp1, sp2 = spectra_for(s)
-        bounds = tail_bounds(sp1, report.threshold)[0], tail_bounds(sp2, report.threshold)[1]
-        for miss, bound in zip((report.miss_given_1, report.miss_given_2), bounds):
-            assert miss <= bound + 2.0**-54, (overrides, miss, bound)
+        for h, sp in enumerate(spectra_for(s), start=1):
+            miss = report.miss_given_1 if h == 1 else report.miss_given_2
+            bound, at_t = ladder_bound(sp, report.threshold, h)
+            assert miss <= bound + 2.0**-54 and bound <= at_t, (overrides, h, miss, bound, at_t)
 
 
 def test_long_horizon_report_takes_the_bounds(monkeypatch):
@@ -1033,8 +1110,8 @@ def test_total_error_closed_form_matches_eigen_sum(default_scenario, kf, cell):
     """The default pair and the surface cell (mass 1, gain 4): the report
     through the closed form agrees with the eigen-sum's within the target,
     both on one shared budget per hypothesis.  total_error inverts a CDF
-    through the closed form, bit for bit, unless the Chernoff bound on its
-    miss is within the target; it then reports that bound, and both
+    through the closed form, bit for bit, unless the Chernoff ladder's bound
+    on its miss is within the target; it then reports that bound, and both
     inversions lie within the target of it."""
     s, cases = long_horizon_cases(default_scenario, kf, cell)
     budgets = [accuracy_budget(sp, z) for sp, z in cases]
@@ -1050,12 +1127,12 @@ def test_total_error_closed_form_matches_eigen_sum(default_scenario, kf, cell):
     closed, summed = reports
     report = total_error(s)
     for h, ((sp, z), name) in enumerate(zip(cases, ("raw_cdf_given_1", "raw_cdf_given_2"))):
-        log_miss = error_analysis._log_tail_bounds(sp, z)[h]
+        bound, at_t = ladder_bound(sp, z, h + 1)
+        assert bound <= at_t, name
         got = getattr(report, name)
-        if log_miss > math.log(1e-6):
+        if bound > 1e-6:
             assert got == getattr(closed, name), name
             continue
-        bound = math.exp(log_miss)
         assert got == (1.0 - bound if h == 0 else bound), name
         for inverted in (closed, summed):
             assert abs(getattr(inverted, name) - got) <= 1e-6, name
