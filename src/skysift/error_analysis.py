@@ -4,10 +4,13 @@ Under either hypothesis the test statistic is a quadratic form in a Gaussian
 vector, i.e. a weighted sum of independent chi-squared(1) variables whose
 weights are the eigenvalues of (inverse-covariance difference) times the
 hypothesis covariance.  Its CDF is recovered from the characteristic
-function by a truncated Fourier-type series controlled by two knobs: the
-grid step (resolution error) and the term count (truncation error), both
-chosen from Chernoff-style bounds so the combined error stays below a
-requested target.
+function by a truncated Fourier-type series controlled by two knobs, so the
+combined error stays below a requested target: the grid step (resolution
+error), from Chernoff bounds on the aliases (Davies 1973), and the term
+count N (truncation error), from Imhof's (1961) product bound prod_j
+(2 N delta |lam_j|)^(-1/2) on the remainder, which ends each series at the
+geometric mean of the kept |eigenvalues| rather than at the smallest (see
+accuracy_budget).
 
 Evaluating the truncated series is its own numerical problem: at kept orders
 up to about 7 the required term count reaches 1e6-1e13.  Those CDFs are not
@@ -101,6 +104,11 @@ _CHUNK = 1 << 16
 # larger than the one-grid-row temporaries that a grid of this size needs
 _PHI_BLOCK = 1 << 15
 _NEWTON_MAX_ITER = 100  # safeguarded Newton on the eigen-angles
+# horizons from which the eigen-angles take one vector solve, not n scalar
+# ones (timeit best of 7, 2-vCPU Xeon, default pair: vector / scalar 176 / 46
+# us at n = 2, 137 / 116 at 10, 134 / 128 at 12, 140 / 144 at 13, 114 / 200
+# at 20)
+_ANGLE_ARRAY_MIN = 13
 # horizons from which _log_phi takes the closed form (measured; see there)
 _CLOSED_FORM_MIN = 50
 _LADDER_TOP = 16  # _chernoff_ladder's last rung, in units of the budget's t
@@ -108,14 +116,17 @@ _LADDER_TOP = 16  # _chernoff_ladder's last rung, in units of the budget's t
 
 class _Summary(NamedTuple):
     """What accuracy_budget reads of a spectrum: the largest and smallest
-    |lam| kept (see DROP_TOLERANCE), how many are kept, and (log M(t),
-    log M(-t)) for the moment generating function M(s) = E[exp(s Z)] at the
-    Chernoff t = 1/(4 lambda_abs_max); None if nothing is kept.  For
-    _chernoff_ladder: the signed ends (min lam, max lam) of the spectrum,
-    and the kept eigenvalues its log M came from, None for _log_mgf."""
+    |lam| kept (see DROP_TOLERANCE), a lower bound G on the geometric mean
+    of the kept |lam| (the mean itself on the eigen path, the smallest |lam|
+    on _log_mgf's), how many are kept, and (log M(t), log M(-t)) for the
+    moment generating function M(s) = E[exp(s Z)] at the Chernoff t =
+    1/(4 lambda_abs_max); None if nothing is kept.  For _chernoff_ladder:
+    the signed ends (min lam, max lam) of the spectrum, and the kept
+    eigenvalues its log M came from, None for _log_mgf."""
 
     lambda_abs_max: float
     lambda_abs_min: float
+    lambda_abs_gmean: float
     kept_order: int
     log_mgf: "tuple | None"
     ends: tuple = (0.0, 0.0)
@@ -136,12 +147,14 @@ def _eigen_log_mgf(kept: np.ndarray, s: float) -> float:
 def _eigen_summary(kept: np.ndarray) -> _Summary:
     """The summary from the kept eigenvalues."""
     if kept.size == 0:
-        return _Summary(0.0, 0.0, 0, None)
+        return _Summary(0.0, 0.0, 0.0, 0, None)
     ends = (float(kept.min()), float(kept.max()))
     abs_max = max(-ends[0], ends[1])
     t = 1.0 / (4.0 * abs_max)
     log_mgf = (_eigen_log_mgf(kept, t), _eigen_log_mgf(kept, -t))
-    return _Summary(abs_max, float(np.abs(kept).min()), int(kept.size), log_mgf, ends, kept)
+    size = np.abs(kept)
+    gmean = math.exp(float(np.log(size).mean()))
+    return _Summary(abs_max, float(size.min()), gmean, int(kept.size), log_mgf, ends, kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +212,11 @@ class _KmsPair:
                 inverse_gap = (a2 - a1) / a1 / a2
                 eigs = [np.full(n, a_h * inverse_gap) for a_h in (a1, a2)]
             else:
-                half_sin = np.sin(0.5 * _eigen_angles(r1, r2, n))
+                if n < _ANGLE_ARRAY_MIN:
+                    angles = np.array([_eigen_angle(r1, r2, n, m) for m in range(1, n + 1)])
+                else:
+                    angles = _eigen_angles(r1, r2, n)
+                half_sin = np.sin(0.5 * angles)
                 eigs = [np.sort(lam) for lam in _symbols(a1, r1, a2, r2, half_sin * half_sin)]
             for lam in eigs:
                 lam.flags.writeable = False
@@ -285,12 +302,12 @@ class _KmsSpectrum(QuadFormSpectrum):
         else:
             abs_max, abs_min, kept, ends = self._extremes()
         if kept == 0:
-            return _Summary(0.0, 0.0, 0, None)
+            return _Summary(0.0, 0.0, 0.0, 0, None)
         t = 1.0 / (4.0 * abs_max)
         log_mgf = (_log_mgf(self, t), _log_mgf(self, -t))
         if None in log_mgf:
             return _eigen_summary(self.kept())
-        return _Summary(abs_max, abs_min, kept, log_mgf, ends)
+        return _Summary(abs_max, abs_min, abs_min, kept, log_mgf, ends)
 
     def _extremes(self) -> tuple:
         """(max |lam|, min |lam| kept, kept count, (min lam, max lam)) for
@@ -354,20 +371,19 @@ def _first_kept(size, m: int, step: int, n: int, floor: float) -> int:
 class AccuracyBudget:
     """Resolution and truncation parameters certifying a CDF accuracy target.
 
-    ``n_terms_options`` holds the two published forms of the truncation
-    bound, which differ in their constant; ``n_terms`` is their maximum.
+    ``n_terms`` is where the series stops: Imhof's (1961) product bound puts
+    the remainder past it at most target/2 (see accuracy_budget).
     ``kept_order`` is the number of eigenvalues surviving the near-zero drop;
     it, not the raw horizon, sets the decay order in the truncation bound.
-    Derived: ``chernoff_t`` = 1/(4 lambda_abs_max), ``n_terms`` and
-    ``drop_tolerance``, the DROP_TOLERANCE that ``kept`` applies.
+    Derived: ``chernoff_t`` = 1/(4 lambda_abs_max) and ``drop_tolerance``,
+    the DROP_TOLERANCE that ``kept`` applies.
     """
 
     target: float
     chernoff_t: float = field(init=False)
     grid_step: float
-    n_terms: int = field(init=False)
+    n_terms: int
     chernoff_bound: float
-    n_terms_options: tuple
     lambda_abs_max: float
     lambda_abs_min: float
     kept_order: int
@@ -378,7 +394,6 @@ class AccuracyBudget:
         if not (math.isfinite(self.lambda_abs_max) and self.lambda_abs_max > 0.0):
             raise ConfigError("lambda_abs_max must be positive and finite")
         object.__setattr__(self, "chernoff_t", 1.0 / (4.0 * self.lambda_abs_max))
-        object.__setattr__(self, "n_terms", max(self.n_terms_options))
         object.__setattr__(self, "drop_tolerance", DROP_TOLERANCE)
         if self.grid_step <= 0.0 or self.n_terms < 1:
             raise ConfigError("grid_step must be positive and n_terms >= 1")
@@ -389,8 +404,7 @@ class AccuracyBudget:
         Used by the self-consistency check: a sound budget changes the
         reported probability by less than the target under refinement.
         """
-        options = tuple(n * factor for n in self.n_terms_options)
-        return replace(self, grid_step=self.grid_step / factor, n_terms_options=options)
+        return replace(self, grid_step=self.grid_step / factor, n_terms=self.n_terms * factor)
 
 
 def _check_target(target: float) -> None:
@@ -519,11 +533,13 @@ def _eigen_angles(rho1: float, rho2: float, n: int) -> np.ndarray:
 
 def _eigen_angle(rho1: float, rho2: float, n: int, m: int) -> float:
     """theta_m alone, by the Newton steps, bracket and stop of _eigen_angles:
-    the arithmetic is the same, and numpy's sin, cos and arctan2 round a
-    scalar as they round an array, so it equals _eigen_angles(...)[m - 1]."""
+    the arithmetic is the same, on Python floats, and numpy's sin, cos and
+    arctan2 round a scalar as they round an array, so it equals
+    _eigen_angles(...)[m - 1]."""
     theta, lo, hi, target, noise = _angle_start(float(m), n)
+    lo, hi = float(lo), float(hi)
     for _ in range(_NEWTON_MAX_ITER):
-        resid, slope = _angle_residual(theta, rho1, rho2, n, target)
+        resid, slope = _angle_residual(theta, rho1, rho2, n, target, float)
         if resid < 0.0:
             lo = theta
         elif resid > 0.0:
@@ -546,15 +562,17 @@ def _angle_start(m, n: int):
     return target / (n + 1), lo, hi, target, 8.0 * _EPS * (target + 2.0 * math.pi)
 
 
-def _angle_residual(theta, rho1: float, rho2: float, n: int, target):
-    """g(theta) - m pi and g'(theta) (see q_sigma_eigenvalues)."""
+def _angle_residual(theta, rho1: float, rho2: float, n: int, target, cast=np.asarray):
+    """g(theta) - m pi and g'(theta) (see q_sigma_eigenvalues); cast=float
+    keeps a scalar solve on Python floats, whose arithmetic rounds as
+    numpy's does but costs a fraction of numpy scalars'."""
     p = rho1 * rho2
     corner = (1.0 - rho1) * (1.0 - rho2)
-    half_sin = np.sin(0.5 * theta)
+    half_sin, half_cos = cast(np.sin(0.5 * theta)), cast(np.cos(0.5 * theta))
     w = half_sin * half_sin
-    y = 2.0 * (1.0 - p) * half_sin * np.cos(0.5 * theta)  # (1 - P) sin(theta)
+    y = 2.0 * (1.0 - p) * half_sin * half_cos  # (1 - P) sin(theta)
     x = corner - 2.0 * (1.0 + p) * w
-    resid = (n - 1) * theta + 2.0 * np.arctan2(y, x) - target
+    resid = (n - 1) * theta + 2.0 * cast(np.arctan2(y, x)) - target
     # 1 + P - (rho1 + rho2) cos(theta), written without cancellation
     slope = (n - 1) + 2.0 * (1.0 - p) * (corner + 2.0 * (rho1 + rho2) * w) / (x * x + y * y)
     return resid, slope
@@ -647,6 +665,12 @@ def _log_phi(spectrum: QuadFormSpectrum, u: np.ndarray):
     1.69 vs 1.36; kf 60 2.04 vs 1.25; kf 100 7.4 vs 2.3.  They break even
     near kf 35; 50 keeps every kf <= 40 report on the eigen-sum, at most
     ~25% dearer there.  One default-pair call at kf 1000: 12.2 vs 0.39 ms.
+    With the term counts at Imhof's product bound, whole reports of the
+    same four cells (total_error, best of 7, summed; either path forced
+    from kf 2, so the closed form's budget ends at min |lam|, the
+    eigen-sum's at the geometric mean): kf 20 2.41 vs 3.03 ms, kf 30 2.46
+    vs 2.48, kf 40 2.63 vs 2.48, kf 60 2.48 vs 2.02, kf 100 2.49 vs 2.12.
+    They break even near kf 30-40, and 50 stays.
     """
     if not isinstance(spectrum, _KmsSpectrum) or spectrum.horizon < _CLOSED_FORM_MIN:
         return _phi_arrays(spectrum.eigenvalues, u)
@@ -803,12 +827,29 @@ def accuracy_budget(
     that grid errs by the sum over k >= 1 of +-(P(Z <= z - kL) -
     P(Z > z + kL)) (Davies 1973), and each difference is at most the larger
     of _log_tail_bounds' B- and B+ at z times e^(-tkL).  With bound that
-    larger one, grid_step = 2*pi*t / (log(bound) + log(2/target)); the term
-    count takes the more conservative of the two published truncation-bound
-    constants.
-    The spectrum's extremes, kept order and log M(+-t) come from its
-    eigenvalues, or, for a spectrum of _spectra from n = _CLOSED_FORM_MIN on,
-    in O(1) without them (see _KmsSpectrum._summary).
+    larger one, grid_step = 2*pi*t / (log(bound) + log(2/target)).
+
+    The term count N puts the other half into the truncation (Imhof 1961):
+    with u_i = delta (i + 1/2), the series drops
+
+        (1/pi) sum_(i>N) |phi(u_i)| / (i + 1/2)
+            <= (1/pi) int_(N delta)^inf |phi(u)| du/u
+            <= (2/(pi k)) prod_j (2 N delta |lam_j|)^(-1/2),
+
+    the product over the k kept eigenvalues.  The first step holds as
+    |phi(u)|/u decreases in u and delta |phi(u_i)|/u_i is at most its
+    integral over [u_i - delta, u_i]; the second as each kept factor
+    (1 + 4 u^2 lam^2)^(-1/4) <= (2u|lam|)^(-1/2) and each dropped one is at
+    most 1.  Setting the bound to target/2 gives
+
+        N = ceil((pi k target / 4)^(-2/k) / (2 delta G)),
+
+    G the geometric mean of the kept |lam|, which is at least their
+    minimum.  The spectrum's extremes, G, kept order and log M(+-t) come
+    from its eigenvalues, or, for a spectrum of _spectra from n =
+    _CLOSED_FORM_MIN on, in O(1) without them (see _KmsSpectrum._summary),
+    where G is replaced by its lower bound min |lam|: the same bound at a
+    longer N.
     """
     _check_target(target)
     summary = spectrum._summary
@@ -817,16 +858,15 @@ def accuracy_budget(
             "spectrum has no nonzero eigenvalues; the statistic is degenerate "
             "and the error is determined by the priors alone"
         )
-    abs_max, abs_min, k = summary.lambda_abs_max, summary.lambda_abs_min, summary.kept_order
+    abs_max, k = summary.lambda_abs_max, summary.kept_order
     t = 1.0 / (4.0 * abs_max)
     # the larger of the two bounds is always >= 1 (their product M(t) M(-t)
     # is >= 1 and does not depend on z), so the grid-step denominator below
     # is strictly positive.
     log_bound = max(_log_tail_bounds(spectrum, z))
     grid_step = 2.0 * math.pi * t / (log_bound + math.log(2.0 / target))
-    base = 1.0 / (2.0 * grid_step * abs_min)
-    n_a = math.ceil(base * (math.pi / 4.0 * target * k) ** (-2.0 / k))
-    n_b = math.ceil(base * (k * math.pi / 2.0 * target) ** (-2.0 / k))
+    base = 1.0 / (2.0 * grid_step * summary.lambda_abs_gmean)
+    n_terms = math.ceil(base * (math.pi / 4.0 * target * k) ** (-2.0 / k))
     try:
         chernoff_bound = math.exp(log_bound)
     except OverflowError:
@@ -834,10 +874,10 @@ def accuracy_budget(
     return AccuracyBudget(
         target=target,
         grid_step=grid_step,
+        n_terms=n_terms,
         chernoff_bound=chernoff_bound,
-        n_terms_options=(n_a, n_b),
         lambda_abs_max=abs_max,
-        lambda_abs_min=abs_min,
+        lambda_abs_min=summary.lambda_abs_min,
         kept_order=k,
     )
 
@@ -1100,7 +1140,12 @@ def cdf_quadratic_form_raw(
     674 series under the cap, 93 of them refused by the cuts), the direct
     sum loses at kf 3 (median 28,339 terms: 1.39 vs 0.015 ms) and kf 4
     (7,066 terms: 0.28 vs 0.17 ms) and wins from kf 5 on (2,325 terms:
-    0.12 vs 0.23 ms; kf 10, 356 terms: 0.05 vs 0.35 ms).
+    0.12 vs 0.23 ms; kf 10, 356 terms: 0.05 vs 0.35 ms).  With the term
+    counts at Imhof's product bound (same method and grids, 694 series under
+    the cap, 93 refused by the cuts): kf 3 (median 28,976 terms) 0.97 vs
+    0.011 ms; kf 4 (4,640 terms) 0.18 vs 0.15 ms, the direct sum faster on
+    10 of 47; from kf 5 on it wins (1,267 terms: 0.08 vs 0.22 ms; kf 10,
+    100 terms: 0.03 vs 0.34 ms).
     """
     tol = _EVAL_SLACK * budget.target
     delta, n_terms = budget.grid_step, budget.n_terms

@@ -21,7 +21,7 @@ from skysift.simulator import (
     write_batch_csv,
 )
 
-TOTAL_ERROR = 0.08114205761453896  # defaults, accuracy 1e-6
+TOTAL_ERROR = 0.08114205841905656  # defaults, accuracy 1e-6
 
 
 def run(*argv):
@@ -97,7 +97,7 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
         (
             "mc-vs-exact",
             "mc_vs_exact.csv",
-            "53c5f7a14df6b7d2276f1a259edd1c1ebb805586e9a9639d27713d6cecf5d9a2",
+            "c738417d6e4648007de036cddc1ed5a5de89016ec3351a78af89d17c0c93abd5",
         ),
         (
             "scatter",
@@ -127,17 +127,17 @@ def test_simulate_and_detect_bytes_pinned(tmp_path):
         (
             "horizon-sweep",
             "horizon_sweep.csv",
-            "6f72567160f82ab8d9d3e176821f7143dd33ff5599fb16b34b2d2f1d6d6ba981",
+            "366996cfadeda1537fa91d2724319348b4b095af345985d853c5123015352113",
         ),
         (
             "horizon-sweep",
             "horizon_sweep_summary.json",
-            "22a1c53feaf8dd6c51ebb8888f7c80ab4228e51d889017ecfe70529c085a0926",
+            "adac82666aa0e155681b85ed60c5460cf2c2d996b675e46f8aced6f62a60ee4c",
         ),
         (
             "surface",
             "surface.csv",
-            "82668e2f5bd920930706fb661513243f51af15c5e9d85423130de772a29b27cd",
+            "5ead9001039b2d39c0a0a7a27f3280838954c8a92d516efce5faf15a75e27281",
         ),
     ],
     ids=[
@@ -165,27 +165,27 @@ def test_experiment_bytes_pinned(tmp_path, name, output, digest):
         (
             ("error-total",),
             None,
-            "2f7f624d5548251010e04de6f95a41fa3954369685e891a90ebca862550964a8",
+            "c4883e0bb40319620f44640f8713bfe6d2ded95d96314a66479cb8a625c071b7",
         ),
         (
             ("error-surface",),
             "surface.csv",
-            "82668e2f5bd920930706fb661513243f51af15c5e9d85423130de772a29b27cd",
+            "5ead9001039b2d39c0a0a7a27f3280838954c8a92d516efce5faf15a75e27281",
         ),
         (
             ("error-surface", "--gain-ratios", "0.5,1,3", "--mass-ratios", "0.25,2"),
             "surface.csv",
-            "f291695861591fa4f88e6fd7134feea9cd18c660bcc3040cfc30c869018ba52b",
+            "66e2c960036f66eb682c7c56ce30be6fad9ccbf24b3cd24300191d0fa590f33b",
         ),
         (
             ("error-vs-horizon", "--horizons", "1,2,5,10,20,40"),
             None,
-            "e1059b77f8bdefc732a3dc584796e9ec1ba020ffd7889857e268738926ac2038",
+            "d77d1c793698f352744aab83c6cf680b4c32aee24694d2b9aa79f77bb33437e2",
         ),
         (
             ("error-vs-horizon",),
             None,
-            "fc722518f7630dd76b34db4c98f5b91f08b4dd2b4dc09326f0c966a360793a58",
+            "397394dad8fce18ec51288dbf9dba83d529de6b94e138d8dba00ab57544c251a",
         ),
     ],
     ids=[

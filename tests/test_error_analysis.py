@@ -17,7 +17,7 @@ from scipy.special import gammainc, gammaincc
 from scipy.stats import chi2
 
 import skysift as sk
-from oracles import characteristic_function, sample_matrix
+from oracles import characteristic_function, cut_integrals_mp, quad_form_cdf_mp, sample_matrix
 from skysift import error_analysis
 from skysift.detector import detector_from_scenario, threshold
 from skysift.error_analysis import (
@@ -43,11 +43,11 @@ from skysift.kms import kms_cholesky_factor, kms_inverse_apply
 # dense eigensolves and a closed-form trace identity when first computed.
 SPECTRUM1_TRACE = -29.73651465857662
 SPECTRUM2_TRACE = -8.673527078495063
-TOTAL_ERROR = 0.08114205761453896
-MISS_GIVEN_1 = 0.10547051119143025
-MISS_GIVEN_2 = 0.05681360403764768
-BUDGET1_N = 590
-BUDGET2_N = 100
+TOTAL_ERROR = 0.08114205841905656
+MISS_GIVEN_1 = 0.10547048990859254
+MISS_GIVEN_2 = 0.05681362692952058
+BUDGET1_N = 129
+BUDGET2_N = 39
 BUDGET1_STEP = 0.016096294043867067
 BUDGET2_STEP = 0.11049526837716246
 
@@ -236,10 +236,11 @@ def one_hypothesis_spectrum(stats1, stats2, horizon, hypothesis):
     return np.sort(a_h / u_h * (d / max(a1, a2) + u_lo * inverse_gap))
 
 
-@pytest.mark.parametrize("kf", [1, 20, 400])
+@pytest.mark.parametrize("kf", [1, 2, 5, 12, 13, 20, 400])
 def test_shared_angle_solve_is_bit_identical(default_scenario, kf):
     """Both spectra of a report come from one angle solve, bit for bit equal
-    to solving once per hypothesis, on every cell of the surface grid."""
+    to solving once per hypothesis, on every cell of the surface grid; below
+    _ANGLE_ARRAY_MIN (13) that solve takes each root by _eigen_angle."""
     base = default_scenario.to_dict()
     for mass_ratio in SURFACE_RATIOS:
         for gain_ratio in SURFACE_RATIOS:
@@ -705,8 +706,67 @@ def test_budget_frozen_values(default_scenario):
     assert b1.chernoff_t == pytest.approx(
         1.0 / (4.0 * np.max(np.abs(sp1.eigenvalues))), rel=1e-14
     )
-    assert b1.n_terms == max(b1.n_terms_options)
     assert b1.kept_order == 20
+    for sp, b in ((sp1, b1), (sp2, b2)):
+        assert b.n_terms == imhof_n_terms(b, geometric_mean_abs(sp.kept()))
+
+
+def geometric_mean_abs(eigenvalues) -> float:
+    return math.exp(float(np.mean(np.log(np.abs(eigenvalues)))))
+
+
+def imhof_n_terms(budget, g: float) -> int:
+    """Imhof's term count ceil((pi k target / 4)^(-2/k) / (2 delta G)) at G = g."""
+    k = budget.kept_order
+    return math.ceil(1.0 / (2.0 * budget.grid_step * g) * (math.pi / 4.0 * budget.target * k) ** (-2.0 / k))
+
+
+@pytest.mark.parametrize(
+    "overrides, n_terms",
+    [
+        ({"kf": 5}, (3_596, 1_421)),
+        ({"kf": 20}, (129, 39)),
+        ({"kf": 20, "m2": 1.0, "k2": 0.25}, (131, 941)),
+        ({"kf": 20, "m2": 0.5, "k2": 2.0}, (60, 45)),
+    ],
+)
+def test_budget_term_counts_at_the_geometric_mean(overrides, n_terms):
+    """Imhof's product bound at the geometric mean of the kept |lam|: the
+    series the smallest |lam| set were 15,647 / 3,428, 590 / 100, 702 /
+    7,303 and 2,044 / 2,296 terms long."""
+    s = sk.Scenario.from_dict(overrides)
+    report = total_error(s)
+    assert (report.budget_given_1.n_terms, report.budget_given_2.n_terms) == n_terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=40),
+    spread=st.floats(min_value=0.0, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    z=st.floats(min_value=-20.0, max_value=20.0),
+    target=st.sampled_from([1e-4, 1e-6, 1e-10]),
+)
+def test_series_remainder_past_n_terms_is_within_half_the_target(k, spread, seed, z, target):
+    """Kept spectra of k eigenvalues of either sign, |lam| from 1 to
+    10**spread: the remainder (1/pi) sum_(i > N) |phi(u_i)| / (i + 1/2) past
+    the budget's N is at most target/2, with the terms up to M = N + 2**16
+    summed and the rest bounded by (2/(pi k)) prod_j (2 M delta |lam_j|)^(-1/2).
+    Where every 2 u |lam_j| is large the bound is exact to float64 rounding
+    (k = 2, N = 2.4e12 at 1e-10 reads 1 - 5e-14 of target/2), so the
+    comparison allows 1e-9 relative for the rounding of N and of the sums."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** rng.uniform(0.0, spread, k)
+    size[:2] = 1.0, 10.0**spread
+    sp = QuadFormSpectrum(eigenvalues=size * rng.choice([-1.0, 1.0], k))
+    budget = accuracy_budget(sp, z, target)
+    n, delta = budget.n_terms, budget.grid_step
+    index = np.arange(n + 1, n + (1 << 16) + 1, dtype=float) + 0.5
+    logmag, _ = _phi_arrays(sp.eigenvalues, delta * index)
+    summed = float(np.sum(np.exp(logmag) / index)) / math.pi
+    top = delta * (n + (1 << 16))
+    beyond = 2.0 / (math.pi * k) * math.exp(-0.5 * float(np.sum(np.log(2.0 * top * size))))
+    assert summed + beyond <= 0.5 * target * (1.0 + 1e-9), (summed, beyond)
 
 
 def test_budget_tightens_with_target(default_scenario):
@@ -742,11 +802,13 @@ def test_budget_validation(default_scenario):
             target=1e-6,
             grid_step=-1.0,
             chernoff_bound=1.0,
-            n_terms_options=(10, 5),
+            n_terms=10,
             lambda_abs_max=1.0,
             lambda_abs_min=0.5,
             kept_order=2,
         )
+    with pytest.raises(ConfigError):
+        AccuracyBudget(1e-6, 1.0, 0, 1.0, 1.0, 0.5, 2)  # n_terms below 1
 
 
 @pytest.mark.parametrize("eigenvalue", [0.5, 2.0, -1.5])
@@ -831,12 +893,12 @@ def series_cases(overrides):
 
 
 def test_series_ending_before_the_tail_is_summed_directly(monkeypatch):
-    # hypothesis 2 of this cell needs 28,710 terms but its tail could start
-    # only at 28,748; a cap below the series length used to ask the power
-    # sums for the empty range [28748, 28710]
-    _, (sp, z, budget, tol) = series_cases({"kf": 8, "m2": 1.0, "k2": 0.25})
-    assert budget.n_terms == 28_710
-    assert _head_len(budget.lambda_abs_min, budget.grid_step) == 28_748
+    # hypothesis 2 of this cell needs 24,928 terms but its tail could start
+    # only at 115,171; a cap below the series length used to ask the power
+    # sums for an empty range such as [115171, 24928]
+    _, (sp, z, budget, tol) = series_cases({"kf": 6, "m2": 1.0, "k2": 0.0625})
+    assert budget.n_terms == 24_928
+    assert _head_len(budget.lambda_abs_min, budget.grid_step) == 115_171
     forced = series_cdf(monkeypatch, sp, z, budget, 1 << 14)
     direct = series_cdf(monkeypatch, sp, z, budget, 1 << 21)
     assert abs(forced - direct) <= tol / math.pi
@@ -1090,18 +1152,23 @@ LONG_HORIZON_CELLS = pytest.mark.parametrize(
 @LONG_HORIZON_CELLS
 def test_closed_form_budget_matches_eigen_sum_budget(default_scenario, kf, cell):
     """The default pair and the surface cell (mass 1, gain 4): the O(1)
-    budget equals the one summed over the eigenvalues in its term counts,
-    kept order and extremes, and its grid step and Chernoff bound to 1e-12
-    relative."""
+    budget equals the one summed over the eigenvalues in its kept order and
+    extremes, and its grid step and Chernoff bound to 1e-12 relative.  Each
+    term count is Imhof's at its own G: the smallest |lam| on the O(1) path,
+    the geometric mean of the kept |lam| on the eigen path, so the O(1)
+    count is never the shorter."""
     _, cases = long_horizon_cases(default_scenario, kf, cell)
     for sp, z in cases:
         closed = accuracy_budget(sp, z)
         summed = accuracy_budget(QuadFormSpectrum(sp.eigenvalues), z)
-        for name in ("n_terms_options", "kept_order", "lambda_abs_max", "lambda_abs_min"):
+        for name in ("kept_order", "lambda_abs_max", "lambda_abs_min"):
             assert getattr(closed, name) == getattr(summed, name), name
         for name in ("grid_step", "chernoff_bound"):  # the bound is inf at kf 1e4
             got, want = getattr(closed, name), getattr(summed, name)
             assert got == want or abs(got - want) <= 1e-12 * want, name
+        assert closed.n_terms == imhof_n_terms(closed, closed.lambda_abs_min)
+        assert summed.n_terms == imhof_n_terms(summed, geometric_mean_abs(sp.kept()))
+        assert closed.n_terms >= summed.n_terms
 
 
 @pytest.mark.parametrize("kf", [200, 1000, 10_000])
@@ -1222,23 +1289,6 @@ def routed_to_cuts(monkeypatch, scenarios):
     return calls
 
 
-def cut_integrals_mp(eigenvalues, z, dps=30):
-    """P(Z <= z) from the branch-cut integrals of _cut_cdf by mpmath.quad."""
-    with mpmath.workdps(dps):
-        sign = 1 if z >= 0 else -1
-        lam = [mpmath.mpf(sign * float(e)) for e in eigenvalues]
-        y = mpmath.mpf(sign * z)
-
-        def f(x):
-            return mpmath.exp(-x * y) / (x * mpmath.sqrt(abs(mpmath.fprod(1 - 2 * l * x for l in lam))))
-
-        ends = sorted(1 / (2 * l) for l in lam if l > 0) + [mpmath.inf]
-        upper = mpmath.fsum(
-            (-1) ** (i // 2) * mpmath.quad(f, ends[i : i + 2]) for i in range(0, len(ends) - 1, 2)
-        ) / mpmath.pi
-        return float(1 - upper if z >= 0 else upper)
-
-
 def test_cut_integrals_match_a_30_digit_quadrature(monkeypatch):
     """Every certify-short CDF that would need the series tail: the float64
     rules land within their certified bound of mpmath's tanh-sinh quadrature
@@ -1248,6 +1298,38 @@ def test_cut_integrals_match_a_30_digit_quadrature(monkeypatch):
     for sp, z, (cdf, bound) in calls:
         assert bound <= 1e-9
         assert abs(cdf - cut_integrals_mp(sp.eigenvalues, z)) <= bound + 1e-14, (sp.eigenvalues, z)
+
+
+def test_certify_short_reports_land_within_the_target_of_a_30_digit_oracle():
+    """Every certify-short scenario from kf 2 on: total_error is within its
+    1e-6 target of the priors' mix of both CDFs from the 30-digit oracle
+    oracles.quad_form_cdf_mp, frozen in tests/certify_short_cdfs_30_digits.json
+    by tests/make_oracle_cdfs.py.  The kf 2 CDFs are recomputed here, to tie
+    the file to the oracle."""
+    frozen = json.loads((Path(__file__).parent / "certify_short_cdfs_30_digits.json").read_text())
+    cdfs = {
+        (json.dumps(case["scenario"], sort_keys=True), case["hypothesis"]): case["cdf"]
+        for case in frozen["cases"]
+    }
+    reports = 0
+    for overrides in CERTIFY_SHORT:
+        s = sk.Scenario.from_dict(overrides)
+        if s.sampling.horizon < 2:
+            continue
+        report = total_error(s)
+        p1, p2 = s.sampling.prior1, s.sampling.prior2
+        if report.degenerate:
+            assert report.total_error == min(p1, p2)
+            continue
+        key = json.dumps(overrides, sort_keys=True)
+        cdf1, cdf2 = cdfs[key, 1], cdfs[key, 2]
+        assert abs(report.total_error - (p2 * cdf2 + p1 * (1.0 - cdf1))) <= 1e-6, overrides
+        if s.sampling.horizon == 2:
+            z = threshold(detector_from_scenario(s))
+            for sp, want in zip(spectra_for(s), (cdf1, cdf2)):
+                assert quad_form_cdf_mp(sp.kept(), z) == pytest.approx(want, abs=1e-15)
+        reports += 1
+    assert reports == len(cdfs) // 2 == 36
 
 
 def test_cut_integrals_match_the_frozen_power_sum_tail():
@@ -1291,7 +1373,7 @@ def test_no_surface_or_certify_short_cdf_reaches_the_series_fallback(monkeypatch
     CDF that needs more than the direct sum is certified by the cut
     integrals; none logs a series fallback.  With the power sums made to
     raise, neither these nor certify-long and the default scenario call
-    them at 1e-6.  473 CDFs reach the cut integrals; the other series end
+    them at 1e-6.  410 CDFs reach the cut integrals; the other series end
     within the direct sum, or, for 4 at kf 1, their miss is within the
     target by its Chernoff bound and is not inverted."""
 
@@ -1302,14 +1384,14 @@ def test_no_surface_or_certify_short_cdf_reaches_the_series_fallback(monkeypatch
     with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
         calls = routed_to_cuts(monkeypatch, SURFACE_KF_1_TO_8 + CERTIFY_SHORT)
     assert [r.getMessage() for r in caplog.records if "series fallback" in r.getMessage()] == []
-    assert len(calls) == 473 and all(result is not None for _, _, result in calls)
+    assert len(calls) == 410 and all(result is not None for _, _, result in calls)
     for overrides in CERTIFY_LONG + [{}]:
         total_error(sk.Scenario.from_dict(overrides), 1e-6)
 
 
 @pytest.mark.parametrize(
     "prior1, branch, want",
-    [(0.5, "SBP", 0.0013467702111404356), (0.05, "bridge+SBP", 0.0012993968967934281)],
+    [(0.5, "SBP", 0.0013467702111771285), (0.05, "bridge+SBP", 0.0012993968969764735)],
 )
 def test_tight_target_reports_through_summation_by_parts(prior1, branch, want, caplog):
     """At a 1e-10 target these reports fall back to the series, whose tail
@@ -1384,7 +1466,7 @@ def test_error_surface_csv(tmp_path, default_scenario):
     write_surface_csv(ratios, ratios, errors, path)
     # the bytes the csv-module writer produced
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "aefdaff1868f127377812a4ea0e7c62c8efa084591259a8394362c93389c1c38"
+        "2151b0f792b16fb09e65e64dabc9bf2e6aca5f4582e5b719be8bf549baa9e4c3"
     )
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     header = lines[0].split(",")

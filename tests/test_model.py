@@ -140,9 +140,8 @@ def test_derived_fields_are_refused_and_follow_their_inputs(tmp_path):
 
     budget = err.budget_given_1
     assert budget.chernoff_t == 1.0 / (4.0 * budget.lambda_abs_max)
-    assert budget.n_terms == max(budget.n_terms_options)
     assert budget.drop_tolerance == DROP_TOLERANCE
-    assert budget.refined(4).n_terms_options == tuple(4 * n for n in budget.n_terms_options)
+    assert budget.refined(4).n_terms == 4 * budget.n_terms
 
     config = sk.ExperimentConfig(sk.Scenario.default(), "scatter", tmp_path, seed=9, n_trials=5)
     manifest = sk.run_experiment(config)
@@ -160,7 +159,7 @@ def test_derived_fields_are_refused_and_follow_their_inputs(tmp_path):
         sk.DetectorSpec: ("energy_coef", "lag_coef", "edge_coef", "log_prior_ratio"),
         sk.DetectionReport: ("decision", "margin", "conditional_error"),
         sk.ErrorReport: ("total_error", "miss_given_1", "miss_given_2", "prior2", "degenerate"),
-        sk.AccuracyBudget: ("chernoff_t", "n_terms", "drop_tolerance"),
+        sk.AccuracyBudget: ("chernoff_t", "drop_tolerance"),
     }
     for cls, names in derived.items():
         built = cls(**given[cls])
