@@ -80,15 +80,19 @@ class DetectorSpec:
             object.__setattr__(self, name, value)
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        # threshold's log differences, not fields: replace() re-runs this
+        a1, a2 = self.stats1.alpha, self.stats2.alpha
+        object.__setattr__(self, "_log_alpha_ratio", math.log(a2) - math.log(a1))
+        object.__setattr__(self, "_log_rho_ratio", math.log1p(-r2 * r2) - math.log1p(-r1 * r1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SufficientStatistics:
     """Running sums that are all the detector needs from a series.
 
     ``first`` and ``last`` hold the raw boundary samples; their squares enter
     the statistic, and the raw last value is what makes the O(1) streaming
-    update possible.
+    update possible.  Every instance is checked when it is built.
     """
 
     sum_sq: float
@@ -97,22 +101,25 @@ class SufficientStatistics:
     last: float
     count: int
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1, got {self.count}")
+    def __init__(self, sum_sq: float, sum_lag: float, first: float, last: float, count: int):
+        # the checks run on the arguments, then one write stores the fields:
+        # a generated frozen __init__ makes one object.__setattr__ per field
+        if count < 1:
+            raise ConfigError(f"count must be >= 1, got {count}")
         if not (
-            math.isfinite(self.sum_sq)
-            and math.isfinite(self.sum_lag)
-            and math.isfinite(self.first)
-            and math.isfinite(self.last)
+            math.isfinite(sum_sq)
+            and math.isfinite(sum_lag)
+            and math.isfinite(first)
+            and math.isfinite(last)
         ):
             raise ConfigError("sufficient statistics must be finite")
         # These hold exactly for sums folded from real data (non-negative
         # increments; termwise Cauchy-Schwarz with boundary slack).
-        if self.sum_sq < self.first_sq or self.sum_sq < self.last_sq:
+        if sum_sq < first * first or sum_sq < last * last:
             raise ConfigError("sum_sq smaller than a boundary square")
-        if abs(self.sum_lag) > self.sum_sq:
+        if abs(sum_lag) > sum_sq:
             raise ConfigError("adjacent-lag sum exceeds the energy sum")
+        self.__dict__.update(sum_sq=sum_sq, sum_lag=sum_lag, first=first, last=last, count=count)
 
     @property
     def first_sq(self) -> float:
@@ -167,7 +174,7 @@ def _stream_reports(spec: DetectorSpec, values):
         yield detect_simplified(spec, state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetectionReport:
     """Outcome of one detection: statistic vs threshold, and derived from
     them the decision (a tie goes to class 1), the margin and the posterior
@@ -179,11 +186,15 @@ class DetectionReport:
     margin: float = field(init=False)
     conditional_error: float = field(init=False)
 
-    def __post_init__(self):
-        margin = self.threshold - self.statistic
-        object.__setattr__(self, "decision", 1 if self.statistic <= self.threshold else 2)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "conditional_error", _conditional_error_from_margin(margin))
+    def __init__(self, statistic: float, threshold: float):
+        margin = threshold - statistic
+        self.__dict__.update(
+            statistic=statistic,
+            threshold=threshold,
+            decision=1 if statistic <= threshold else 2,
+            margin=margin,
+            conditional_error=_conditional_error_from_margin(margin),
+        )
 
 
 def build_detector(
@@ -226,12 +237,8 @@ def threshold(spec: DetectorSpec, horizon: int | None = None) -> float:
     n = spec.horizon if horizon is None else horizon
     if n < 1:
         raise ConfigError(f"horizon must be >= 1, got {n}")
-    s1, s2 = spec.stats1, spec.stats2
-    return (
-        2.0 * spec.log_prior_ratio
-        + n * (math.log(s2.alpha) - math.log(s1.alpha))
-        + (n - 1) * (math.log1p(-s2.rho * s2.rho) - math.log1p(-s1.rho * s1.rho))
-    )
+    # the two log differences are taken once, by DetectorSpec
+    return 2.0 * spec.log_prior_ratio + n * spec._log_alpha_ratio + (n - 1) * spec._log_rho_ratio
 
 
 def _coerce_samples(y) -> np.ndarray:
@@ -258,10 +265,11 @@ def detect_full(spec: DetectorSpec, y) -> DetectionReport:
 
 def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> DetectionReport:
     """Decide from the running sums alone (identical decision to detect_full)."""
+    first, last = stats.first, stats.last
     statistic = (
         spec.energy_coef * stats.sum_sq
         + spec.lag_coef * stats.sum_lag
-        + spec.edge_coef * (stats.first_sq + stats.last_sq)
+        + spec.edge_coef * (first * first + last * last)
     )
     return DetectionReport(statistic, threshold(spec, stats.count))
 

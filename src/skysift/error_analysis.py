@@ -288,7 +288,10 @@ class _KmsSpectrum(QuadFormSpectrum):
         Equal rhos give n eigenvalues lam_c (see q_sigma_eigenvalues).
         Where _log_mgf's inputs degenerate, or the symbol's two ends agree
         to within _SYMBOL_ROUNDING, so that rounding, not the symbol's
-        monotonicity, orders the eigenvalues, the eigenvalues are built."""
+        monotonicity, orders the eigenvalues, the eigenvalues are built;
+        where the symbol is that flat only at the end of the spectrum that
+        holds the smallest |lam| (_flat_end), that one value is read from
+        them."""
         n = self.horizon
         if n < _CLOSED_FORM_MIN:
             return _eigen_summary(self.kept())
@@ -344,9 +347,45 @@ class _KmsSpectrum(QuadFormSpectrum):
         floor = DROP_TOLERANCE * abs_max
         left = _first_kept(size, j, -1, n, floor)
         right = _first_kept(size, j + 1, 1, n, floor)
-        abs_min = min(size(m) for m in (left, right) if 1 <= m <= n)
+        if (left, right) in ((0, 1), (n, n + 1)) and self._flat_end(right == 1, abs_max):
+            abs_min = float(np.min(np.abs(self.kept())))
+        else:
+            abs_min = min(size(m) for m in (left, right) if 1 <= m <= n)
         ends = (min(first, last), max(first, last))
         return abs_max, abs_min, n - (right - left - 1), ends
+
+    def _flat_end(self, at_zero: bool, scale: float) -> bool:
+        """Whether rounding may put a smaller |lam| next to the end of the
+        spectrum that holds the smallest, at theta_1 (at_zero) or theta_n: a
+        lower bound on the symbol's change between that angle and its
+        neighbour is within 8 _SYMBOL_ROUNDING * scale.  Each computed lam is
+        within _SYMBOL_ROUNDING * scale of the symbol, so a change above twice
+        that keeps the end the smallest; 8 leaves a margin.
+
+        The bound.  g' = (n - 1) + K_1 + K_2 with the Poisson kernels
+        K_i = (1 - rho_i**2) / (1 - 2 rho_i cos(theta) + rho_i**2), since
+        x + i y = (e^(i theta) - rho1) (e^(i theta) - rho2) e^(-i theta); g'
+        falls on (0, pi).  As g(0) = 0, g(theta_m) = m pi and g(pi) =
+        (n + 1) pi, theta_1, theta_2 - theta_1, theta_n - theta_(n-1) and
+        pi - theta_n are at least s = pi / g'(c), c = 0 at theta = 0 and
+        c = (n - 3) pi / (n - 1) <= theta_(n-1) at pi.  The two angles lie in
+        [s, 2 pi / (n - 1)], resp. [c, pi - s], where sin(theta) >= sin(s), and
+        d lam / d theta = (lam(pi) - lam(0)) / u_h(w)**2 * sin(theta) / 2
+        (see _summary: A (A + B) = 1), with u_h largest at the largest w,
+        sin(pi / (n - 1))**2, resp. 1.  So the change is at least
+        s sin(s) / 2 * |lam(pi) - lam(0)| / u_h(w)**2, the difference taken
+        less the rounding of its two ends."""
+        pair = self.pair
+        n, r1, r2 = pair.n, pair.r1, pair.r2
+        cos_c = 1.0 if at_zero else math.cos((n - 3) * math.pi / (n - 1))
+        k1 = (1.0 - r1 * r1) / (1.0 - 2.0 * r1 * cos_c + r1 * r1)
+        k2 = (1.0 - r2 * r2) / (1.0 - 2.0 * r2 * cos_c + r2 * r2)
+        s = math.pi / (n - 1 + k1 + k2)
+        w = math.sin(math.pi / (n - 1)) ** 2 if at_zero else 1.0
+        u = _inverse_symbol(self.rho, w)
+        lam_0, lam_pi, _ = self.ends
+        spread = abs(lam_pi - lam_0) - _SYMBOL_ROUNDING * (abs(lam_0) + abs(lam_pi))
+        return 0.5 * s * math.sin(s) * spread / (u * u) <= 8.0 * _SYMBOL_ROUNDING * scale
 
 
 def _first_kept(size, m: int, step: int, n: int, floor: float) -> int:

@@ -274,14 +274,13 @@ def test_detect_stream_rows(tmp_path):
     assert [r["k"] for r in records] == list(range(20))
     assert all(r["trial"] == 2 for r in records)
 
-    # final streamed decision equals the batch decision for that trial
-    detector = detector_from_scenario(Scenario.default())
-    _, series = simulate_batch(Scenario.default(), 6, 3).trials[2]
-    report = detect_simplified(
-        detector, SufficientStatistics.from_series(series.samples)
-    )
-    assert records[-1]["decision"] == report.decision
-    assert records[-1]["statistic"] == pytest.approx(report.statistic, rel=1e-12)
+    # the final streamed row equals detect's row for that trial, bit for bit
+    detected = tmp_path / "detect.jsonl"
+    assert run("detect", "--input", csv_path, "--out", detected) == 0
+    batch_row = json.loads(detected.read_text().splitlines()[2])
+    assert batch_row["trial"] == 2
+    for key in ("decision", "statistic", "z", "conditional_error"):
+        assert records[-1][key] == batch_row[key], key
 
 
 def test_detect_stream_bytes_pinned(tmp_path):

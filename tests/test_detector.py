@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from dataclasses import asdict
 
 import numpy as np
@@ -108,6 +110,40 @@ def test_threshold_linear_in_horizon(default_detector):
         threshold(default_detector, 0)
 
 
+_CLASS = st.builds(
+    sk.ClassStatistics,
+    alpha=st.floats(min_value=1e-3, max_value=1e3),
+    rho=st.floats(min_value=1e-4, max_value=0.9999),
+)
+
+
+def explicit_threshold(stats1, stats2, prior1, n):
+    """The threshold's formula with every logarithm taken afresh."""
+    return (
+        2.0 * math.log(prior1 / (1.0 - prior1))
+        + n * (math.log(stats2.alpha) - math.log(stats1.alpha))
+        + (n - 1) * (math.log1p(-stats2.rho * stats2.rho) - math.log1p(-stats1.rho * stats1.rho))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stats1=_CLASS,
+    stats2=_CLASS,
+    other=_CLASS,
+    prior1=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+)
+def test_threshold_is_bit_identical_to_its_formula(stats1, stats2, other, prior1):
+    """threshold() reads the log differences DetectorSpec took once; they
+    equal the formula's bit for bit, also on a spec that replace() built."""
+    spec = sk.DetectorSpec(stats1, stats2, prior1, 20)
+    moved = dataclasses.replace(spec, stats2=other)
+    for n in (1, 2, 20, 1000, 10**6):
+        assert threshold(spec, n) == explicit_threshold(stats1, stats2, prior1, n)
+        assert threshold(moved, n) == explicit_threshold(stats1, other, prior1, n)
+    assert threshold(spec) == explicit_threshold(stats1, stats2, prior1, 20)
+
+
 def test_detect_full_zero_series(default_detector):
     report = detect_full(default_detector, np.zeros(20))
     assert report.statistic == 0.0
@@ -184,19 +220,34 @@ def test_stream_start_state():
 
 
 def test_sufficient_statistics_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sum_sq smaller than a boundary square"):
         SufficientStatistics(sum_sq=1.0, sum_lag=0.0, first=2.0, last=0.0, count=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sum_sq smaller than a boundary square"):
+        SufficientStatistics(sum_sq=1.0, sum_lag=0.0, first=0.0, last=-2.0, count=2)
+    with pytest.raises(ConfigError, match="adjacent-lag sum exceeds the energy sum"):
         SufficientStatistics(sum_sq=1.0, sum_lag=2.0, first=0.5, last=0.5, count=2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="adjacent-lag sum exceeds the energy sum"):
+        SufficientStatistics(sum_sq=1.0, sum_lag=-2.0, first=0.5, last=0.5, count=2)
+    with pytest.raises(ConfigError, match=r"count must be >= 1, got 0"):
         SufficientStatistics(sum_sq=1.0, sum_lag=0.0, first=1.0, last=1.0, count=0)
+    # the checks run in order: count, finiteness, boundary squares, lag sum
+    with pytest.raises(ConfigError, match=r"count must be >= 1, got -1"):
+        SufficientStatistics(sum_sq=math.nan, sum_lag=0.0, first=1.0, last=1.0, count=-1)
+    with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
+        SufficientStatistics(sum_sq=1.0, sum_lag=math.inf, first=2.0, last=0.0, count=1)
+    with pytest.raises(ConfigError, match="sum_sq smaller than a boundary square"):
+        SufficientStatistics(sum_sq=1.0, sum_lag=5.0, first=2.0, last=0.0, count=2)
     with pytest.raises(ConfigError):
         SufficientStatistics.from_series(np.zeros((2, 2)))
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
             stream_update(stream_update(None, 0.1), bad)
-        with pytest.raises(ConfigError):
-            SufficientStatistics(sum_sq=1.0, sum_lag=bad, first=0.5, last=0.5, count=2)
+        with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
+            stream_update(None, bad)
+        for name in ("sum_sq", "sum_lag", "first", "last"):
+            fields = dict(sum_sq=1.0, sum_lag=0.0, first=0.5, last=0.5, count=2)
+            with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
+                SufficientStatistics(**{**fields, name: bad})
         with pytest.raises(ConfigError):
             SufficientStatistics.from_series([0.1, bad, 0.2])
     spec = build_detector(
@@ -204,6 +255,95 @@ def test_sufficient_statistics_validation():
     )
     with pytest.raises(ConfigError):
         detect_full(spec, np.array([0.1, math.nan, 0.2]))
+
+
+@pytest.mark.parametrize("start", [None, 0.1])
+def test_stream_update_refuses_an_overflowing_square(start):
+    """A finite sample whose square overflows is refused like a non-finite
+    one, whether it starts the stream or extends it."""
+    state = None if start is None else stream_update(None, start)
+    for y in (1e200, -1e200):
+        with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
+            stream_update(state, y)
+    big = stream_update(state, 1.2e154)
+    assert big.sum_sq == (0.0 if start is None else start * start) + 1.2e154 * 1.2e154
+    with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
+        stream_update(big, 1.2e154)  # a finite square, an overflowing sum
+
+
+def test_dataclass_protocols_are_the_generated_ones():
+    """replace, asdict, ==, hash, repr, pickle and frozenness of the
+    detector's value types: the fields in declaration order, derived fields
+    refused by replace, hash over the compared fields, and pickle keeping the
+    instance dict in the order the fields were first set."""
+    st1, st2 = sk.ClassStatistics(alpha=0.5, rho=0.25), sk.ClassStatistics(alpha=2.0, rho=0.75)
+    stats = SufficientStatistics(5.0, -1.5, 2.0, -1.0, 3)
+    report = DetectionReport(1.5, -0.5)
+    spec = sk.DetectorSpec(st1, st2, 0.25, 20)
+    assert repr(stats) == (
+        "SufficientStatistics(sum_sq=5.0, sum_lag=-1.5, first=2.0, last=-1.0, count=3)"
+    )
+    assert repr(report) == (
+        "DetectionReport(decision=2, statistic=1.5, threshold=-0.5, margin=-2.0, "
+        "conditional_error=0.2689414213699951)"
+    )
+    assert repr(spec) == (
+        "DetectorSpec(stats1=ClassStatistics(alpha=0.5, rho=0.25), "
+        "stats2=ClassStatistics(alpha=2.0, rho=0.75), prior1=0.25, "
+        "energy_coef=0.480952380952381, lag_coef=0.6476190476190475, "
+        "edge_coef=0.5095238095238095, log_prior_ratio=-1.0986122886681098, horizon=20)"
+    )
+    assert asdict(stats) == {"sum_sq": 5.0, "sum_lag": -1.5, "first": 2.0, "last": -1.0, "count": 3}
+    assert list(asdict(report).items()) == [
+        ("decision", 2),
+        ("statistic", 1.5),
+        ("threshold", -0.5),
+        ("margin", -2.0),
+        ("conditional_error", 0.2689414213699951),
+    ]
+    assert asdict(spec) == {
+        "stats1": {"alpha": 0.5, "rho": 0.25},
+        "stats2": {"alpha": 2.0, "rho": 0.75},
+        "prior1": 0.25,
+        "energy_coef": 0.480952380952381,
+        "lag_coef": 0.6476190476190475,
+        "edge_coef": 0.5095238095238095,
+        "log_prior_ratio": -1.0986122886681098,
+        "horizon": 20,
+    }
+    assert list(vars(stats)) == ["sum_sq", "sum_lag", "first", "last", "count"]
+    assert list(vars(report)) == [
+        "statistic",
+        "threshold",
+        "decision",
+        "margin",
+        "conditional_error",
+    ]
+    for value in (stats, report, spec):
+        names = [f.name for f in dataclasses.fields(value)]
+        assert hash(value) == hash(tuple(getattr(value, name) for name in names))
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value) and repr(copy) == repr(value)
+        assert vars(copy) == vars(value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, names[-1], 0)
+    assert stats == SufficientStatistics(5.0, -1.5, 2.0, -1.0, 3)
+    assert stats != SufficientStatistics(5.0, -1.5, 2.0, -1.0, 4)
+    assert report == DetectionReport(statistic=1.5, threshold=-0.5) != DetectionReport(1.5, 0.5)
+
+    moved = dataclasses.replace(stats, last=0.5)
+    assert moved == SufficientStatistics(5.0, -1.5, 2.0, 0.5, 3)
+    with pytest.raises(ConfigError, match="sum_sq smaller than a boundary square"):
+        dataclasses.replace(stats, last=3.0)
+    flipped = dataclasses.replace(report, threshold=3.0)
+    assert (flipped.decision, flipped.margin) == (1, 1.5)
+    assert flipped.conditional_error == math.exp(-0.75) / (1.0 + math.exp(-0.75))
+    for name in ("decision", "margin", "conditional_error"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(report, **{name: 0})
+    assert dataclasses.replace(spec, prior1=0.5) == sk.DetectorSpec(st1, st2, 0.5, 20)
+    with pytest.raises(ValueError):
+        dataclasses.replace(spec, lag_coef=0.0)
 
 
 def test_exact_tie_decides_class_one():

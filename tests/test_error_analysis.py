@@ -544,6 +544,49 @@ def test_budget_summary_finds_dropped_runs(alpha1, rho1, alpha2, rho2, horizon):
                 assert got.lambda_abs_min == float(np.min(np.abs(kept)))
 
 
+def test_budget_summary_reads_the_smallest_kept_lam_of_a_flat_symbol():
+    """rho2 1 to 2,000 ulps above rho1, half of the rho1 near 1: the symbol
+    is flat at an end of the spectrum, where rounding, not the symbol, orders
+    neighbouring eigenvalues.  The O(1) summary's smallest kept |lam| is
+    kept()'s exactly, at both drop tolerances."""
+    rng = np.random.default_rng(2022)
+    for _ in range(200):
+        if rng.integers(2):
+            rho1 = float(rng.uniform(1e-4, 0.9999))
+        else:
+            rho1 = float(1.0 - 10.0 ** rng.uniform(-4.0, -1.0))
+        rho2 = rho1
+        for _ in range(int(rng.integers(1, 2001))):
+            rho2 = math.nextafter(rho2, 1.0)
+        st1, st2 = (
+            sk.ClassStatistics(alpha=float(10.0 ** rng.uniform(-3.0, 3.0)), rho=rho)
+            for rho in (rho1, rho2)
+        )
+        horizon = int(rng.integers(50, 3001))
+        for tolerance in (1e-12, 1e-2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(error_analysis, "DROP_TOLERANCE", tolerance)
+                for sp in error_analysis._spectra(st1, st2, horizon):
+                    got = sp._summary
+                    kept = sp.kept()
+                    assert got.kept_order == kept.size
+                    assert got.lambda_abs_min == float(np.min(np.abs(kept))), (st1, st2, horizon)
+
+
+@pytest.mark.parametrize("kf", [200, 400, 600, 800, 1000])
+@pytest.mark.parametrize("cell", [{}, {"m2": 1.0, "k2": 4.0}], ids=["default", "gain4"])
+def test_monotone_summaries_solve_only_the_end_angles(kf, cell):
+    """The default pair and the cell (mass 1, gain 4) have monotone spectra
+    with no flat end: both summaries take the two end angles, theta_1 and
+    theta_kf, and build no eigenvalue array."""
+    s = sk.Scenario.from_dict({"kf": kf, **cell})
+    spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
+    for sp in spectra:
+        assert sp._summary.kept is None
+    assert set(spectra[0].pair._at) == {1, kf}
+    assert spectra[0].pair._eigenvalues is None
+
+
 def assert_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon):
     """_log_phi's closed form against the eigen-sum _phi_arrays, both
     hypotheses, on a grid up to 50 / max|lam|: |phi| to 1e-10, and the phase
