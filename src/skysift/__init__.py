@@ -39,7 +39,6 @@ from .detector import (
     detect_simplified,
     detector_from_scenario,
     fit_class_statistics,
-    remove_mean,
     stream_update,
     threshold,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "detect_simplified",
     "detector_from_scenario",
     "fit_class_statistics",
-    "remove_mean",
     "stream_update",
     "threshold",
     "AccuracyBudget",

@@ -136,11 +136,14 @@ def _cmd_detect_stream(scenario: Scenario, args) -> None:
     detector = detector_from_scenario(scenario)
     lo, hi = batch.offsets[args.trial : args.trial + 2].tolist()
     values = batch.samples[lo:hi].tolist()
-    lines = [
-        _STREAM_LINE
-        % (args.trial, k, y, r.decision, r.statistic, r.threshold, r.conditional_error)
-        for k, (y, r) in enumerate(zip(values, _stream_reports(detector, values)))
-    ]
+    try:
+        lines = [
+            _STREAM_LINE
+            % (args.trial, k, y, r.decision, r.statistic, r.threshold, r.conditional_error)
+            for k, (y, r) in enumerate(zip(values, _stream_reports(detector, values)))
+        ]
+    except ConfigError as exc:
+        raise ConfigError(f"trial {args.trial}: {exc}") from exc
     _emit("\n".join(lines) + "\n", args.out)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "stream_update",
     "conditional_error",
     "fit_class_statistics",
-    "remove_mean",
 ]
 
 
@@ -121,14 +120,6 @@ class SufficientStatistics:
             raise ConfigError("adjacent-lag sum exceeds the energy sum")
         self.__dict__.update(sum_sq=sum_sq, sum_lag=sum_lag, first=first, last=last, count=count)
 
-    @property
-    def first_sq(self) -> float:
-        return self.first * self.first
-
-    @property
-    def last_sq(self) -> float:
-        return self.last * self.last
-
     @classmethod
     def from_series(cls, samples) -> "SufficientStatistics":
         """Batch statistics, bit-identical to the ``stream_update`` fold."""
@@ -178,7 +169,8 @@ def _stream_reports(spec: DetectorSpec, values):
 class DetectionReport:
     """Outcome of one detection: statistic vs threshold, and derived from
     them the decision (a tie goes to class 1), the margin and the posterior
-    probability that the decision is wrong."""
+    probability that the decision is wrong.  A statistic that overflows is
+    refused."""
 
     decision: int = field(init=False)
     statistic: float
@@ -187,6 +179,8 @@ class DetectionReport:
     conditional_error: float = field(init=False)
 
     def __init__(self, statistic: float, threshold: float):
+        if not math.isfinite(statistic):
+            raise ConfigError("decision statistic overflows")
         margin = threshold - statistic
         self.__dict__.update(
             statistic=statistic,
@@ -284,11 +278,12 @@ def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
     """
     statistics, thresholds = np.empty(batch.label.size), np.empty(batch.label.size)
     for trials, samples in _length_groups(batch):
-        sum_sq, sum_lag = _running_sums(samples)
-        edges = samples[:, 0] * samples[:, 0] + samples[:, -1] * samples[:, -1]
-        statistics[trials] = (
-            spec.energy_coef * sum_sq + spec.lag_coef * sum_lag + spec.edge_coef * edges
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            sum_sq, sum_lag = _running_sums(samples)
+            edges = samples[:, 0] * samples[:, 0] + samples[:, -1] * samples[:, -1]
+            statistics[trials] = (
+                spec.energy_coef * sum_sq + spec.lag_coef * sum_lag + spec.edge_coef * edges
+            )
         thresholds[trials] = threshold(spec, samples.shape[1])
     finite = np.isfinite(statistics)
     if not finite.all():
@@ -380,12 +375,3 @@ def _pooled_fit(sums_sq: list, sums_lag: list, counts: list) -> ClassStatistics:
     rho_hat = min(max(rho_hat, eps), 1.0 - eps)
     return ClassStatistics(alpha=alpha_hat, rho=rho_hat)
 
-
-def remove_mean(series: MeasurementSeries) -> MeasurementSeries:
-    """Subtract the sample mean: explicit preprocessing for raw speed data.
-
-    The detector assumes zero-mean deviations; apply this first when feeding
-    measured speeds rather than simulated deviations.
-    """
-    samples = series.samples - series.samples.mean()
-    return MeasurementSeries(samples=samples)

@@ -263,8 +263,8 @@ class _KmsSpectrum(QuadFormSpectrum):
     @cached_property
     def _summary(self) -> _Summary:
         """The budget's inputs without the eigenvalue array from n =
-        _CLOSED_FORM_MIN on: the extremes and kept count from a few scalar
-        angle solves, log M(+-t) from _log_mgf's closed form.
+        _CLOSED_FORM_MIN on: the extremes from a few scalar angle solves, with
+        all n eigenvalues kept, log M(+-t) from _log_mgf's closed form.
 
         Monotone spectrum.  lam_h = (alpha_h / u_h) * gap, where gap =
         u1/alpha1 - u2/alpha2 = c0 + c1 w and u_h = A + B w, A = (1 - rho_h) /
@@ -282,8 +282,8 @@ class _KmsSpectrum(QuadFormSpectrum):
         1/A, w* = lam(0) A**2 / (lam(0) A**2 - lam(pi)), where lam(0) A**2
         and -lam(pi) have one sign, so nothing cancels; theta_m <= theta*
         exactly when m <= g(theta*) / pi.  The index is checked against the
-        signs of lam at the angles, and a dropped run is found by galloping
-        and bisection (_first_kept).
+        signs of lam at the angles.  Where either neighbour of the crossing
+        is dropped, the eigenvalues are built.
 
         Equal rhos give n eigenvalues lam_c (see q_sigma_eigenvalues).
         Where _log_mgf's inputs degenerate, or the symbol's two ends agree
@@ -297,29 +297,27 @@ class _KmsSpectrum(QuadFormSpectrum):
             return _eigen_summary(self.kept())
         lam_0, lam_pi, lam_c = self.ends
         if self.pair.r1 == self.pair.r2:
+            if lam_c == 0.0:
+                return _Summary(0.0, 0.0, 0.0, 0, None)
             abs_max = abs_min = abs(lam_c)
-            kept = n if abs_max > 0.0 else 0
             ends = (lam_c, lam_c)
         elif abs(lam_0 - lam_pi) <= _SYMBOL_ROUNDING * max(abs(lam_0), abs(lam_pi)):
             return _eigen_summary(self.kept())
         else:
-            abs_max, abs_min, kept, ends = self._extremes()
-        if kept == 0:
-            return _Summary(0.0, 0.0, 0.0, 0, None)
+            extremes = self._extremes()
+            if extremes is None:
+                return _eigen_summary(self.kept())
+            abs_max, abs_min, ends = extremes
         t = 1.0 / (4.0 * abs_max)
         log_mgf = (_log_mgf(self, t), _log_mgf(self, -t))
         if None in log_mgf:
             return _eigen_summary(self.kept())
-        return _Summary(abs_max, abs_min, abs_min, kept, log_mgf, ends)
+        return _Summary(abs_max, abs_min, abs_min, n, log_mgf, ends)
 
-    def _extremes(self) -> tuple:
-        """(max |lam|, min |lam| kept, kept count, (min lam, max lam)) for
-        unequal rhos (see _summary)."""
+    def _extremes(self) -> "tuple | None":
+        """(max |lam|, min |lam|, (min lam, max lam)) for unequal rhos (see
+        _summary), or None where an eigenvalue is dropped."""
         n, pair, h = self.horizon, self.pair, self.hypothesis - 1
-
-        def size(m):
-            return abs(pair.symbols_at(m)[h])
-
         first, last = pair.symbols_at(1)[h], pair.symbols_at(n)[h]
         abs_max = max(abs(first), abs(last))
         side = math.copysign(1.0, first)
@@ -344,15 +342,12 @@ class _KmsSpectrum(QuadFormSpectrum):
                 j -= 1
             while j < n - 1 and on_first_side(j + 1):
                 j += 1
-        floor = DROP_TOLERANCE * abs_max
-        left = _first_kept(size, j, -1, n, floor)
-        right = _first_kept(size, j + 1, 1, n, floor)
-        if (left, right) in ((0, 1), (n, n + 1)) and self._flat_end(right == 1, abs_max):
+        abs_min = min(abs(pair.symbols_at(m)[h]) for m in (j, j + 1) if 1 <= m <= n)
+        if abs_min < DROP_TOLERANCE * abs_max:
+            return None
+        if j in (0, n) and self._flat_end(j == 0, abs_max):
             abs_min = float(np.min(np.abs(self.kept())))
-        else:
-            abs_min = min(size(m) for m in (left, right) if 1 <= m <= n)
-        ends = (min(first, last), max(first, last))
-        return abs_max, abs_min, n - (right - left - 1), ends
+        return abs_max, abs_min, (min(first, last), max(first, last))
 
     def _flat_end(self, at_zero: bool, scale: float) -> bool:
         """Whether rounding may put a smaller |lam| next to the end of the
@@ -386,24 +381,6 @@ class _KmsSpectrum(QuadFormSpectrum):
         lam_0, lam_pi, _ = self.ends
         spread = abs(lam_pi - lam_0) - _SYMBOL_ROUNDING * (abs(lam_0) + abs(lam_pi))
         return 0.5 * s * math.sin(s) * spread / (u * u) <= 8.0 * _SYMBOL_ROUNDING * scale
-
-
-def _first_kept(size, m: int, step: int, n: int, floor: float) -> int:
-    """The first index from m on, in direction step, whose size(index) = |lam|
-    is at least floor, or the sentinel 0 or n + 1: |lam| grows monotonically
-    away from the zero crossing, so gallop, then bisect."""
-    dropped, jump = m - step, 1
-    while 1 <= m <= n and size(m) < floor:
-        dropped, m = m, m + jump * step
-        jump *= 2
-    m = min(max(m, 0), n + 1)
-    while abs(m - dropped) > 1:
-        mid = (m + dropped) // 2
-        if size(mid) < floor:
-            dropped = mid
-        else:
-            m = mid
-    return m
 
 
 @dataclass(frozen=True)
@@ -990,18 +967,18 @@ def _head_len(abs_min: float, delta: float) -> int:
 
 
 def _series_fallback(
-    spectrum: QuadFormSpectrum,
-    z: float,
-    budget: AccuracyBudget,
-    head_len: int,
-    tol: float,
+    spectrum: QuadFormSpectrum, z: float, budget: AccuracyBudget, tol: float
 ) -> float:
     """The truncated series sum_{i=0}^{N} Im[...]/(i+1/2), N and the grid
-    step from the budget, to within tol, for N past both _DIRECT_CAP and
-    head_len: a direct head plus the asymptotic tail, or the head alone
-    where a tail starting past _HEAD_MAX is negligible.  Only the tail
-    reads the eigenvalues."""
+    step from the budget, to within tol: summed directly where it ends
+    before its tail could start (N <= min(_head_len, _HEAD_MAX)), else a
+    direct head plus the asymptotic tail, or the head alone where a tail
+    starting past _HEAD_MAX is negligible.  Only the tail reads the
+    eigenvalues."""
     delta, n_terms = budget.grid_step, budget.n_terms
+    head_len = _head_len(budget.lambda_abs_min, delta)
+    if n_terms <= min(head_len, _HEAD_MAX):
+        return _direct_partial_sum(spectrum, z, delta, 0, n_terms)
     eigs, kept = spectrum.eigenvalues, spectrum.kept()
     if kept.size != eigs.size:
         # dropped eigenvalues are treated as exactly zero in the tail; make
@@ -1168,34 +1145,24 @@ def cdf_quadratic_form_raw(
     """Unclamped value of the CDF of Z at z; may leave [0, 1] by up to the
     accuracy target (:func:`total_error` clamps it).
 
-    Series of up to _DIRECT_CAP terms, or ending before the tail could
-    start, are summed directly.  Longer ones take the branch-cut integrals
-    where they can be certified (:func:`_cut_cdf`), else the head + tail
-    :func:`_series_fallback`.  The cap was tuned against the head + tail,
-    before the cut integrals: on the surface grid at kf 2-8, prior1
-    0.2/0.5/0.8 (525 reports, 2 cores), caps 2**14 and 2**15 tied at 1.2 s
-    (2**12: 1.5 s, 2**21: 3.4 s).  Against the cuts (best of 3 per call,
-    2-vCPU Xeon; certify-short's reports and the surface grid at kf 1-16,
-    674 series under the cap, 93 of them refused by the cuts), the direct
-    sum loses at kf 3 (median 28,339 terms: 1.39 vs 0.015 ms) and kf 4
-    (7,066 terms: 0.28 vs 0.17 ms) and wins from kf 5 on (2,325 terms:
-    0.12 vs 0.23 ms; kf 10, 356 terms: 0.05 vs 0.35 ms).  With the term
-    counts at Imhof's product bound (same method and grids, 694 series under
-    the cap, 93 refused by the cuts): kf 3 (median 28,976 terms) 0.97 vs
-    0.011 ms; kf 4 (4,640 terms) 0.18 vs 0.15 ms, the direct sum faster on
-    10 of 47; from kf 5 on it wins (1,267 terms: 0.08 vs 0.22 ms; kf 10,
-    100 terms: 0.03 vs 0.34 ms).
+    Series of up to _DIRECT_CAP terms are summed directly.  Longer ones take
+    the branch-cut integrals where they can be certified (:func:`_cut_cdf`),
+    else :func:`_series_fallback`.  Direct sum against the cuts (best of 3
+    per call, 2-vCPU Xeon; certify-short's reports and the surface grid at
+    kf 1-16, 694 series under the cap, 93 of them refused by the cuts): kf 3
+    (median 28,976 terms) 0.97 vs 0.011 ms; kf 4 (4,640 terms) 0.18 vs
+    0.15 ms, the direct sum faster on 10 of 47; from kf 5 on it wins
+    (1,267 terms: 0.08 vs 0.22 ms; kf 10, 100 terms: 0.03 vs 0.34 ms).
     """
     tol = _EVAL_SLACK * budget.target
     delta, n_terms = budget.grid_step, budget.n_terms
-    head_len = _head_len(budget.lambda_abs_min, delta)
-    if n_terms <= max(_DIRECT_CAP, min(head_len, _HEAD_MAX)):
+    if n_terms <= _DIRECT_CAP:
         series = _direct_partial_sum(spectrum, z, delta, 0, n_terms)
     else:
         cut = _cut_cdf(spectrum, z, tol)
         if cut is not None:
             return cut[0]
-        series = _series_fallback(spectrum, z, budget, head_len, tol * math.pi)
+        series = _series_fallback(spectrum, z, budget, tol * math.pi)
     return 0.5 - series / math.pi
 
 

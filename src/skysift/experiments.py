@@ -27,7 +27,7 @@ from .detector import (
 from .error_analysis import error_surface, total_error
 from .errors import ConfigError
 from .model import Scenario
-from .simulator import _simulate_samples, simulate_batch
+from .simulator import simulate_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -45,10 +45,8 @@ EXPERIMENT_NAMES = ("scatter", "streaming", "mc-vs-exact", "surface", "horizon-s
 
 # trial-count defaults, used when the config leaves n_trials unset
 _DEFAULT_TRIALS = {
-    "scatter": 500,
     "streaming": 50,
     "mc-vs-exact": 5000,
-    "roc": 500,
 }
 
 # class-2/class-1 ratios of the default error surface, on both axes
@@ -200,8 +198,8 @@ def run_streaming(config: ExperimentConfig) -> list:
     columns k,y,statistic,z,decision,conditional_error and
     streaming_summary.json with the stabilization horizon.
     """
-    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
-    class2 = np.flatnonzero(labels == 2)
+    batch = simulate_batch(config.scenario, config.trials(), config.seed)
+    class2 = np.flatnonzero(batch.label == 2)
     if class2.size == 0:
         raise ConfigError(
             "no class-2 trial in the batch; increase n_trials or change the seed"
@@ -209,7 +207,7 @@ def run_streaming(config: ExperimentConfig) -> list:
     trial_idx = int(class2[0])
     detector = detector_from_scenario(config.scenario)
 
-    values = samples[trial_idx].tolist()
+    values = batch.samples.reshape(batch.label.size, -1)[trial_idx].tolist()
     reports = list(_stream_reports(detector, values))
     decisions = [r.decision for r in reports]
     rows = (
@@ -337,7 +335,8 @@ def run_roc(config: ExperimentConfig) -> list:
     class-2 trials called 2 and FPR that of class-1 trials.  A batch
     without both classes is refused.
     """
-    labels, samples = _simulate_samples(config.scenario, config.trials(), config.seed)
+    batch = simulate_batch(config.scenario, config.trials(), config.seed)
+    labels, samples = batch.label, batch.samples.reshape(batch.label.size, -1)
     detector = detector_from_scenario(config.scenario)
     statistics = _full_statistics(detector, samples)
     z = threshold(detector, samples.shape[1])

@@ -309,9 +309,12 @@ def simulate_trajectory(
     return MeasurementSeries(samples=samples)
 
 
-def _simulate_samples(scenario: Scenario, n_trials: int, rng_seed: int) -> tuple:
-    """Labels (1 or 2) and the (n_trials, horizon) samples of
-    :func:`simulate_batch`, as arrays."""
+def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBatch:
+    """Generate labeled trials: class drawn Bernoulli(prior1), then a trajectory.
+
+    Child stream 0 of the seed draws the labels; child i+1 drives trial i, so
+    trial i's samples depend only on (seed, i, its label's statistics).
+    """
     seed = operator.index(rng_seed)
     _check_seed(seed)
     if n_trials < 1:
@@ -327,16 +330,7 @@ def _simulate_samples(scenario: Scenario, n_trials: int, rng_seed: int) -> tuple
     normals = _standard_normals_from_bits(bits)
     alpha = np.where(labels == 1, stats[1].alpha, stats[2].alpha)
     rho = np.where(labels == 1, stats[1].rho, stats[2].rho)
-    return labels, _ar1_from_normals(alpha, rho, normals)
-
-
-def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBatch:
-    """Generate labeled trials: class drawn Bernoulli(prior1), then a trajectory.
-
-    Child stream 0 of the seed draws the labels; child i+1 drives trial i, so
-    trial i's samples depend only on (seed, i, its label's statistics).
-    """
-    labels, samples = _simulate_samples(scenario, n_trials, rng_seed)
+    samples = _ar1_from_normals(alpha, rho, normals)
     offsets = np.arange(0, samples.size + 1, samples.shape[1])
     return TrialBatch(labels, samples.ravel(), offsets)
 

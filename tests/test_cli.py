@@ -258,6 +258,18 @@ def test_detect_overflowing_statistic_exits_2(tmp_path):
         assert run("detect", "--input", csv_path) == 2
 
 
+def test_detect_stream_refuses_an_overflowing_statistic(tmp_path, capsys):
+    """The samples 1.2e154 and 0.5 have finite sums but an overflowing
+    statistic: detect-stream refuses the trial, as detect does, and prints
+    no row."""
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("trial,label,k,y\n0,1,0,0.1\n1,1,0,1.2e154\n1,1,1,0.5\n", encoding="utf-8")
+    assert run("detect-stream", "--input", csv_path, "--trial", 1) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trial 1: decision statistic overflows\n"
+
+
 def test_detect_stdout(tmp_path, capsys):
     csv_path = batch_csv(tmp_path, n_trials=4)
     assert run("detect", "--input", csv_path) == 0

@@ -14,6 +14,7 @@ from skysift.detector import (
     DetectionReport,
     SufficientStatistics,
     _full_statistics,
+    _stream_reports,
     build_detector,
     conditional_error,
     detect_batch,
@@ -21,12 +22,11 @@ from skysift.detector import (
     detect_simplified,
     detector_from_scenario,
     fit_class_statistics,
-    remove_mean,
     stream_update,
     threshold,
 )
 from skysift.errors import ConfigError
-from skysift.simulator import MeasurementSeries, _simulate_samples, simulate_batch
+from skysift.simulator import MeasurementSeries, simulate_batch
 
 # Frozen oracle values for the default scenario, cross-checked at build time
 # against dense inverse-covariance matrices.
@@ -409,7 +409,8 @@ def test_roc_sweep_extremes_and_monotonicity(default_scenario):
     """The ROC that run_roc sweeps over _full_statistics: every trial is called
     class 2 below every statistic and none above, and both rates fall as the
     threshold rises."""
-    labels, samples = _simulate_samples(default_scenario, 400, 9)
+    batch = simulate_batch(default_scenario, 400, 9)
+    labels, samples = batch.label, batch.samples.reshape(400, -1)
     spec = detector_from_scenario(default_scenario)
     statistics = _full_statistics(spec, samples)
     is2 = labels == 2
@@ -457,6 +458,21 @@ def test_detect_batch_refuses_an_overflowing_trial(default_detector):
     trials.append((2, MeasurementSeries(samples=np.full(5, 1e200))))
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="trial 2"):
         detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
+
+
+def test_an_overflowing_statistic_is_refused_on_every_path(default_detector):
+    """The trial (1.2e154, 0.5) folds to finite sums, but its statistic
+    overflows: the simplified, full and streamed decisions refuse it as
+    detect_batch does."""
+    y = np.array([1.2e154, 0.5])
+    with pytest.raises(ConfigError, match="decision statistic overflows"):
+        detect_simplified(default_detector, SufficientStatistics.from_series(y))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="overflows"):
+        detect_full(default_detector, y)
+    with pytest.raises(ConfigError, match="decision statistic overflows"):
+        list(_stream_reports(default_detector, y.tolist()))
+    with pytest.raises(ConfigError, match="trial 0: decision statistic overflows"):
+        detect_batch(default_detector, sk.TrialBatch([1], y, [0, 2]))
 
 
 def test_fit_recovers_parameters(default_scenario):
@@ -509,12 +525,6 @@ def test_fit_clamps_rho_into_open_interval():
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
     fitted = fit_class_statistics([y])
     assert 0.0 < fitted.rho < 1.0
-
-
-def test_remove_mean():
-    series = MeasurementSeries(samples=np.array([1.0, 2.0, 6.0]))
-    out = remove_mean(series)
-    assert float(out.samples.sum()) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_build_detector_validation(default_scenario):

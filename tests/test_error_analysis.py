@@ -587,6 +587,21 @@ def test_monotone_summaries_solve_only_the_end_angles(kf, cell):
     assert spectra[0].pair._eigenvalues is None
 
 
+@pytest.mark.parametrize("kf", [50, 200, 1000, 3000])
+def test_surface_grid_summaries_build_no_eigenvalues(kf):
+    """The 11 x 11 grid of mass and gain ratios geomspace(0.1, 10): no O(1)
+    summary, 242 per horizon, builds the eigenvalue array, so none meets a
+    dropped eigenvalue or a flat symbol."""
+    ratios = np.geomspace(0.1, 10.0, 11).tolist()
+    for m2 in ratios:
+        for k2 in ratios:
+            s = sk.Scenario.from_dict({"kf": kf, "m2": m2, "k2": k2})
+            spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
+            for sp in spectra:
+                sp._summary
+            assert spectra[0].pair._eigenvalues is None, (m2, k2)
+
+
 def assert_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon):
     """_log_phi's closed form against the eigen-sum _phi_arrays, both
     hypotheses, on a grid up to 50 / max|lam|: |phi| to 1e-10, and the phase
@@ -913,8 +928,7 @@ def test_head_tail_split_matches_direct_summation():
     assert budget.n_terms > 1 << 21  # needs the tail path at the real cap
     tol = 1e-3 * budget.target * math.pi
     direct = _direct_partial_sum(sp, z, budget.grid_step, 0, budget.n_terms)
-    head_len = _head_len(budget.lambda_abs_min, budget.grid_step)
-    split = _series_fallback(sp, z, budget, head_len, tol)
+    split = _series_fallback(sp, z, budget, tol)
     assert abs(direct - split) <= 1e-9
 
 
@@ -945,6 +959,26 @@ def test_series_ending_before_the_tail_is_summed_directly(monkeypatch):
     forced = series_cdf(monkeypatch, sp, z, budget, 1 << 14)
     direct = series_cdf(monkeypatch, sp, z, budget, 1 << 21)
     assert abs(forced - direct) <= tol / math.pi
+
+
+def test_series_past_the_cap_tries_the_cuts_first(monkeypatch):
+    """kf 8 (mass 1, gain 0.1) at 1e-10: hypothesis 2's series has 129,201
+    terms, past _DIRECT_CAP but before its tail could start (146,777).  The
+    router takes the cut integrals, which certify it, not the direct sum;
+    the value lies within the target of the direct sum's."""
+    s = sk.Scenario.from_dict({"kf": 8, "m2": 1.0, "k2": 0.1, "prior1": 0.5})
+    z = threshold(detector_from_scenario(s))
+    _, sp = spectra_for(s)
+    budget = accuracy_budget(sp, z, 1e-10)
+    assert budget.n_terms == 129_201
+    assert _head_len(budget.lambda_abs_min, budget.grid_step) == 146_777
+    direct = 0.5 - _direct_partial_sum(sp, z, budget.grid_step, 0, budget.n_terms) / math.pi
+
+    def refuse(*args):
+        raise AssertionError("_direct_partial_sum reached")
+
+    monkeypatch.setattr(error_analysis, "_direct_partial_sum", refuse)
+    assert abs(cdf_quadratic_form_raw(sp, z, budget) - direct) <= 1e-10
 
 
 @functools.lru_cache(maxsize=None)
