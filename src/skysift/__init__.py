@@ -34,7 +34,6 @@ from .detector import (
     DetectorSpec,
     SufficientStatistics,
     build_detector,
-    conditional_error,
     detect_full,
     detect_simplified,
     detector_from_scenario,
@@ -80,7 +79,6 @@ __all__ = [
     "DetectorSpec",
     "SufficientStatistics",
     "build_detector",
-    "conditional_error",
     "detect_full",
     "detect_simplified",
     "detector_from_scenario",

@@ -68,7 +68,7 @@ def pinned_power_sum(
     _EM_MAX_ORDER corrections.  At DEBUG level it logs the branch that ran
     (zeta, direct-mp, SBP, EM or a bridge into SBP or direct-mp) and, for
     SBP and EM, the depth or order at which it stopped with the residual
-    there: SBP's residual bound, or the last Euler-Maclaurin correction.
+    there: SBP's residual bound, or Euler-Maclaurin's remainder bound.
     """
     if not exponent > 1.0:
         raise NumericalError(f"power-sum exponent must exceed 1, got {exponent}")
@@ -211,9 +211,19 @@ def _euler_maclaurin_sum(s: float, a: int, b: int, f: float, tol: float):
     product and chain rules with v = 1/y,
     Q_{p+1}(v) = -v**2 dQ_p/dv - (sig*v + 1j*bet) Q_p(v).
     Q_p does not depend on y, so it is built once, two orders per
-    correction r (which needs Q_{2r-1}), evaluated at both ends by Horner,
-    and only until the corrections converge.  Returns P and (the stop
-    order, the last correction's magnitude).
+    correction r: Q_{2r-1}, evaluated at both ends by Horner, for the
+    correction, and Q_2r for its remainder bound.
+
+    Stop.  After correction r the remainder is
+    -int_ya^yb B~_2r(y) / (2r)! g^(2r)(y) dy, B~_2r the periodic Bernoulli
+    function, with |B~_2r| <= |B_2r|.  As |g(y)| = y**(-s) and
+    |Q_2r(1/y)| <= sum_j |q_j| y**(-j) for the coefficients q_j of Q_2r,
+    it is at most
+
+        |B_2r| / (2r)! * sum_j |q_j| ya**(1 - s - j) / (s + j - 1),
+
+    the integral taken to infinity.  The sum stops at the first r where
+    that bound is at most tol/4.  Returns P and (the stop order, the bound).
     """
     with mp.workdps(_MP_DPS):
         sig = mp.mpf(s)
@@ -225,21 +235,22 @@ def _euler_maclaurin_sum(s: float, a: int, b: int, f: float, tol: float):
         total = _oscillatory_integral(sig, bet, ya, yb) + (ga + gb) / 2
 
         coeffs = [mp.mpc(1)]  # Q_p in ascending powers of v, degree p
-        for r in range(1, _EM_MAX_ORDER + 1):
-            while len(coeffs) < 2 * r:  # up to Q_{2r-1}
-                coeffs = [
-                    -1j * bet * c - (sig + t - 1) * lower
-                    for t, (lower, c) in enumerate(zip([0] + coeffs, coeffs + [0]))
-                ]
-            desc = coeffs[::-1]
-            term = (
-                mp.bernoulli(2 * r)
-                / mp.factorial(2 * r)
-                * (gb * mp.polyval(desc, 1 / yb) - ga * mp.polyval(desc, 1 / ya))
+        for p in range(1, 2 * _EM_MAX_ORDER + 1):
+            coeffs = [
+                -1j * bet * c - (sig + t - 1) * lower
+                for t, (lower, c) in enumerate(zip([0] + coeffs, coeffs + [0]))
+            ]
+            r = (p + 1) // 2
+            if p % 2:  # correction r, from Q_{2r-1}
+                desc = coeffs[::-1]
+                scale = mp.bernoulli(2 * r) / mp.factorial(2 * r)
+                total += scale * (gb * mp.polyval(desc, 1 / yb) - ga * mp.polyval(desc, 1 / ya))
+                continue
+            bound = abs(scale) * mp.fsum(  # the remainder after it, from Q_2r
+                abs(c) * ya ** (1 - sig - j) / (sig + j - 1) for j, c in enumerate(coeffs)
             )
-            total += term
-            if abs(term) <= tol / 4:
-                return complex(total), (r, float(abs(term)))
+            if bound <= tol / 4:
+                return complex(total), (r, float(bound))
         raise NumericalError(
             f"Euler-Maclaurin corrections not converged at order "
             f"{_EM_MAX_ORDER} (s={s}, a={a}, freq={f:g})"

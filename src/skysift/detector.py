@@ -30,7 +30,6 @@ __all__ = [
     "detect_full",
     "detect_simplified",
     "stream_update",
-    "conditional_error",
     "fit_class_statistics",
 ]
 
@@ -133,9 +132,10 @@ def _running_sums(samples: np.ndarray):
     """Energy sum(y**2) and lag-1 sum(y[i]*y[i+1]) along the last axis; cumsum
     adds left to right from the same 0.0 as stream_update, so bit-identical."""
     lag = np.zeros_like(samples)
-    lag[..., 1:] = samples[..., :-1] * samples[..., 1:]
-    sum_sq = np.cumsum(samples * samples, axis=-1)[..., -1]
-    return sum_sq, np.cumsum(lag, axis=-1)[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse inf and nan
+        lag[..., 1:] = samples[..., :-1] * samples[..., 1:]
+        sum_sq = np.cumsum(samples * samples, axis=-1)[..., -1]
+        return sum_sq, np.cumsum(lag, axis=-1)[..., -1]
 
 
 def stream_update(
@@ -251,10 +251,9 @@ def detect_full(spec: DetectorSpec, y) -> DetectionReport:
     inverses; kept as the reference implementation for the simplified path.
     """
     samples = _coerce_samples(y)
-    statistic = kms_quadratic_form(spec.stats1, samples) - kms_quadratic_form(
-        spec.stats2, samples
-    )
-    return DetectionReport(statistic, threshold(spec, samples.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # DetectionReport refuses inf and nan
+        form1, form2 = (kms_quadratic_form(st, samples) for st in (spec.stats1, spec.stats2))
+        return DetectionReport(form1 - form2, threshold(spec, samples.size))
 
 
 def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> DetectionReport:
@@ -278,8 +277,8 @@ def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
     """
     statistics, thresholds = np.empty(batch.label.size), np.empty(batch.label.size)
     for trials, samples in _length_groups(batch):
+        sum_sq, sum_lag = _running_sums(samples)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            sum_sq, sum_lag = _running_sums(samples)
             edges = samples[:, 0] * samples[:, 0] + samples[:, -1] * samples[:, -1]
             statistics[trials] = (
                 spec.energy_coef * sum_sq + spec.lag_coef * sum_lag + spec.edge_coef * edges
@@ -296,15 +295,6 @@ def _conditional_error_from_margin(margin: float) -> float:
     # exp of a non-positive argument cannot overflow; 0.5 exactly at margin 0
     odds = math.exp(-0.5 * abs(margin))
     return odds / (1.0 + odds)
-
-
-def conditional_error(spec: DetectorSpec, statistic: float, horizon: int) -> float:
-    """Posterior probability the decision at this statistic value is wrong.
-
-    Equals (1 + exp(|z - statistic| / 2))**-1: exactly 0.5 on the decision
-    boundary and decaying to 0 as the statistic moves away from it.
-    """
-    return _conditional_error_from_margin(threshold(spec, horizon) - statistic)
 
 
 def _full_statistics(spec: DetectorSpec, samples: np.ndarray) -> np.ndarray:

@@ -109,7 +109,7 @@ _NEWTON_MAX_ITER = 100  # safeguarded Newton on the eigen-angles
 # us at n = 2, 137 / 116 at 10, 134 / 128 at 12, 140 / 144 at 13, 114 / 200
 # at 20)
 _ANGLE_ARRAY_MIN = 13
-# horizons from which _log_phi takes the closed form (measured; see there)
+# horizons from which _spectra picks the closed forms (measured; see there)
 _CLOSED_FORM_MIN = 50
 _LADDER_TOP = 16  # _chernoff_ladder's last rung, in units of the budget's t
 
@@ -233,11 +233,11 @@ class _KmsPair:
 
 @dataclass(frozen=True, eq=False)
 class _KmsSpectrum(QuadFormSpectrum):
-    """One hypothesis's spectrum made by _spectra; its eigenvalues are built
-    on first read, with the other hypothesis's (see _KmsPair).  ``rho`` =
-    rho_h and ``ends`` = (lam(0), lam(pi), alpha_h * (1/alpha1 - 1/alpha2))
-    for the eigenvalue symbol lam(theta) of q_sigma_eigenvalues are what the
-    closed forms of _log_phi and _log_mgf need."""
+    """One hypothesis's spectrum made by _spectra from _CLOSED_FORM_MIN on;
+    its eigenvalues are built on first read, with the other hypothesis's
+    (see _KmsPair).  ``rho`` = rho_h and ``ends`` = (lam(0), lam(pi),
+    alpha_h * (1/alpha1 - 1/alpha2)) for the eigenvalue symbol lam(theta) of
+    q_sigma_eigenvalues are what its closed forms, _log_phi and _log_mgf, need."""
 
     eigenvalues: np.ndarray = field(init=False, repr=False)
     pair: _KmsPair
@@ -262,9 +262,9 @@ class _KmsSpectrum(QuadFormSpectrum):
 
     @cached_property
     def _summary(self) -> _Summary:
-        """The budget's inputs without the eigenvalue array from n =
-        _CLOSED_FORM_MIN on: the extremes from a few scalar angle solves, with
-        all n eigenvalues kept, log M(+-t) from _log_mgf's closed form.
+        """The budget's inputs without the eigenvalue array: the extremes
+        from a few scalar angle solves, with all n eigenvalues kept,
+        log M(+-t) from _log_mgf's closed form.
 
         Monotone spectrum.  lam_h = (alpha_h / u_h) * gap, where gap =
         u1/alpha1 - u2/alpha2 = c0 + c1 w and u_h = A + B w, A = (1 - rho_h) /
@@ -293,8 +293,6 @@ class _KmsSpectrum(QuadFormSpectrum):
         holds the smallest |lam| (_flat_end), that one value is read from
         them."""
         n = self.horizon
-        if n < _CLOSED_FORM_MIN:
-            return _eigen_summary(self.kept())
         lam_0, lam_pi, lam_c = self.ends
         if self.pair.r1 == self.pair.r2:
             if lam_c == 0.0:
@@ -483,16 +481,36 @@ def q_sigma_eigenvalues(
     if hypothesis not in (1, 2):
         raise ConfigError(f"hypothesis must be 1 or 2, got {hypothesis}")
     spectrum = _spectra(stats1, stats2, horizon)[hypothesis - 1]
-    spectrum.pair.eigenvalues()  # built here: the caller reads them
+    spectrum.eigenvalues  # built here: the caller reads them
     return spectrum
 
 
 def _spectra(stats1: ClassStatistics, stats2: ClassStatistics, horizon: int):
     """Both hypotheses' spectra (see q_sigma_eigenvalues), sharing one
-    _KmsPair, so that both eigenvalue arrays come from one angle solve."""
+    _KmsPair, so that both eigenvalue arrays come from one angle solve.
+    Below _CLOSED_FORM_MIN they are plain QuadFormSpectrums of those arrays,
+    evaluated by eigen-sums; from it on, _KmsSpectrums, evaluated by the
+    closed forms of _log_phi, _log_mgf and _KmsSpectrum._summary.
+
+    Crossover (timeit best of 7, 2-core x86 box; both hypotheses of the
+    default pair and of the surface cells (mass, gain) = (1, 4), (0.5, 2),
+    (4, 0.25), each on its report grid, summed): kf 20 (6,944 points)
+    1.17 ms eigen-sum vs 1.70 ms closed form; kf 30 0.94 vs 1.10; kf 40
+    1.69 vs 1.36; kf 60 2.04 vs 1.25; kf 100 7.4 vs 2.3.  They break even
+    near kf 35; 50 keeps every kf <= 40 report on the eigen-sum, at most
+    ~25% dearer there.  One default-pair call at kf 1000: 12.2 vs 0.39 ms.
+    With the term counts at Imhof's product bound, whole reports of the
+    same four cells (total_error, best of 7, summed; either path forced
+    from kf 2, so the closed form's budget ends at min |lam|, the
+    eigen-sum's at the geometric mean): kf 20 2.41 vs 3.03 ms, kf 30 2.46
+    vs 2.48, kf 40 2.63 vs 2.48, kf 60 2.48 vs 2.02, kf 100 2.49 vs 2.12.
+    They break even near kf 30-40, and 50 stays.
+    """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     pair = _KmsPair(stats1, stats2, horizon)
+    if horizon < _CLOSED_FORM_MIN:
+        return tuple(QuadFormSpectrum(eigs) for eigs in pair.eigenvalues())
     a1, r1, a2, r2 = pair.a1, pair.r1, pair.a2, pair.r2
     inverse_gap = (a2 - a1) / a1 / a2
     at_0, at_pi = _symbols(a1, r1, a2, r2, 0.0), _symbols(a1, r1, a2, r2, 1.0)
@@ -631,12 +649,11 @@ def _phi_arrays(eigenvalues: np.ndarray, u: np.ndarray):
 def _log_phi(spectrum: QuadFormSpectrum, u: np.ndarray):
     """log|phi_h(u)| and arg phi_h(u) on a grid, phi_h(u) = E[exp(1j*u*Z)].
 
-    A bare spectrum, or a horizon under _CLOSED_FORM_MIN, sums over the
-    eigenvalues (_phi_arrays).  A longer spectrum from _spectra takes
-    phi_h(u) = (det(T) / det(Sigma_h^-1))^(-1/2), T = Sigma_h^-1 - 2iuQ, in
-    closed form, O(1) per grid point.  T / c_h (c_h as in
-    q_sigma_eigenvalues) is tridiagonal with off-diagonal b, interior
-    diagonal a and corners a', where, with rho = rho_h,
+    A plain spectrum sums over the eigenvalues (_phi_arrays).  A
+    _KmsSpectrum takes phi_h(u) = (det(T) / det(Sigma_h^-1))^(-1/2),
+    T = Sigma_h^-1 - 2iuQ, in closed form, O(1) per grid point.  T / c_h
+    (c_h as in q_sigma_eigenvalues) is tridiagonal with off-diagonal b,
+    interior diagonal a and corners a', where, with rho = rho_h,
 
         a + 2b cos(theta) = (1 + rho**2 - 2 rho cos(theta)) z(theta),
         2a' - a = (1 - rho**2) z_c,   det(Sigma_h^-1) / c_h^n = 1 - rho**2,
@@ -673,22 +690,8 @@ def _log_phi(spectrum: QuadFormSpectrum, u: np.ndarray):
     at u = 0, so the sum is the continuous log phi_h, as the eigen-sum's
     is.  Complex logs are taken as log|z| + i arg z: numpy's complex log
     costs ~50 real ones.
-
-    Crossover (timeit best of 7, 2-core x86 box; both hypotheses of the
-    default pair and of the surface cells (mass, gain) = (1, 4), (0.5, 2),
-    (4, 0.25), each on its report grid, summed): kf 20 (6,944 points)
-    1.17 ms eigen-sum vs 1.70 ms closed form; kf 30 0.94 vs 1.10; kf 40
-    1.69 vs 1.36; kf 60 2.04 vs 1.25; kf 100 7.4 vs 2.3.  They break even
-    near kf 35; 50 keeps every kf <= 40 report on the eigen-sum, at most
-    ~25% dearer there.  One default-pair call at kf 1000: 12.2 vs 0.39 ms.
-    With the term counts at Imhof's product bound, whole reports of the
-    same four cells (total_error, best of 7, summed; either path forced
-    from kf 2, so the closed form's budget ends at min |lam|, the
-    eigen-sum's at the geometric mean): kf 20 2.41 vs 3.03 ms, kf 30 2.46
-    vs 2.48, kf 40 2.63 vs 2.48, kf 60 2.48 vs 2.02, kf 100 2.49 vs 2.12.
-    They break even near kf 30-40, and 50 stays.
     """
-    if not isinstance(spectrum, _KmsSpectrum) or spectrum.horizon < _CLOSED_FORM_MIN:
+    if not isinstance(spectrum, _KmsSpectrum):
         return _phi_arrays(spectrum.eigenvalues, u)
     n, rho = spectrum.horizon, spectrum.rho
     lam_0, lam_pi, lam_c = spectrum.ends
@@ -813,7 +816,7 @@ def _chernoff_ladder(
     s' >= s; once (S/s) f(s) > log_target no rung up to S can reach the
     target, and none is taken.  On short horizons this stops the walk at t.
     Each rung takes log M from the path its summary took (_Summary.log_mgf_at):
-    _log_mgf from _CLOSED_FORM_MIN on, the kept eigenvalues' sum below."""
+    _log_mgf for a _KmsSpectrum, the kept eigenvalues' sum otherwise."""
     summary = spectrum._summary
     t = 1.0 / (4.0 * summary.lambda_abs_max)
     best = _log_tail_bounds(spectrum, z)[(1 - sign) // 2]
@@ -862,10 +865,9 @@ def accuracy_budget(
 
     G the geometric mean of the kept |lam|, which is at least their
     minimum.  The spectrum's extremes, G, kept order and log M(+-t) come
-    from its eigenvalues, or, for a spectrum of _spectra from n =
-    _CLOSED_FORM_MIN on, in O(1) without them (see _KmsSpectrum._summary),
-    where G is replaced by its lower bound min |lam|: the same bound at a
-    longer N.
+    from its eigenvalues, or, for a _KmsSpectrum, in O(1) without them (see
+    _KmsSpectrum._summary), where G is replaced by its lower bound min |lam|:
+    the same bound at a longer N.
     """
     _check_target(target)
     summary = spectrum._summary
@@ -898,12 +900,10 @@ def accuracy_budget(
     )
 
 
-def _direct_partial_sum(
-    spectrum: QuadFormSpectrum, z: float, delta: float, i_first: int, i_last: int
-) -> float:
-    """sum over i of Im[phi(u_i) e^{-j z u_i}] / (i + 1/2), u_i = delta*(i+1/2)."""
+def _direct_partial_sum(spectrum: QuadFormSpectrum, z: float, delta: float, i_last: int) -> float:
+    """sum_(i=0)^(i_last) Im[phi(u_i) e^{-j z u_i}] / (i + 1/2), u_i = delta*(i+1/2)."""
     total = 0.0
-    for start in range(i_first, i_last + 1, _CHUNK):
+    for start in range(0, i_last + 1, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, i_last + 1), dtype=float) + 0.5
         u = delta * idx
         logmag, phase = _log_phi(spectrum, u)
@@ -978,7 +978,7 @@ def _series_fallback(
     delta, n_terms = budget.grid_step, budget.n_terms
     head_len = _head_len(budget.lambda_abs_min, delta)
     if n_terms <= min(head_len, _HEAD_MAX):
-        return _direct_partial_sum(spectrum, z, delta, 0, n_terms)
+        return _direct_partial_sum(spectrum, z, delta, n_terms)
     eigs, kept = spectrum.eigenvalues, spectrum.kept()
     if kept.size != eigs.size:
         # dropped eigenvalues are treated as exactly zero in the tail; make
@@ -1003,8 +1003,8 @@ def _series_fallback(
                 "series tail is neither expandable nor negligible "
                 f"(bound {tail_bound:g} vs tolerance {tol:g})"
             )
-        return _direct_partial_sum(spectrum, z, delta, 0, head_len)
-    head = _direct_partial_sum(spectrum, z, delta, 0, head_len - 1)
+        return _direct_partial_sum(spectrum, z, delta, head_len)
+    head = _direct_partial_sum(spectrum, z, delta, head_len - 1)
     tail = _tail_sum(kept, z, delta, head_len, n_terms, tol)
     return head + tail
 
@@ -1157,7 +1157,7 @@ def cdf_quadratic_form_raw(
     tol = _EVAL_SLACK * budget.target
     delta, n_terms = budget.grid_step, budget.n_terms
     if n_terms <= _DIRECT_CAP:
-        series = _direct_partial_sum(spectrum, z, delta, 0, n_terms)
+        series = _direct_partial_sum(spectrum, z, delta, n_terms)
     else:
         cut = _cut_cdf(spectrum, z, tol)
         if cut is not None:

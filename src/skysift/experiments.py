@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,27 +83,17 @@ class ExperimentConfig:
         return self.n_trials or _DEFAULT_TRIALS.get(self.name, 500)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "name": self.name,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "n_trials": self.n_trials,
-        }
+        """Every field but ``out_dir``, in field order, the scenario as its dict."""
+        snapshot = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        return dict(snapshot, scenario=self.scenario.to_dict())
 
     @classmethod
     def from_manifest(cls, path, out_dir) -> "ExperimentConfig":
         """Rebuild the config recorded in a manifest, for bit-identical re-runs."""
         with open(path, encoding="utf-8") as fh:
             snapshot = json.load(fh)["config"]
-        return cls(
-            scenario=Scenario.from_dict(snapshot["scenario"]),
-            name=snapshot["name"],
-            out_dir=Path(out_dir),
-            seed=snapshot["seed"],
-            accuracy=snapshot["accuracy"],
-            n_trials=snapshot["n_trials"],
-        )
+        scenario = Scenario.from_dict(snapshot["scenario"])
+        return cls(**dict(snapshot, scenario=scenario, out_dir=out_dir))
 
 
 def _sha256(path: Path) -> str:

@@ -15,8 +15,8 @@ from scipy.stats import chi2
 from conftest import make_scenario
 from oracles import covariance_matrix, kms_logdet
 from skysift.detector import (
+    DetectionReport,
     SufficientStatistics,
-    conditional_error,
     detect_full,
     detect_simplified,
     detector_from_scenario,
@@ -339,19 +339,18 @@ def test_criterion_10_conditional_error_boundary_and_monotonicity():
     quarter at margin 2*ln(3), symmetric, and strictly decreasing in the
     margin, always inside (0, 0.5]."""
     spec = detector_from_scenario(Scenario.default())
-    horizon = 20
-    z = threshold(spec, horizon)
-    assert conditional_error(spec, z, horizon) == 0.5
-    assert conditional_error(spec, z + 2 * math.log(3), horizon) == pytest.approx(
-        0.25, abs=1e-15
-    )
-    assert conditional_error(spec, z - 2 * math.log(3), horizon) == pytest.approx(
-        0.25, abs=1e-15
-    )
+    z = threshold(spec, 20)
+
+    def conditional_error(statistic):
+        return DetectionReport(statistic, z).conditional_error
+
+    assert conditional_error(z) == 0.5
+    assert conditional_error(z + 2 * math.log(3)) == pytest.approx(0.25, abs=1e-15)
+    assert conditional_error(z - 2 * math.log(3)) == pytest.approx(0.25, abs=1e-15)
 
     margins = np.linspace(0.0, 40.0, 161)
-    values = [conditional_error(spec, z + m, horizon) for m in margins]
-    mirrored = [conditional_error(spec, z - m, horizon) for m in margins]
+    values = [conditional_error(z + m) for m in margins]
+    mirrored = [conditional_error(z - m) for m in margins]
     assert values == mirrored
     assert all(b < a for a, b in zip(values, values[1:]))
     assert all(0.0 < v <= 0.5 for v in values)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,21 @@ def test_detect_overflowing_statistic_exits_2(tmp_path):
     )
     with np.errstate(over="ignore"):
         assert run("detect", "--input", csv_path) == 2
+
+
+def test_fit_refuses_an_overflowing_trial_with_one_line(tmp_path, capsys):
+    """The trial (1e200, 0.5) has no finite energy sum: fit exits 2 with
+    one error line and no numpy warning before it."""
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text(
+        "trial,label,k,y\n0,1,0,1e200\n0,1,1,0.5\n1,2,0,0.1\n1,2,1,0.2\n", encoding="utf-8"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("fit", "--input", csv_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: label 1: sufficient statistics must be finite\n"
 
 
 def test_detect_stream_refuses_an_overflowing_statistic(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -16,7 +17,6 @@ from skysift.detector import (
     _full_statistics,
     _stream_reports,
     build_detector,
-    conditional_error,
     detect_batch,
     detect_full,
     detect_simplified,
@@ -361,21 +361,23 @@ def test_exact_tie_decides_class_one():
     assert report.conditional_error == 0.5
 
 
+def conditional_error(statistic: float, z: float) -> float:
+    return DetectionReport(statistic, z).conditional_error
+
+
 def test_conditional_error_values(default_detector):
-    z = threshold(default_detector)
-    assert conditional_error(default_detector, z, 20) == 0.5
-    off = conditional_error(default_detector, z - 2.0 * math.log(3.0), 20)
+    z = threshold(default_detector, 20)
+    assert conditional_error(z, z) == 0.5
+    off = conditional_error(z - 2.0 * math.log(3.0), z)
     assert off == pytest.approx(0.25, abs=1e-15)
     # symmetric in the sign of the margin
-    assert conditional_error(default_detector, z + 1.3, 20) == conditional_error(
-        default_detector, z - 1.3, 20
-    )
+    assert conditional_error(z + 1.3, z) == conditional_error(z - 1.3, z)
 
 
 def test_conditional_error_monotone(default_detector):
-    z = threshold(default_detector)
+    z = threshold(default_detector, 20)
     margins = np.linspace(0.0, 40.0, 200)
-    values = [conditional_error(default_detector, z - m, 20) for m in margins]
+    values = [conditional_error(z - m, z) for m in margins]
     assert all(0.0 < v <= 0.5 for v in values)
     assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -463,16 +465,21 @@ def test_detect_batch_refuses_an_overflowing_trial(default_detector):
 def test_an_overflowing_statistic_is_refused_on_every_path(default_detector):
     """The trial (1.2e154, 0.5) folds to finite sums, but its statistic
     overflows: the simplified, full and streamed decisions refuse it as
-    detect_batch does."""
+    detect_batch does, and (1e200, 0.5) has no finite sums.  Each path
+    raises only its ConfigError, with no numpy warning first."""
     y = np.array([1.2e154, 0.5])
-    with pytest.raises(ConfigError, match="decision statistic overflows"):
-        detect_simplified(default_detector, SufficientStatistics.from_series(y))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="overflows"):
-        detect_full(default_detector, y)
-    with pytest.raises(ConfigError, match="decision statistic overflows"):
-        list(_stream_reports(default_detector, y.tolist()))
-    with pytest.raises(ConfigError, match="trial 0: decision statistic overflows"):
-        detect_batch(default_detector, sk.TrialBatch([1], y, [0, 2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="decision statistic overflows"):
+            detect_simplified(default_detector, SufficientStatistics.from_series(y))
+        with pytest.raises(ConfigError, match="decision statistic overflows"):
+            detect_full(default_detector, y)
+        with pytest.raises(ConfigError, match="decision statistic overflows"):
+            list(_stream_reports(default_detector, y.tolist()))
+        with pytest.raises(ConfigError, match="trial 0: decision statistic overflows"):
+            detect_batch(default_detector, sk.TrialBatch([1], y, [0, 2]))
+        with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
+            SufficientStatistics.from_series(np.array([1e200, 0.5]))
 
 
 def test_fit_recovers_parameters(default_scenario):

@@ -17,7 +17,13 @@ from scipy.special import gammainc, gammaincc
 from scipy.stats import chi2
 
 import skysift as sk
-from oracles import characteristic_function, cut_integrals_mp, quad_form_cdf_mp, sample_matrix
+from oracles import (
+    characteristic_function,
+    cut_integrals_mp,
+    gil_pelaez_mp,
+    quad_form_cdf_mp,
+    sample_matrix,
+)
 from skysift import error_analysis
 from skysift.detector import detector_from_scenario, threshold
 from skysift.error_analysis import (
@@ -650,10 +656,13 @@ def test_log_phi_matches_eigen_sum_near_identical(alpha, rho, horizon):
 
 @pytest.mark.parametrize("offset", [0, -1])
 def test_log_phi_crossover(monkeypatch, default_scenario, offset):
-    """At _CLOSED_FORM_MIN the closed form runs, one horizon below it the
-    eigen-sum, unchanged; both agree with the oracle."""
+    """At _CLOSED_FORM_MIN _spectra returns _KmsSpectrums and the closed
+    form runs, one horizon below it plain spectra and the eigen-sum,
+    unchanged; both agree with the oracle."""
     horizon = error_analysis._CLOSED_FORM_MIN + offset
     st1, st2 = default_scenario.stats1(), default_scenario.stats2()
+    kind = QuadFormSpectrum if offset < 0 else error_analysis._KmsSpectrum
+    assert [type(sp) for sp in error_analysis._spectra(st1, st2, horizon)] == [kind, kind]
     assert_log_phi_matches_eigen_sum(st1.alpha, st1.rho, st2.alpha, st2.rho, horizon)
     calls = []
     eigen_sum = error_analysis._phi_arrays
@@ -706,6 +715,8 @@ def test_identical_classes_zero_spectrum():
     # phi is exactly 1 along the closed-form path as well
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(error_analysis, "_CLOSED_FORM_MIN", 3)
+        sp = q_sigma_eigenvalues(st, st, 10, hypothesis=1)
+        assert isinstance(sp, error_analysis._KmsSpectrum)
         logmag, phase = error_analysis._log_phi(sp, np.linspace(0.0, 50.0, 11))
     assert np.all(logmag == 0.0) and np.all(phase == 0.0)
 
@@ -927,7 +938,7 @@ def test_head_tail_split_matches_direct_summation():
     budget = accuracy_budget(sp, z, 1e-6)
     assert budget.n_terms > 1 << 21  # needs the tail path at the real cap
     tol = 1e-3 * budget.target * math.pi
-    direct = _direct_partial_sum(sp, z, budget.grid_step, 0, budget.n_terms)
+    direct = _direct_partial_sum(sp, z, budget.grid_step, budget.n_terms)
     split = _series_fallback(sp, z, budget, tol)
     assert abs(direct - split) <= 1e-9
 
@@ -972,7 +983,7 @@ def test_series_past_the_cap_tries_the_cuts_first(monkeypatch):
     budget = accuracy_budget(sp, z, 1e-10)
     assert budget.n_terms == 129_201
     assert _head_len(budget.lambda_abs_min, budget.grid_step) == 146_777
-    direct = 0.5 - _direct_partial_sum(sp, z, budget.grid_step, 0, budget.n_terms) / math.pi
+    direct = 0.5 - _direct_partial_sum(sp, z, budget.grid_step, budget.n_terms) / math.pi
 
     def refuse(*args):
         raise AssertionError("_direct_partial_sum reached")
@@ -1001,9 +1012,9 @@ def test_direct_sum_stops_at_the_budget(monkeypatch):
     ranges = []
     summed = error_analysis._direct_partial_sum
 
-    def recording(spectrum, z, delta, i_first, i_last):
-        ranges.append((i_first, i_last))
-        return summed(spectrum, z, delta, i_first, i_last)
+    def recording(spectrum, z, delta, i_last):
+        ranges.append(i_last)
+        return summed(spectrum, z, delta, i_last)
 
     s = sk.Scenario.from_dict({"kf": 600, "m2": 0.5, "k2": 4.0})
     z = threshold(detector_from_scenario(s))
@@ -1012,7 +1023,7 @@ def test_direct_sum_stops_at_the_budget(monkeypatch):
     assert [b.n_terms for b in budgets] == [6_512_189, 2_061_464]
     monkeypatch.setattr(error_analysis, "_direct_partial_sum", recording)
     miss = 1.0 - cdf_quadratic_form_raw(sp1, z, budgets[0])
-    assert ranges == [(0, 6_512_189)]
+    assert ranges == [6_512_189]
     assert abs(miss - (1.0 - total_error(s).raw_cdf_given_1)) <= 1e-6
 
 
@@ -1369,12 +1380,18 @@ def routed_to_cuts(monkeypatch, scenarios):
 def test_cut_integrals_match_a_30_digit_quadrature(monkeypatch):
     """Every certify-short CDF that would need the series tail: the float64
     rules land within their certified bound of mpmath's tanh-sinh quadrature
-    of the same integrals (1e-14 more for rounding the closed forms)."""
+    of the same integrals (1e-14 more for rounding the closed forms).  The
+    quadrature itself agrees with Gil-Pelaez's to 1e-12 on hypothesis 2 of
+    the cell (mass 0.25, gain 0.5) at kf 20, whose branch points crowd."""
     calls = routed_to_cuts(monkeypatch, CERTIFY_SHORT)
     assert len(calls) == 30
     for sp, z, (cdf, bound) in calls:
         assert bound <= 1e-9
         assert abs(cdf - cut_integrals_mp(sp.eigenvalues, z)) <= bound + 1e-14, (sp.eigenvalues, z)
+    s = sk.Scenario.from_dict({"kf": 20, "m2": 0.25, "k2": 0.5})
+    z = threshold(detector_from_scenario(s))
+    eigs = spectra_for(s)[1].eigenvalues
+    assert abs(cut_integrals_mp(eigs, z) - gil_pelaez_mp(eigs, z)) <= 1e-12
 
 
 def test_certify_short_reports_land_within_the_target_of_a_30_digit_oracle():

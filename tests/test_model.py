@@ -99,9 +99,9 @@ def test_types_carry_only_what_the_model_reads():
 
 
 def test_public_names_and_settable_fields_are_counted():
-    """The public surface: 38 names plus ``__version__``, and the settable
+    """The public surface: 37 names plus ``__version__``, and the settable
     (init) fields of the public dataclasses."""
-    assert len(sk.__all__) == 39
+    assert len(sk.__all__) == 38
     public = [getattr(sk, name) for name in sk.__all__]
     classes = [obj for obj in public if dataclasses.is_dataclass(obj)]
     assert sum(f.init for cls in classes for f in dataclasses.fields(cls)) == 47

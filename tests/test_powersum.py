@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from skysift._powersum import _SBP_MIN_PHASE, _sbp_sum, pinned_power_sum
+from skysift._powersum import _SBP_MIN_PHASE, _euler_maclaurin_sum, _sbp_sum, pinned_power_sum
 from skysift.errors import NumericalError
 
 
@@ -120,7 +120,7 @@ def test_invalid_arguments_raise():
         pinned_power_sum(2.0, 0, 10, 0.1, 0.0)
 
 
-def lerch_oracle(s, a, b, f, dps=40):
+def lerch_oracle(s, a, b, f, dps=60):
     """P(s,a,b,f) from mpmath's Lerch transcendent, which shares no code with
     any branch: sum_{i>=a} = e^{-jf(a+1/2)} Phi(e^{-jf}, s, a+1/2)."""
     with mp.workdps(dps):
@@ -152,6 +152,20 @@ def test_matches_lerch_transcendent_at_huge_index(case, branch, caplog):
         value = pinned_power_sum(*case)
     assert caplog.records[-1].getMessage().split(": ")[1].startswith(branch + ",")
     assert abs(value - lerch_oracle(*case[:4])) <= case[4]
+
+
+def test_euler_maclaurin_stops_at_its_remainder_bound():
+    """At each tolerance the stop order's remainder bound is within tol/4
+    and covers the sum's error against the Lerch oracle."""
+    case = (2.2, 100, 300_000, 5e-5)
+    want = lerch_oracle(*case)
+    orders = []
+    for tol in (1e-3, 1e-8, 1e-12):
+        value, (order, bound) = _euler_maclaurin_sum(*case, tol)
+        assert bound <= tol / 4
+        assert abs(value - want) <= bound + 1e-16 * abs(want)
+        orders.append(order)
+    assert orders == [1, 2, 3]
 
 
 def test_summation_by_parts_refusal_reports_bound():
