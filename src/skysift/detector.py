@@ -236,12 +236,7 @@ def threshold(spec: DetectorSpec, horizon: int | None = None) -> float:
 
 
 def _coerce_samples(y) -> np.ndarray:
-    if isinstance(y, MeasurementSeries):
-        return y.samples
-    samples = np.asarray(y, dtype=float)
-    if samples.ndim != 1 or samples.size < 1 or not np.isfinite(samples).all():
-        raise ConfigError("series must be a non-empty 1-D array of finite values")
-    return samples
+    return (y if isinstance(y, MeasurementSeries) else MeasurementSeries(y)).samples
 
 
 def detect_full(spec: DetectorSpec, y) -> DetectionReport:

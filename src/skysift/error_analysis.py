@@ -34,20 +34,21 @@ proof that it yields exactly n roots are in :func:`q_sigma_eigenvalues`.
 From the measured crossover horizon _CLOSED_FORM_MIN = 50 on, a report
 needs no eigenvalues at all.  Sigma_h^-1 - 2iuQ has the same tridiagonal
 shape, and its determinant a Chebyshev closed form (ibid.): the
-characteristic function costs O(1) per grid point (:func:`_log_phi`), and
-the same determinant at real arguments gives the moment generating function
-of the Chernoff budget (:func:`_log_mgf`).  The budget's other inputs, the
+characteristic function costs O(1) per grid point
+(:meth:`_KmsSpectrum._log_phi`), and the same determinant at real arguments
+gives the moment generating function of the Chernoff budget
+(:meth:`_KmsSpectrum._log_mgf`).  The budget's other inputs, the
 largest and smallest |eigenvalue| and the kept count, sit at the ends of
 the spectrum and next to its sign change, because the eigenvalues are
 monotone in their angle, so a few scalar angle solves give them
 (:meth:`_KmsSpectrum._summary`).  A report is O(1) for its budget plus O(1)
 per grid point; only the head + tail fallback builds the eigenvalues, and
-below the crossover the eigen-sums are the cheaper path.  Report times with
-the O(n) spectrum and budget, then with the O(1) budget (timeit best of 5,
-two runs each, 2-vCPU Xeon on a shared host): default pair, kf 1e3 1.7 ->
-0.7-1.1 ms, kf 1e4 11-12 -> 6.4-8.0 ms, kf 1e5 117-153 -> 71-82 ms; surface
-cell (mass 1, gain 4), kf 1e3 1.8 -> 0.9-1.0 ms, kf 1e4 9.9-10.7 -> 6.5 ms,
-kf 1e5 121-136 -> 55-68 ms.  The rest is the inversion grid.
+below the crossover the eigen-sums are the cheaper path.  Report times
+(timeit best of 5, two runs each, 2-vCPU Xeon, shared host), default pair
+and cell (mass 1, gain 4): 0.15-0.19 ms at kf 1e3-1e6, both misses within
+the target by their Chernoff bounds; from about kf 3.2e6 the summary reads
+a flat end's smallest |lam| from the eigenvalues, 3.5-5.3 s and 1.3 GB at
+kf 1e7, and past _EIGENVALUES_MAX it refuses the report.
 """
 
 import cmath
@@ -63,7 +64,7 @@ from scipy.special import gammainc, gammaincc
 
 from .errors import ConfigError, NumericalError
 from ._powersum import pinned_power_sum
-from .detector import build_detector, threshold
+from .detector import DetectorSpec, threshold
 from .model import ClassStatistics, Scenario
 
 __all__ = [
@@ -112,31 +113,27 @@ _ANGLE_ARRAY_MIN = 13
 # horizons from which _spectra picks the closed forms (measured; see there)
 _CLOSED_FORM_MIN = 50
 _LADDER_TOP = 16  # _chernoff_ladder's last rung, in units of the budget's t
+# most eigenvalues _KmsPair builds: the angle solve and the symbols hold about
+# 125 bytes per eigenvalue at once, so 2**24 of them take about 2.1 GB
+_EIGENVALUES_MAX = 1 << 24
 
 
 class _Summary(NamedTuple):
     """What accuracy_budget reads of a spectrum: the largest and smallest
     |lam| kept (see DROP_TOLERANCE), a lower bound G on the geometric mean
     of the kept |lam| (the mean itself on the eigen path, the smallest |lam|
-    on _log_mgf's), how many are kept, and (log M(t), log M(-t)) for the
-    moment generating function M(s) = E[exp(s Z)] at the Chernoff t =
-    1/(4 lambda_abs_max); None if nothing is kept.  For _chernoff_ladder:
-    the signed ends (min lam, max lam) of the spectrum, and the kept
-    eigenvalues its log M came from, None for _log_mgf."""
+    on the closed form's), how many are kept, the Chernoff t =
+    1/(4 lambda_abs_max), and (log M(t), log M(-t)) for the moment
+    generating function M(s) = E[exp(s Z)]; t = 0 and None if nothing is
+    kept.  For _chernoff_ladder: the signed ends (min lam, max lam)."""
 
     lambda_abs_max: float
     lambda_abs_min: float
     lambda_abs_gmean: float
     kept_order: int
+    t: float
     log_mgf: "tuple | None"
     ends: tuple = (0.0, 0.0)
-    kept: "np.ndarray | None" = None
-
-    def log_mgf_at(self, spectrum: "QuadFormSpectrum", s: float):
-        """log M(s) by the path the summary took; None where _log_mgf is 0/0."""
-        if self.kept is None:
-            return _log_mgf(spectrum, s)
-        return _eigen_log_mgf(self.kept, s)
 
 
 def _eigen_log_mgf(kept: np.ndarray, s: float) -> float:
@@ -147,14 +144,14 @@ def _eigen_log_mgf(kept: np.ndarray, s: float) -> float:
 def _eigen_summary(kept: np.ndarray) -> _Summary:
     """The summary from the kept eigenvalues."""
     if kept.size == 0:
-        return _Summary(0.0, 0.0, 0.0, 0, None)
+        return _Summary(0.0, 0.0, 0.0, 0, 0.0, None)
     ends = (float(kept.min()), float(kept.max()))
     abs_max = max(-ends[0], ends[1])
     t = 1.0 / (4.0 * abs_max)
     log_mgf = (_eigen_log_mgf(kept, t), _eigen_log_mgf(kept, -t))
     size = np.abs(kept)
     gmean = math.exp(float(np.log(size).mean()))
-    return _Summary(abs_max, float(size.min()), gmean, int(kept.size), log_mgf, ends, kept)
+    return _Summary(abs_max, float(size.min()), gmean, int(kept.size), t, log_mgf, ends)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +188,16 @@ class QuadFormSpectrum:
         """What accuracy_budget reads, from the kept eigenvalues."""
         return _eigen_summary(self.kept())
 
+    def _log_phi(self, u: np.ndarray):
+        """log|phi(u)| and arg phi(u) on a grid, phi(u) = E[exp(1j*u*Z)],
+        summed over the eigenvalues (_phi_arrays)."""
+        return _phi_arrays(self.eigenvalues, u)
+
+    def _log_mgf(self, s: float):
+        """log M(s) at a real s where every factor 1 - 2s lam_j is positive,
+        summed over the kept eigenvalues."""
+        return _eigen_log_mgf(self.kept(), s)
+
 
 class _KmsPair:
     """The two classes and the horizon that both spectra of _spectra share,
@@ -208,6 +215,8 @@ class _KmsPair:
         """Both hypotheses' eigenvalues, ascending and read-only."""
         if self._eigenvalues is None:
             a1, r1, a2, r2, n = self.a1, self.r1, self.a2, self.r2, self.n
+            if n > _EIGENVALUES_MAX:
+                raise NumericalError(f"horizon {n} exceeds the eigenvalue-array limit 2**24")
             if r1 == r2 or n == 1:
                 inverse_gap = (a2 - a1) / a1 / a2
                 eigs = [np.full(n, a_h * inverse_gap) for a_h in (a1, a2)]
@@ -235,7 +244,7 @@ class _KmsPair:
 class _KmsSpectrum(QuadFormSpectrum):
     """One hypothesis's spectrum made by _spectra from _CLOSED_FORM_MIN on;
     its eigenvalues are built on first read, with the other hypothesis's
-    (see _KmsPair).  ``rho`` = rho_h and ``ends`` = (lam(0), lam(pi),
+    (see _KmsPair).  ``rho`` = rho_h and ``symbol`` = (lam(0), lam(pi),
     alpha_h * (1/alpha1 - 1/alpha2)) for the eigenvalue symbol lam(theta) of
     q_sigma_eigenvalues are what its closed forms, _log_phi and _log_mgf, need."""
 
@@ -243,7 +252,7 @@ class _KmsSpectrum(QuadFormSpectrum):
     pair: _KmsPair
     hypothesis: int
     rho: float
-    ends: tuple
+    symbol: tuple
 
     def __post_init__(self):
         pass  # _spectra checked the inputs; the eigenvalues come later
@@ -259,6 +268,111 @@ class _KmsSpectrum(QuadFormSpectrum):
     @property
     def horizon(self) -> int:
         return self.pair.n
+
+    def _log_phi(self, u: np.ndarray):
+        """log|phi_h(u)| and arg phi_h(u) on a grid, phi_h(u) = E[exp(1j*u*Z)]
+        = (det(T) / det(Sigma_h^-1))^(-1/2), T = Sigma_h^-1 - 2iuQ, in
+        closed form, O(1) per grid point.  T / c_h (c_h as in
+        q_sigma_eigenvalues) is tridiagonal with off-diagonal b, interior
+        diagonal a and corners a', where, with rho = rho_h,
+
+            a + 2b cos(theta) = (1 + rho**2 - 2 rho cos(theta)) z(theta),
+            2a' - a = (1 - rho**2) z_c,   det(Sigma_h^-1) / c_h^n = 1 - rho**2,
+
+        z = 1 - 2iu lam for the eigenvalue symbol lam(theta), and z_c =
+        1 - 2iu lam_c, lam_c = alpha_h (1/alpha1 - 1/alpha2).  Expanding the
+        corner rows with the Toeplitz minors D_k = (r+^(k+1) - r-^(k+1)) /
+        (r+ - r-), r+- the roots of r**2 - a r + b**2 (Kac, Murdock and Szego
+        1953), gives for n >= 2, with q = r-/r+ and xi = (a' - r+)/(a' - r-),
+
+            det(T / c_h) = a'^2 D_(n-2) - 2a' b^2 D_(n-3) + b^4 D_(n-4)
+                         = r+^(n-2) (a' - r-)^2 (1 - q^(n-1) xi^2) / (1 - q).
+
+        a +- 2b give, with principal roots s_0 = sqrt(z(0)), s_pi = sqrt(z(pi))
+        and w = s_0 s_pi: sqrt(r+) = m and sqrt(r-) = m beta for
+        m, m beta = ((1 + rho) s_pi +- (1 - rho) s_0) / 2; r+ - r- =
+        (1 - rho**2) w; a' - r-+ = (1 - rho**2)(z_c +- w) / 2.  So
+
+            log phi_h = -(n - 1) log m - log((z_c + w) / 2) + log(w) / 2
+                        - log(1 - (beta^(n-1) xi)**2) / 2,   xi = (z_c - w) / (z_c + w),
+
+        from n, rho, lam(0), lam(pi) and lam_c, each in _spectra's
+        cancellation-free form; only beta and xi difference near-equal terms.
+
+        Branch.  Each z has real part 1, so s_0, s_pi and m (a positive mix of
+        them) have arguments in (-pi/4, pi/4): arg r+ = 2 arg m stays in
+        (-pi/2, pi/2), and w and z_c + w have positive real parts.
+        beta = (1 - g) / (1 + g) with g = (1 - rho) s_0 / ((1 + rho) s_pi),
+        Re g > 0, so |beta| < 1.  As f_i(0) f_i(pi) = alpha_i**2 for the AR(1)
+        density f_i, lam_c is lam at the geometric mean of f1/f2 at 0 and pi,
+        so arg z_c lies between arg z(0) and arg z(pi), within pi/2 of their
+        midpoint arg w: |xi| < 1.  Every log above is thus of a number in the
+        open right half-plane; its principal branch is continuous in u and real
+        at u = 0, so the sum is the continuous log phi_h, as the eigen-sum's
+        is.  Complex logs are taken as log|z| + i arg z: numpy's complex log
+        costs ~50 real ones.
+        """
+        n, rho = self.horizon, self.rho
+        lam_0, lam_pi, lam_c = self.symbol
+        s_0, s_pi = _sqrt_right(-2.0 * lam_0 * u), _sqrt_right(-2.0 * lam_pi * u)
+        lo, hi = (1.0 - rho) * s_0, (1.0 + rho) * s_pi
+        w = s_0 * s_pi
+        z_c = 1.0 - 2j * lam_c * u
+        two_m, z_c_w = hi + lo, z_c + w
+        mag_m, arg_m = _polar(0.5 * two_m)
+        mag_b, arg_b = _polar((hi - lo) / two_m)
+        t = np.exp((n - 1) * (mag_b + 1j * arg_b)) * ((z_c - w) / z_c_w)
+        logmag, phase = -(n - 1) * mag_m, -(n - 1) * arg_m
+        for weight, value in ((-1.0, 0.5 * z_c_w), (0.5, w), (-0.5, 1.0 - t * t)):
+            mag, arg = _polar(value)
+            logmag += weight * mag
+            phase += weight * arg
+        return logmag, phase
+
+    def _log_mgf(self, s: float):
+        """log M_h(s) = -1/2 log det(I - 2s Q Sigma_h) at a real s where every
+        factor 1 - 2s lam_j is at least 1/2, in O(1); None where r+ = r-.
+
+        _log_phi's closed form at u = -is: its z = 1 - 2iu lam become the real
+        1 - 2s lam, and the determinant identity behind it is algebraic, so it
+        holds for these inputs too.  Positivity: the budget's |s| <= t =
+        1/(4 max|lam|) puts every factor in [1/2, 3/2], and _chernoff_ladder's
+        rungs, s up to 16 t but never past 1/(4 lam_edge) on the side they
+        bound, in [1/2, 9] (see there); so det(I - 2s Q Sigma_h) =
+        prod_j (1 - 2s lam_j) > 0, and log M is minus half its log.  The
+        closed form's factors multiply to that determinant whichever square
+        roots s_0 and s_pi take (a flip of either swaps r+ and r-, and D_k is
+        symmetric in them), so log M is the sum of their log-magnitudes and no
+        branch has to be followed.  The symbol's ends lie outside the
+        eigenvalues' range (theta_1 > 0, theta_n < pi), so 1 - 2s lam(0) or
+        1 - 2s lam(pi) may be negative and s_0 or s_pi imaginary; only
+        w = s_0 s_pi = 0, where r+ - r- = (1 - rho**2) w vanishes, leaves the
+        formula 0/0.
+
+        Rounding.  m = (hi + lo)/2 and, for rho near 1, beta lie near 1, so
+        forming them would cost the (n - 1)-fold terms (n - 1) eps.  As
+        s_x - 1 = -2s lam_x / (1 + s_x), m = 1 + d with d = -s ((1 - rho) lam_0
+        / (1 + s_0) + (1 + rho) lam_pi / (1 + s_pi)), and beta = 1 - lo / m:
+        log m and log beta come from _log1p of d and of -lo / m.  At the 859
+        ladder rungs of the surface grid at kf 50, 51, 200, 999 and 3000 it
+        matches the eigen-sum to 2.7e-15 relative.
+        """
+        n, rho = self.horizon, self.rho
+        lam_0, lam_pi, lam_c = self.symbol
+        s_0, s_pi = cmath.sqrt(1.0 - 2.0 * s * lam_0), cmath.sqrt(1.0 - 2.0 * s * lam_pi)
+        d = -s * ((1.0 - rho) * lam_0 / (1.0 + s_0) + (1.0 + rho) * lam_pi / (1.0 + s_pi))
+        lo = (1.0 - rho) * s_0
+        w, z_c = s_0 * s_pi, 1.0 - 2.0 * s * lam_c
+        try:
+            t = cmath.exp((n - 1) * _log1p(-lo / (1.0 + d))) * ((z_c - w) / (z_c + w))
+            return (
+                -(n - 1) * _log1p(d).real
+                - math.log(abs(0.5 * (z_c + w)))
+                + 0.5 * math.log(abs(w))
+                - 0.5 * math.log(abs(1.0 - t * t))
+            )
+        except (ArithmeticError, ValueError):  # a zero divisor or log argument
+            return None
 
     @cached_property
     def _summary(self) -> _Summary:
@@ -293,10 +407,10 @@ class _KmsSpectrum(QuadFormSpectrum):
         holds the smallest |lam| (_flat_end), that one value is read from
         them."""
         n = self.horizon
-        lam_0, lam_pi, lam_c = self.ends
+        lam_0, lam_pi, lam_c = self.symbol
         if self.pair.r1 == self.pair.r2:
             if lam_c == 0.0:
-                return _Summary(0.0, 0.0, 0.0, 0, None)
+                return _Summary(0.0, 0.0, 0.0, 0, 0.0, None)
             abs_max = abs_min = abs(lam_c)
             ends = (lam_c, lam_c)
         elif abs(lam_0 - lam_pi) <= _SYMBOL_ROUNDING * max(abs(lam_0), abs(lam_pi)):
@@ -307,10 +421,10 @@ class _KmsSpectrum(QuadFormSpectrum):
                 return _eigen_summary(self.kept())
             abs_max, abs_min, ends = extremes
         t = 1.0 / (4.0 * abs_max)
-        log_mgf = (_log_mgf(self, t), _log_mgf(self, -t))
+        log_mgf = (self._log_mgf(t), self._log_mgf(-t))
         if None in log_mgf:
             return _eigen_summary(self.kept())
-        return _Summary(abs_max, abs_min, abs_min, n, log_mgf, ends)
+        return _Summary(abs_max, abs_min, abs_min, n, t, log_mgf, ends)
 
     def _extremes(self) -> "tuple | None":
         """(max |lam|, min |lam|, (min lam, max lam)) for unequal rhos (see
@@ -328,7 +442,7 @@ class _KmsSpectrum(QuadFormSpectrum):
             j = 0 if abs(first) <= abs(last) else n
         else:
             rho = self.rho
-            lam_0, lam_pi, _ = self.ends
+            lam_0, lam_pi, _ = self.symbol
             at_0 = lam_0 * ((1.0 - rho) / (1.0 + rho)) ** 2
             w = min(max(at_0 / (at_0 - lam_pi), 0.0), 1.0)
             p, corner = pair.r1 * pair.r2, (1.0 - pair.r1) * (1.0 - pair.r2)
@@ -376,7 +490,7 @@ class _KmsSpectrum(QuadFormSpectrum):
         s = math.pi / (n - 1 + k1 + k2)
         w = math.sin(math.pi / (n - 1)) ** 2 if at_zero else 1.0
         u = _inverse_symbol(self.rho, w)
-        lam_0, lam_pi, _ = self.ends
+        lam_0, lam_pi, _ = self.symbol
         spread = abs(lam_pi - lam_0) - _SYMBOL_ROUNDING * (abs(lam_0) + abs(lam_pi))
         return 0.5 * s * math.sin(s) * spread / (u * u) <= 8.0 * _SYMBOL_ROUNDING * scale
 
@@ -490,7 +604,7 @@ def _spectra(stats1: ClassStatistics, stats2: ClassStatistics, horizon: int):
     _KmsPair, so that both eigenvalue arrays come from one angle solve.
     Below _CLOSED_FORM_MIN they are plain QuadFormSpectrums of those arrays,
     evaluated by eigen-sums; from it on, _KmsSpectrums, evaluated by the
-    closed forms of _log_phi, _log_mgf and _KmsSpectrum._summary.
+    closed forms of their _log_phi, _log_mgf and _summary.
 
     Crossover (timeit best of 7, 2-core x86 box; both hypotheses of the
     default pair and of the surface cells (mass, gain) = (1, 4), (0.5, 2),
@@ -646,117 +760,6 @@ def _phi_arrays(eigenvalues: np.ndarray, u: np.ndarray):
     return log_sum, atan_sum
 
 
-def _log_phi(spectrum: QuadFormSpectrum, u: np.ndarray):
-    """log|phi_h(u)| and arg phi_h(u) on a grid, phi_h(u) = E[exp(1j*u*Z)].
-
-    A plain spectrum sums over the eigenvalues (_phi_arrays).  A
-    _KmsSpectrum takes phi_h(u) = (det(T) / det(Sigma_h^-1))^(-1/2),
-    T = Sigma_h^-1 - 2iuQ, in closed form, O(1) per grid point.  T / c_h
-    (c_h as in q_sigma_eigenvalues) is tridiagonal with off-diagonal b,
-    interior diagonal a and corners a', where, with rho = rho_h,
-
-        a + 2b cos(theta) = (1 + rho**2 - 2 rho cos(theta)) z(theta),
-        2a' - a = (1 - rho**2) z_c,   det(Sigma_h^-1) / c_h^n = 1 - rho**2,
-
-    z = 1 - 2iu lam for the eigenvalue symbol lam(theta), and z_c =
-    1 - 2iu lam_c, lam_c = alpha_h (1/alpha1 - 1/alpha2).  Expanding the
-    corner rows with the Toeplitz minors D_k = (r+^(k+1) - r-^(k+1)) /
-    (r+ - r-), r+- the roots of r**2 - a r + b**2 (Kac, Murdock and Szego
-    1953), gives for n >= 2, with q = r-/r+ and xi = (a' - r+)/(a' - r-),
-
-        det(T / c_h) = a'^2 D_(n-2) - 2a' b^2 D_(n-3) + b^4 D_(n-4)
-                     = r+^(n-2) (a' - r-)^2 (1 - q^(n-1) xi^2) / (1 - q).
-
-    a +- 2b give, with principal roots s_0 = sqrt(z(0)), s_pi = sqrt(z(pi))
-    and w = s_0 s_pi: sqrt(r+) = m and sqrt(r-) = m beta for
-    m, m beta = ((1 + rho) s_pi +- (1 - rho) s_0) / 2; r+ - r- =
-    (1 - rho**2) w; a' - r-+ = (1 - rho**2)(z_c +- w) / 2.  So
-
-        log phi_h = -(n - 1) log m - log((z_c + w) / 2) + log(w) / 2
-                    - log(1 - (beta^(n-1) xi)**2) / 2,   xi = (z_c - w) / (z_c + w),
-
-    from n, rho, lam(0), lam(pi) and lam_c, each in _spectra's
-    cancellation-free form; only beta and xi difference near-equal terms.
-
-    Branch.  Each z has real part 1, so s_0, s_pi and m (a positive mix of
-    them) have arguments in (-pi/4, pi/4): arg r+ = 2 arg m stays in
-    (-pi/2, pi/2), and w and z_c + w have positive real parts.
-    beta = (1 - g) / (1 + g) with g = (1 - rho) s_0 / ((1 + rho) s_pi),
-    Re g > 0, so |beta| < 1.  As f_i(0) f_i(pi) = alpha_i**2 for the AR(1)
-    density f_i, lam_c is lam at the geometric mean of f1/f2 at 0 and pi,
-    so arg z_c lies between arg z(0) and arg z(pi), within pi/2 of their
-    midpoint arg w: |xi| < 1.  Every log above is thus of a number in the
-    open right half-plane; its principal branch is continuous in u and real
-    at u = 0, so the sum is the continuous log phi_h, as the eigen-sum's
-    is.  Complex logs are taken as log|z| + i arg z: numpy's complex log
-    costs ~50 real ones.
-    """
-    if not isinstance(spectrum, _KmsSpectrum):
-        return _phi_arrays(spectrum.eigenvalues, u)
-    n, rho = spectrum.horizon, spectrum.rho
-    lam_0, lam_pi, lam_c = spectrum.ends
-    s_0, s_pi = _sqrt_right(-2.0 * lam_0 * u), _sqrt_right(-2.0 * lam_pi * u)
-    lo, hi = (1.0 - rho) * s_0, (1.0 + rho) * s_pi
-    w = s_0 * s_pi
-    z_c = 1.0 - 2j * lam_c * u
-    two_m, z_c_w = hi + lo, z_c + w
-    mag_m, arg_m = _polar(0.5 * two_m)
-    mag_b, arg_b = _polar((hi - lo) / two_m)
-    t = np.exp((n - 1) * (mag_b + 1j * arg_b)) * ((z_c - w) / z_c_w)
-    logmag, phase = -(n - 1) * mag_m, -(n - 1) * arg_m
-    for weight, value in ((-1.0, 0.5 * z_c_w), (0.5, w), (-0.5, 1.0 - t * t)):
-        mag, arg = _polar(value)
-        logmag += weight * mag
-        phase += weight * arg
-    return logmag, phase
-
-
-def _log_mgf(spectrum: "_KmsSpectrum", s: float):
-    """log M_h(s) = -1/2 log det(I - 2s Q Sigma_h) at a real s where every
-    factor 1 - 2s lam_j is at least 1/2, in O(1); None where r+ = r-.
-
-    _log_phi's closed form at u = -is: its z = 1 - 2iu lam become the real
-    1 - 2s lam, and the determinant identity behind it is algebraic, so it
-    holds for these inputs too.  Positivity: the budget's |s| <= t =
-    1/(4 max|lam|) puts every factor in [1/2, 3/2], and _chernoff_ladder's
-    rungs, s up to 16 t but never past 1/(4 lam_edge) on the side they
-    bound, in [1/2, 9] (see there); so det(I - 2s Q Sigma_h) =
-    prod_j (1 - 2s lam_j) > 0, and log M is minus half its log.  The
-    closed form's factors multiply to that determinant whichever square
-    roots s_0 and s_pi take (a flip of either swaps r+ and r-, and D_k is
-    symmetric in them), so log M is the sum of their log-magnitudes and no
-    branch has to be followed.  The symbol's ends lie outside the
-    eigenvalues' range (theta_1 > 0, theta_n < pi), so 1 - 2s lam(0) or
-    1 - 2s lam(pi) may be negative and s_0 or s_pi imaginary; only
-    w = s_0 s_pi = 0, where r+ - r- = (1 - rho**2) w vanishes, leaves the
-    formula 0/0.
-
-    Rounding.  m = (hi + lo)/2 and, for rho near 1, beta lie near 1, so
-    forming them would cost the (n - 1)-fold terms (n - 1) eps.  As
-    s_x - 1 = -2s lam_x / (1 + s_x), m = 1 + d with d = -s ((1 - rho) lam_0
-    / (1 + s_0) + (1 + rho) lam_pi / (1 + s_pi)), and beta = 1 - lo / m:
-    log m and log beta come from _log1p of d and of -lo / m.  At the 859
-    ladder rungs of the surface grid at kf 50, 51, 200, 999 and 3000 it
-    matches the eigen-sum to 2.7e-15 relative.
-    """
-    n, rho = spectrum.horizon, spectrum.rho
-    lam_0, lam_pi, lam_c = spectrum.ends
-    s_0, s_pi = cmath.sqrt(1.0 - 2.0 * s * lam_0), cmath.sqrt(1.0 - 2.0 * s * lam_pi)
-    d = -s * ((1.0 - rho) * lam_0 / (1.0 + s_0) + (1.0 + rho) * lam_pi / (1.0 + s_pi))
-    lo = (1.0 - rho) * s_0
-    w, z_c = s_0 * s_pi, 1.0 - 2.0 * s * lam_c
-    try:
-        t = cmath.exp((n - 1) * _log1p(-lo / (1.0 + d))) * ((z_c - w) / (z_c + w))
-        return (
-            -(n - 1) * _log1p(d).real
-            - math.log(abs(0.5 * (z_c + w)))
-            + 0.5 * math.log(abs(w))
-            - 0.5 * math.log(abs(1.0 - t * t))
-        )
-    except (ArithmeticError, ValueError):  # a zero divisor or log argument
-        return None
-
-
 def _log1p(x: complex) -> complex:
     """log(1 + x), with log|1 + x| = log1p(2 Re x + |x|**2) / 2 exact for small x."""
     return complex(
@@ -788,9 +791,8 @@ def _log_tail_bounds(spectrum: QuadFormSpectrum, z: float) -> tuple:
     Logs, as B+- over- or underflow at long horizons.  The spectrum must
     keep an eigenvalue."""
     summary = spectrum._summary
-    t = 1.0 / (4.0 * summary.lambda_abs_max)
     log_plus, log_minus = summary.log_mgf
-    return -z * t + log_plus, z * t + log_minus
+    return -z * summary.t + log_plus, z * summary.t + log_minus
 
 
 def _chernoff_ladder(
@@ -815,17 +817,16 @@ def _chernoff_ladder(
     Convexity gate: f(0) = log M(0) = 0, so f(s') >= (s'/s) f(s) for every
     s' >= s; once (S/s) f(s) > log_target no rung up to S can reach the
     target, and none is taken.  On short horizons this stops the walk at t.
-    Each rung takes log M from the path its summary took (_Summary.log_mgf_at):
-    _log_mgf for a _KmsSpectrum, the kept eigenvalues' sum otherwise."""
+    Each rung takes log M from the spectrum's _log_mgf."""
     summary = spectrum._summary
-    t = 1.0 / (4.0 * summary.lambda_abs_max)
+    t = summary.t
     best = _log_tail_bounds(spectrum, z)[(1 - sign) // 2]
     edge = summary.ends[1] if sign > 0 else -summary.ends[0]
     top = _LADDER_TOP * t if edge <= 0.0 else min(_LADDER_TOP * t, 0.25 / edge)
     s = best_s = t
     while best > log_target and s < top and (top / s) * best <= log_target:
         s = min(2.0 * s, top)
-        log_mgf = summary.log_mgf_at(spectrum, sign * s)
+        log_mgf = spectrum._log_mgf(sign * s)
         if log_mgf is None:
             break
         f = log_mgf - sign * s * z
@@ -876,13 +877,12 @@ def accuracy_budget(
             "spectrum has no nonzero eigenvalues; the statistic is degenerate "
             "and the error is determined by the priors alone"
         )
-    abs_max, k = summary.lambda_abs_max, summary.kept_order
-    t = 1.0 / (4.0 * abs_max)
+    k = summary.kept_order
     # the larger of the two bounds is always >= 1 (their product M(t) M(-t)
     # is >= 1 and does not depend on z), so the grid-step denominator below
     # is strictly positive.
     log_bound = max(_log_tail_bounds(spectrum, z))
-    grid_step = 2.0 * math.pi * t / (log_bound + math.log(2.0 / target))
+    grid_step = 2.0 * math.pi * summary.t / (log_bound + math.log(2.0 / target))
     base = 1.0 / (2.0 * grid_step * summary.lambda_abs_gmean)
     n_terms = math.ceil(base * (math.pi / 4.0 * target * k) ** (-2.0 / k))
     try:
@@ -894,7 +894,7 @@ def accuracy_budget(
         grid_step=grid_step,
         n_terms=n_terms,
         chernoff_bound=chernoff_bound,
-        lambda_abs_max=abs_max,
+        lambda_abs_max=summary.lambda_abs_max,
         lambda_abs_min=summary.lambda_abs_min,
         kept_order=k,
     )
@@ -906,7 +906,7 @@ def _direct_partial_sum(spectrum: QuadFormSpectrum, z: float, delta: float, i_la
     for start in range(0, i_last + 1, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, i_last + 1), dtype=float) + 0.5
         u = delta * idx
-        logmag, phase = _log_phi(spectrum, u)
+        logmag, phase = spectrum._log_phi(u)
         total += float(np.sum(np.exp(logmag) * np.sin(phase - z * u) / idx))
     return total
 
@@ -994,7 +994,7 @@ def _series_fallback(
     if head_len > _HEAD_MAX:
         head_len = _HEAD_MAX
         u_head = delta * (head_len + 0.5)
-        logmag, _ = _log_phi(spectrum, np.array([u_head]))
+        logmag, _ = spectrum._log_phi(np.array([u_head]))
         tail_bound = math.exp(float(logmag[0])) * math.log(
             (n_terms + 1.5) / (head_len + 0.5)
         )
@@ -1222,19 +1222,15 @@ def total_error(scenario: Scenario, target: float = 1e-6) -> ErrorReport:
     """
     _check_target(target)
     stats1, stats2 = scenario.stats1(), scenario.stats2()
-    sampling = scenario.sampling
-    p1, p2 = sampling.prior1, sampling.prior2
-    kf = sampling.horizon
+    p1, kf = scenario.sampling.prior1, scenario.sampling.horizon
 
     spectrum1, spectrum2 = _spectra(stats1, stats2, kf)
+    z = threshold(DetectorSpec(stats1, stats2, p1, kf), kf)
 
     if spectrum1._summary.kept_order == 0 or spectrum2._summary.kept_order == 0:
-        # degenerate pair: the statistic carries no information
-        cdf = 1.0 if p1 >= p2 else 0.0  # zero statistic vs threshold 2*ln(p1/p2)
-        return ErrorReport(p1, 2.0 * math.log(p1 / p2), None, None, cdf, cdf)
-
-    detector = build_detector(stats1, stats2, p1, kf)
-    z = threshold(detector, kf)
+        # degenerate pair: the statistic is identically zero
+        cdf = 1.0 if 0.0 <= z else 0.0
+        return ErrorReport(p1, z, None, None, cdf, cdf)
 
     budget1 = accuracy_budget(spectrum1, z, target)
     budget2 = accuracy_budget(spectrum2, z, target)

@@ -89,9 +89,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_manifest(cls, path, out_dir) -> "ExperimentConfig":
-        """Rebuild the config recorded in a manifest, for bit-identical re-runs."""
-        with open(path, encoding="utf-8") as fh:
-            snapshot = json.load(fh)["config"]
+        """Rebuild the config recorded in a manifest, for bit-identical re-runs;
+        its ``config`` must hold exactly the keys that ``to_dict`` writes."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                snapshot = json.load(fh)["config"]
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise ConfigError(f"cannot read a config from manifest {path}: {exc!r}") from exc
+        keys = sorted(f.name for f in fields(cls) if f.name != "out_dir")
+        if not isinstance(snapshot, dict) or sorted(snapshot) != keys:
+            raise ConfigError(f"manifest {path}: config must hold exactly the keys {keys}")
         scenario = Scenario.from_dict(snapshot["scenario"])
         return cls(**dict(snapshot, scenario=scenario, out_dir=out_dir))
 

@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 
-from skysift.error_analysis import QuadFormSpectrum, _log_phi
+from skysift.error_analysis import QuadFormSpectrum
 from skysift.errors import ConfigError
 from skysift.model import ClassStatistics
 from skysift.simulator import _ar1_from_normals, _standard_normals_from_bits
@@ -56,7 +56,7 @@ def sample_matrix(
 
 def characteristic_function(spectrum: QuadFormSpectrum, omega: float) -> complex:
     """E[exp(1j*omega*Z)] for the weighted chi-squared statistic Z."""
-    logmag, phase = _log_phi(spectrum, np.atleast_1d(np.asarray(omega, dtype=float)))
+    logmag, phase = spectrum._log_phi(np.atleast_1d(np.asarray(omega, dtype=float)))
     value = np.exp(logmag) * (np.cos(phase) + 1j * np.sin(phase))
     return complex(value[0])
 

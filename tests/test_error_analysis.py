@@ -502,9 +502,10 @@ def test_log_mgf_matches_eigen_sum_on_every_rung(kf):
             if (m, g) == (1.0, 1.0):
                 continue
             s = sk.Scenario.from_dict({"kf": kf, "m2": m, "k2": g})
-            for sp in error_analysis._spectra(s.stats1(), s.stats2(), kf):
-                summary = sp._summary
-                assert summary.kept is None  # the closed-form path
+            spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
+            summaries = [sp._summary for sp in spectra]
+            assert spectra[0].pair._eigenvalues is None  # the closed-form path
+            for sp, summary in zip(spectra, summaries):
                 t = 1.0 / (4.0 * summary.lambda_abs_max)
                 for sign in (1, -1):
                     for rung in ladder_rungs(summary, sign):
@@ -512,7 +513,7 @@ def test_log_mgf_matches_eigen_sum_on_every_rung(kf):
                         assert np.min(x) >= -0.5 * (1.0 + 1e-12), (m, g, sign, rung)
                         terms = np.log1p(x)
                         summed = -0.5 * float(np.sum(terms))
-                        closed = error_analysis._log_mgf(sp, sign * rung * t)
+                        closed = sp._log_mgf(sign * rung * t)
                         size = 0.5 * float(np.sum(np.abs(terms)))
                         assert abs(closed - summed) <= 1e-12 * size, (m, g, sign, rung)
                         rungs += rung > 1.0
@@ -588,8 +589,39 @@ def test_monotone_summaries_solve_only_the_end_angles(kf, cell):
     s = sk.Scenario.from_dict({"kf": kf, **cell})
     spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
     for sp in spectra:
-        assert sp._summary.kept is None
+        sp._summary
     assert set(spectra[0].pair._at) == {1, kf}
+    assert spectra[0].pair._eigenvalues is None
+
+
+@pytest.mark.parametrize("kf", [10**8, 10**20])
+def test_flat_end_past_the_array_limit_is_refused_without_an_array(kf):
+    """The default pair's symbol is flat at the end of the spectrum that
+    holds the smallest |lam| from about kf 3.2e6 on, so its summary reads the
+    eigenvalues; past 2**24 of them that is refused before any is built."""
+    s = sk.Scenario.from_dict({"kf": kf})
+    with pytest.raises(NumericalError, match=r"2\*\*24"):
+        total_error(s)
+    spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
+    with pytest.raises(NumericalError, match=f"horizon {kf} "):
+        spectra[0]._summary
+    assert spectra[0].pair._eigenvalues is None
+
+
+def test_q_sigma_eigenvalues_past_the_array_limit_is_refused(default_scenario):
+    st1, st2 = default_scenario.stats1(), default_scenario.stats2()
+    with pytest.raises(NumericalError, match=r"2\*\*24"):
+        q_sigma_eigenvalues(st1, st2, error_analysis._EIGENVALUES_MAX + 1, hypothesis=1)
+
+
+def test_long_horizon_without_a_flat_end_still_reports():
+    """The cell (mass 0.5, gain 4) stays O(1) at kf 1e8: no array is built."""
+    s = sk.Scenario.from_dict({"kf": 10**8, "m2": 0.5, "k2": 4.0})
+    report = total_error(s)
+    assert 0.0 <= report.total_error <= 1e-6
+    spectra = error_analysis._spectra(s.stats1(), s.stats2(), 10**8)
+    for sp in spectra:
+        sp._summary
     assert spectra[0].pair._eigenvalues is None
 
 
@@ -620,7 +652,7 @@ def assert_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon):
             eigs = spectrum.eigenvalues
             u = np.linspace(0.0, 50.0 / (np.max(np.abs(eigs)) or 1.0), 257)
             logmag_ref, phase_ref = _phi_arrays(eigs, u)
-            logmag, phase = error_analysis._log_phi(spectrum, u)
+            logmag, phase = spectrum._log_phi(u)
             phi_ref = np.exp(logmag_ref + 1j * phase_ref)
             assert np.max(np.abs(np.exp(logmag + 1j * phase) - phi_ref)) <= 1e-10
             shown = np.abs(phi_ref) > 1e-12
@@ -674,7 +706,7 @@ def test_log_phi_crossover(monkeypatch, default_scenario, offset):
     monkeypatch.setattr(error_analysis, "_phi_arrays", counted)
     sp1, _ = spectra_for(default_scenario, horizon)
     u = np.linspace(0.0, 10.0, 101)
-    logmag, phase = error_analysis._log_phi(sp1, u)
+    logmag, phase = sp1._log_phi(u)
     assert len(calls) == (offset < 0)
     if calls:
         expected = eigen_sum(sp1.eigenvalues, u)
@@ -682,8 +714,59 @@ def test_log_phi_crossover(monkeypatch, default_scenario, offset):
         assert phase.tobytes() == expected[1].tobytes()
     # a bare spectrum of the same eigenvalues always takes the eigen-sum
     bare = QuadFormSpectrum(sp1.eigenvalues)
-    error_analysis._log_phi(bare, u)
+    bare._log_phi(u)
     assert len(calls) == 1 + (offset < 0)
+
+
+class DelegatingSpectrum(QuadFormSpectrum):
+    """A spectrum type of its own: its quantities come from a plain spectrum
+    through the evaluation interface, each call counted.  It holds no
+    eigenvalues, so any other read of the spectrum fails."""
+
+    def __init__(self, plain):
+        object.__setattr__(self, "plain", plain)
+        object.__setattr__(self, "calls", {"_summary": 0, "_log_phi": 0, "_log_mgf": 0})
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} read outside the evaluation interface")
+
+    def _count(self, name):
+        self.calls[name] += 1
+        return getattr(self.plain, name)
+
+    @property
+    def _summary(self):
+        return self._count("_summary")
+
+    def _log_phi(self, u):
+        return self._count("_log_phi")(u)
+
+    def _log_mgf(self, s):
+        return self._count("_log_mgf")(s)
+
+
+def test_budget_ladder_and_series_reach_a_spectrum_only_through_its_interface():
+    """The surface cell (mass 4, gain 0.25) at kf 20: hypothesis 1's ladder
+    climbs to 8 t.  A spectrum type that delegates the interface to a plain
+    spectrum gets the plain spectrum's budget, ladder bound and directly
+    summed CDF bit for bit, and is read through nothing else."""
+    s = sk.Scenario.from_dict({"kf": 20, "m2": 4.0, "k2": 0.25})
+    z = threshold(detector_from_scenario(s), 20)
+    rungs = []
+    for plain, sign in zip(spectra_for(s), (1, -1)):
+        spectrum = DelegatingSpectrum(plain)
+        budget = accuracy_budget(spectrum, z)
+        assert budget == accuracy_budget(plain, z)
+        log_target = math.log(budget.target)
+        ladder = error_analysis._chernoff_ladder(spectrum, z, sign, log_target)
+        assert ladder == error_analysis._chernoff_ladder(plain, z, sign, log_target)
+        assert budget.n_terms <= error_analysis._DIRECT_CAP  # the direct sum
+        raw = cdf_quadratic_form_raw(spectrum, z, budget)
+        assert raw == cdf_quadratic_form_raw(plain, z, budget)
+        assert spectrum.calls["_summary"] > 0 and spectrum.calls["_log_phi"] > 0
+        rungs.append((ladder[1], spectrum.calls["_log_mgf"]))
+    # hypothesis 1 climbs 2 t, 4 t and 8 t on _log_mgf; hypothesis 2 stops at t
+    assert rungs == [(8.0, 3), (1.0, 0)]
 
 
 def test_hypothesis1_eigenvalues_below_one():
@@ -717,7 +800,7 @@ def test_identical_classes_zero_spectrum():
         mp.setattr(error_analysis, "_CLOSED_FORM_MIN", 3)
         sp = q_sigma_eigenvalues(st, st, 10, hypothesis=1)
         assert isinstance(sp, error_analysis._KmsSpectrum)
-        logmag, phase = error_analysis._log_phi(sp, np.linspace(0.0, 50.0, 11))
+        logmag, phase = sp._log_phi(np.linspace(0.0, 50.0, 11))
     assert np.all(logmag == 0.0) and np.all(phase == 0.0)
 
 

@@ -109,6 +109,38 @@ def test_manifest_rerun_reproduces_checksums(tmp_path):
     assert second["outputs"] == first["outputs"]
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda config: config.update(unknown_key=1),
+        lambda config: config.pop("scenario"),
+        lambda config: config.pop("seed"),
+        lambda config: config.pop("accuracy"),
+        lambda config: config.pop("n_trials"),
+    ],
+    ids=["unknown", "no-scenario", "no-seed", "no-accuracy", "no-n_trials"],
+)
+def test_manifest_with_other_config_keys_is_refused(tmp_path, edit):
+    """A manifest's config holds exactly the keys that to_dict writes: a
+    missing one would silently take its default, as seed 1 for seed 8."""
+    cfg = make_config(tmp_path, "scatter", n_trials=30, seed=8)
+    manifest = {"config": cfg.to_dict(), "outputs": {}}
+    edit(manifest["config"])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ConfigError, match="manifest.json.*exactly the keys"):
+        ExperimentConfig.from_manifest(path, tmp_path / "rerun")
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]", '{"outputs": {}}'])
+def test_unreadable_manifest_is_refused(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="manifest.json"):
+        ExperimentConfig.from_manifest(path, tmp_path / "rerun")
+
+
 def test_run_mc_vs_exact(tmp_path):
     cfg = make_config(tmp_path, "mc-vs-exact", n_trials=2000, seed=1)
     run_experiment(cfg)
