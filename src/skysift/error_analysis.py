@@ -42,13 +42,13 @@ largest and smallest |eigenvalue| and the kept count, sit at the ends of
 the spectrum and next to its sign change, because the eigenvalues are
 monotone in their angle, so a few scalar angle solves give them
 (:meth:`_KmsSpectrum._summary`).  A report is O(1) for its budget plus O(1)
-per grid point; only the head + tail fallback builds the eigenvalues, and
-below the crossover the eigen-sums are the cheaper path.  Report times
-(timeit best of 5, two runs each, 2-vCPU Xeon, shared host), default pair
-and cell (mass 1, gain 4): 0.15-0.19 ms at kf 1e3-1e6, both misses within
-the target by their Chernoff bounds; from about kf 3.2e6 the summary reads
-a flat end's smallest |lam| from the eigenvalues, 3.5-5.3 s and 1.3 GB at
-kf 1e7, and past _EIGENVALUES_MAX it refuses the report.
+per grid point; only the head + tail fallback, a dropped neighbour of the
+sign change and a degenerate closed form build the eigenvalues (past
+_EIGENVALUES_MAX they refuse the report), and below the crossover the
+eigen-sums are the cheaper path.  Report times (timeit best of 5, 2-vCPU
+Xeon, shared host), default pair and cell (mass 1, gain 4): 0.15-0.19 ms at
+kf 1e3-1e9 and 0.36-0.38 ms at kf 1e20, both misses within the target by
+their Chernoff bounds.
 """
 
 import cmath
@@ -98,7 +98,6 @@ _NODE_COUNTS = [1 << j for j in range(6, _CUT_NODES_MAX.bit_length())]
 _FRACTIONS = np.concatenate([0.5 ** np.arange(1, 24), 1.0 - 0.5 ** np.arange(2, 24)])
 _TRAPEZOID_SPANS = 2.0 ** (np.arange(-8, 73) / 4.0)
 _EPS = float(np.finfo(float).eps)
-_SYMBOL_ROUNDING = 16 * _EPS  # of one _symbols value: ~12 operations, each eps/2
 # grid points per _log_phi call: the closed form keeps ~15 complex temporaries
 _CHUNK = 1 << 16
 # (eigenvalue, grid point) pairs per _phi_arrays block: cache-sized, and no
@@ -400,21 +399,23 @@ class _KmsSpectrum(QuadFormSpectrum):
         is dropped, the eigenvalues are built.
 
         Equal rhos give n eigenvalues lam_c (see q_sigma_eigenvalues).
-        Where _log_mgf's inputs degenerate, or the symbol's two ends agree
-        to within _SYMBOL_ROUNDING, so that rounding, not the symbol's
-        monotonicity, orders the eigenvalues, the eigenvalues are built;
-        where the symbol is that flat only at the end of the spectrum that
-        holds the smallest |lam| (_flat_end), that one value is read from
-        them."""
-        n = self.horizon
-        lam_0, lam_pi, lam_c = self.symbol
+        Where _log_mgf's inputs degenerate, the eigenvalues are built.
+
+        Rounding.  Each extreme is the computed symbol at the angle that
+        monotonicity names, within about 16 eps max|lam| of the exact one
+        (_symbols takes ~12 operations, each eps/2).  Where rounding, not the
+        symbol, orders neighbouring eigenvalues (a flat symbol or a flat
+        end), the extremes may differ from the array's by up to twice that,
+        32 eps max|lam|, and the array's is no closer to the true extreme;
+        elsewhere they are equal.  The budget reads min |lam| only as a
+        lower bound on the geometric mean in Imhof's bound, as the eigen
+        path reads G."""
+        n, lam_c = self.horizon, self.symbol[2]
         if self.pair.r1 == self.pair.r2:
             if lam_c == 0.0:
                 return _Summary(0.0, 0.0, 0.0, 0, 0.0, None)
             abs_max = abs_min = abs(lam_c)
             ends = (lam_c, lam_c)
-        elif abs(lam_0 - lam_pi) <= _SYMBOL_ROUNDING * max(abs(lam_0), abs(lam_pi)):
-            return _eigen_summary(self.kept())
         else:
             extremes = self._extremes()
             if extremes is None:
@@ -457,42 +458,7 @@ class _KmsSpectrum(QuadFormSpectrum):
         abs_min = min(abs(pair.symbols_at(m)[h]) for m in (j, j + 1) if 1 <= m <= n)
         if abs_min < DROP_TOLERANCE * abs_max:
             return None
-        if j in (0, n) and self._flat_end(j == 0, abs_max):
-            abs_min = float(np.min(np.abs(self.kept())))
         return abs_max, abs_min, (min(first, last), max(first, last))
-
-    def _flat_end(self, at_zero: bool, scale: float) -> bool:
-        """Whether rounding may put a smaller |lam| next to the end of the
-        spectrum that holds the smallest, at theta_1 (at_zero) or theta_n: a
-        lower bound on the symbol's change between that angle and its
-        neighbour is within 8 _SYMBOL_ROUNDING * scale.  Each computed lam is
-        within _SYMBOL_ROUNDING * scale of the symbol, so a change above twice
-        that keeps the end the smallest; 8 leaves a margin.
-
-        The bound.  g' = (n - 1) + K_1 + K_2 with the Poisson kernels
-        K_i = (1 - rho_i**2) / (1 - 2 rho_i cos(theta) + rho_i**2), since
-        x + i y = (e^(i theta) - rho1) (e^(i theta) - rho2) e^(-i theta); g'
-        falls on (0, pi).  As g(0) = 0, g(theta_m) = m pi and g(pi) =
-        (n + 1) pi, theta_1, theta_2 - theta_1, theta_n - theta_(n-1) and
-        pi - theta_n are at least s = pi / g'(c), c = 0 at theta = 0 and
-        c = (n - 3) pi / (n - 1) <= theta_(n-1) at pi.  The two angles lie in
-        [s, 2 pi / (n - 1)], resp. [c, pi - s], where sin(theta) >= sin(s), and
-        d lam / d theta = (lam(pi) - lam(0)) / u_h(w)**2 * sin(theta) / 2
-        (see _summary: A (A + B) = 1), with u_h largest at the largest w,
-        sin(pi / (n - 1))**2, resp. 1.  So the change is at least
-        s sin(s) / 2 * |lam(pi) - lam(0)| / u_h(w)**2, the difference taken
-        less the rounding of its two ends."""
-        pair = self.pair
-        n, r1, r2 = pair.n, pair.r1, pair.r2
-        cos_c = 1.0 if at_zero else math.cos((n - 3) * math.pi / (n - 1))
-        k1 = (1.0 - r1 * r1) / (1.0 - 2.0 * r1 * cos_c + r1 * r1)
-        k2 = (1.0 - r2 * r2) / (1.0 - 2.0 * r2 * cos_c + r2 * r2)
-        s = math.pi / (n - 1 + k1 + k2)
-        w = math.sin(math.pi / (n - 1)) ** 2 if at_zero else 1.0
-        u = _inverse_symbol(self.rho, w)
-        lam_0, lam_pi, _ = self.symbol
-        spread = abs(lam_pi - lam_0) - _SYMBOL_ROUNDING * (abs(lam_0) + abs(lam_pi))
-        return 0.5 * s * math.sin(s) * spread / (u * u) <= 8.0 * _SYMBOL_ROUNDING * scale
 
 
 @dataclass(frozen=True)

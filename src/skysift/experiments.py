@@ -10,6 +10,7 @@ documented per run function.
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -71,12 +72,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.name!r}; choose from {EXPERIMENT_NAMES}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.n_trials is not None and self.n_trials < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-        if not (0.0 < self.accuracy < 1.0):
-            raise ConfigError(f"accuracy must lie in (0, 1), got {self.accuracy}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.n_trials is not None and (not _is_integer(self.n_trials) or self.n_trials < 1):
+            raise ConfigError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
+        if not isinstance(self.accuracy, numbers.Real) or not (0.0 < self.accuracy < 1.0):
+            raise ConfigError(f"accuracy must be a number in (0, 1), got {self.accuracy!r}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     def trials(self) -> int:
@@ -101,6 +102,10 @@ class ExperimentConfig:
             raise ConfigError(f"manifest {path}: config must hold exactly the keys {keys}")
         scenario = Scenario.from_dict(snapshot["scenario"])
         return cls(**dict(snapshot, scenario=scenario, out_dir=out_dir))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _sha256(path: Path) -> str:

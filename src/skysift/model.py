@@ -176,6 +176,8 @@ class Scenario:
         Missing keys take the built-in defaults; unknown keys are rejected so
         that typos fail loudly instead of silently keeping a default.
         """
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - set(_CONFIG_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -212,8 +214,6 @@ class Scenario:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path} must contain a JSON object")
         return cls.from_dict(raw)
 
     @classmethod

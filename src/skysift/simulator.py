@@ -134,6 +134,16 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+# most samples one call simulates: CLI simulate peaks at 252-256 bytes per
+# sample above the import, so 2**23 of them take about 2.1 GB
+_SAMPLES_MAX = 1 << 23
+
+
+def _check_samples(count: int) -> None:
+    if count > _SAMPLES_MAX:
+        raise ConfigError(f"{count} samples exceed the simulation limit 2**23")
+
+
 # SeedSequence hash constants (numpy/random/bit_generator.pyx); all of its
 # arithmetic is on uint32 and wraps
 _MASK32 = 0xFFFFFFFF
@@ -223,8 +233,8 @@ def _raw_streams(seed: int, n_trials: int, horizon: int) -> np.ndarray:
     Row i equals ``np.random.PCG64(children[i + 1]).random_raw(horizon)``
     with ``children = np.random.SeedSequence(seed).spawn(n_trials + 1)``,
     for seeds >= 0 and ``n_trials < 2**32 - 1`` (larger spawn keys take two
-    words).  Every step is fixed-width integer arithmetic, vectorised over
-    the trials:
+    words; ``_SAMPLES_MAX`` keeps n_trials below that).  Every step is
+    fixed-width integer arithmetic, vectorised over the trials:
 
     1. ``SeedSequence`` (numpy's hash of the entropy words plus the spawn
        key into a four-word pool, then ``generate_state(4, uint64)``) gives
@@ -303,6 +313,7 @@ def simulate_trajectory(
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    _check_samples(horizon)
     _check_seed(rng_seed)
     bits = np.random.default_rng(rng_seed).integers(0, 2**53, size=horizon).astype(float)
     samples = _ar1_from_normals(stats.alpha, stats.rho, _standard_normals_from_bits(bits))
@@ -319,9 +330,8 @@ def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBat
     _check_seed(seed)
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    if n_trials >= 2**32 - 1:
-        raise ConfigError(f"n_trials must be < 2**32 - 1, got {n_trials}")
     sampling = scenario.sampling
+    _check_samples(n_trials * sampling.horizon)
     stats = {1: scenario.stats1(), 2: scenario.stats2()}
     label_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     labels = np.where(label_rng.random(n_trials) < sampling.prior1, 1, 2)

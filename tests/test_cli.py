@@ -225,6 +225,19 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [("simulate", "--trials", 1), ("experiment", "streaming")])
+def test_oversized_simulation_exits_2_with_one_line(tmp_path, capsys, command):
+    """kf 1e12 cannot be simulated: one error line naming the sample count
+    and the limit, no traceback, and no output file."""
+    cfg = write_config(tmp_path, {"kf": 10**12})
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run("--config", cfg, "--out-dir", out_dir, *command) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "2**23" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_detect_ragged_trials(tmp_path):
     rng = np.random.default_rng(5)
     lengths = (3, 5, 5, 3, 5)

@@ -109,26 +109,39 @@ def test_manifest_rerun_reproduces_checksums(tmp_path):
     assert second["outputs"] == first["outputs"]
 
 
+KEYS = "manifest.json.*exactly the keys"
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, match",
     [
-        lambda config: config.update(unknown_key=1),
-        lambda config: config.pop("scenario"),
-        lambda config: config.pop("seed"),
-        lambda config: config.pop("accuracy"),
-        lambda config: config.pop("n_trials"),
+        (lambda config: config.update(unknown_key=1), KEYS),
+        (lambda config: config.pop("scenario"), KEYS),
+        (lambda config: config.pop("seed"), KEYS),
+        (lambda config: config.pop("accuracy"), KEYS),
+        (lambda config: config.pop("n_trials"), KEYS),
+        (lambda config: config.update(seed="8"), "seed must be an integer >= 0, got '8'"),
+        (lambda config: config.update(seed=True), "seed must be an integer >= 0, got True"),
+        (lambda config: config.update(n_trials=2.5), "n_trials must be an integer >= 1, got 2.5"),
+        (lambda config: config.update(accuracy="x"), "accuracy must be a number in .*, got 'x'"),
+        (lambda config: config.update(scenario=5), "config must be a JSON object, got int"),
     ],
-    ids=["unknown", "no-scenario", "no-seed", "no-accuracy", "no-n_trials"],
+    ids=[
+        "unknown", "no-scenario", "no-seed", "no-accuracy", "no-n_trials",
+        "str-seed", "bool-seed", "float-n_trials", "str-accuracy", "int-scenario",
+    ],
 )
-def test_manifest_with_other_config_keys_is_refused(tmp_path, edit):
-    """A manifest's config holds exactly the keys that to_dict writes: a
-    missing one would silently take its default, as seed 1 for seed 8."""
+def test_manifest_with_other_config_keys_is_refused(tmp_path, edit, match):
+    """A manifest's config holds exactly the keys that to_dict writes, each
+    of its type: a missing one would silently take its default, as seed 1
+    for seed 8, and a wrong type would fail as a TypeError or run as
+    another config (n_trials 2.5, seed true)."""
     cfg = make_config(tmp_path, "scatter", n_trials=30, seed=8)
     manifest = {"config": cfg.to_dict(), "outputs": {}}
     edit(manifest["config"])
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(ConfigError, match="manifest.json.*exactly the keys"):
+    with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_manifest(path, tmp_path / "rerun")
 
 

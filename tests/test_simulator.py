@@ -135,6 +135,24 @@ def test_batch_rejects_bad_trial_count():
         simulate_batch(sk.Scenario.default(), 2**32 - 1, 1)
 
 
+def test_oversized_simulation_is_refused_before_any_allocation(monkeypatch):
+    """Past 2**23 samples (trials x horizon) both simulators refuse the call
+    with the count and the limit, before they draw or allocate anything."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    scenario = sk.Scenario.from_dict({"kf": 2**12})
+    with pytest.raises(ConfigError, match=r"^8392704 samples exceed the simulation limit 2\*\*23$"):
+        simulate_batch(scenario, 2**11 + 1, 1)
+    with pytest.raises(ConfigError, match=r"^8388609 samples .* 2\*\*23$"):
+        simulate_trajectory(scenario.stats1(), 2**23 + 1, 1)
+    monkeypatch.undo()
+    assert simulate_trajectory(scenario.stats1(), 2**12, 1).samples.size == 2**12
+
+
 def test_sampled_law_moments():
     """Empirical variance and lag-1 covariance match alpha and alpha*rho."""
     st = sk.ClassStatistics(alpha=0.5, rho=math.exp(-0.5))
