@@ -7,7 +7,9 @@ and the accuracy target.  Exit codes: 0 success, 2 configuration problem,
 """
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -36,6 +38,9 @@ from .model import Scenario
 from .simulator import read_batch_csv, simulate_batch, write_batch_csv
 
 
+# parse_args leaves the parser as it was and sets every default on a fresh
+# Namespace, so one parser serves every main call in a process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skysift",
@@ -164,9 +169,16 @@ def _cmd_fit(scenario: Scenario, args) -> None:
     _emit(json.dumps(fitted, indent=2) + "\n", args.out)
 
 
+def _finite_or_null(items) -> dict:
+    # a Chernoff bound that overflows a double is kept as inf; JSON gets null
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in items
+    }
+
+
 def _cmd_error_total(scenario: Scenario, args) -> None:
-    report = total_error(scenario, args.accuracy)
-    _emit(json.dumps(asdict(report), indent=2) + "\n", args.out)
+    report = asdict(total_error(scenario, args.accuracy), dict_factory=_finite_or_null)
+    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.out)
 
 
 def _cmd_error_surface(scenario: Scenario, args) -> None:

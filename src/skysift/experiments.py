@@ -131,8 +131,10 @@ def _write_json(path: Path, payload) -> Path:
 
 def _write_csv(path: Path, header, rows) -> None:
     """CSV with CRLF line ends, floats written as their ``repr``; no cell
-    needs quoting."""
-    lines = [",".join(map(_cell, row)) for row in [header, *rows]]
+    needs quoting.  A row given as a str is a line of ready cells."""
+    lines = [
+        row if isinstance(row, str) else ",".join(map(_cell, row)) for row in [header, *rows]
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -170,11 +172,12 @@ def run_scatter(config: ExperimentConfig) -> list:
     labels, decisions, z = batch.label, np.array(decisions), thresholds[0]
 
     csv_path = config.out_dir / "scatter.csv"
+    z_cell = _cell(z)  # the same threshold on every row
     _write_csv(
         csv_path,
         ("trial", "label", "statistic", "z"),
         (
-            (i, label, statistic, z)
+            f"{i},{label},{statistic!r},{z_cell}"
             for i, (label, statistic) in enumerate(zip(labels.tolist(), statistics))
         ),
     )
@@ -250,33 +253,27 @@ def run_mc_vs_exact(config: ExperimentConfig) -> list:
     wrong = (np.array(decisions) != labels).astype(float)
 
     n = labels.size
-    cum_wrong = np.cumsum(wrong)
-    cum_n1 = np.cumsum(labels == 1)
-    cum_n2 = np.cumsum(labels == 2)
-    cum_wrong1 = np.cumsum(wrong * (labels == 1))
-    cum_wrong2 = np.cumsum(wrong * (labels == 2))
-
     block = max(1, n // 400)
-    points = list(range(block - 1, n, block))
+    points = np.arange(block - 1, n, block)
     if points[-1] != n - 1:
-        points.append(n - 1)
+        points = np.append(points, n - 1)
 
-    def _rate(num, den):
-        return float(num / den) if den > 0 else None
+    def _rates(is_class):
+        # blank until the class has appeared; 0/0 there is masked, not written
+        hits, wrongs = np.cumsum(is_class)[points], np.cumsum(wrong * is_class)[points]
+        with np.errstate(invalid="ignore"):
+            rates = (wrongs / hits).tolist()
+        return [repr(r) if h else "" for r, h in zip(rates, hits.tolist())]
 
-    rows = []
-    for i in points:
-        rows.append(
-            (
-                i + 1,
-                float(cum_wrong[i] / (i + 1)),
-                report.total_error,
-                _rate(cum_wrong1[i], cum_n1[i]),
-                report.miss_given_1,
-                _rate(cum_wrong2[i], cum_n2[i]),
-                report.miss_given_2,
-            )
-        )
+    exact = (report.total_error, report.miss_given_1, report.miss_given_2)
+    total, miss1, miss2 = map(_cell, exact)
+    counts = points + 1
+    errors = (np.cumsum(wrong)[points] / counts).tolist()
+    rates1, rates2 = _rates(labels == 1), _rates(labels == 2)
+    rows = [
+        f"{k},{e!r},{total},{r1},{miss1},{r2},{miss2}"
+        for k, e, r1, r2 in zip(counts.tolist(), errors, rates1, rates2)
+    ]
     csv_path = config.out_dir / "mc_vs_exact.csv"
     _write_csv(
         csv_path,

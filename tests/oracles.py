@@ -2,7 +2,8 @@
 
 The package never builds an n x n covariance or draws a batch from one
 stream; these reference routines check the O(n) closed forms and the
-per-trial streams against the textbook constructions.
+per-trial streams against the textbook constructions, and the columnar
+mc-vs-exact table against its row-by-row construction.
 """
 
 import math
@@ -139,3 +140,41 @@ def quad_form_cdf_mp(eigenvalues, z, dps=30):
     if k < 20:
         return cut_integrals_mp(eigs, z, dps)
     return gil_pelaez_mp(eigs, z, dps)
+
+
+def mc_vs_exact_rows(labels, decisions, report) -> list:
+    """The mc-vs-exact table one row at a time: at every ``n // 400``-th
+    trial (and the last), the trial count, the running error, the exact
+    total error, and per class the running miss rate (None until the class
+    has appeared) beside its exact miss."""
+    wrong = (np.array(decisions) != labels).astype(float)
+
+    n = labels.size
+    cum_wrong = np.cumsum(wrong)
+    cum_n1 = np.cumsum(labels == 1)
+    cum_n2 = np.cumsum(labels == 2)
+    cum_wrong1 = np.cumsum(wrong * (labels == 1))
+    cum_wrong2 = np.cumsum(wrong * (labels == 2))
+
+    block = max(1, n // 400)
+    points = list(range(block - 1, n, block))
+    if points[-1] != n - 1:
+        points.append(n - 1)
+
+    def _rate(num, den):
+        return float(num / den) if den > 0 else None
+
+    rows = []
+    for i in points:
+        rows.append(
+            (
+                i + 1,
+                float(cum_wrong[i] / (i + 1)),
+                report.total_error,
+                _rate(cum_wrong1[i], cum_n1[i]),
+                report.miss_given_1,
+                _rate(cum_wrong2[i], cum_n2[i]),
+                report.miss_given_2,
+            )
+        )
+    return rows

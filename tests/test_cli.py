@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from skysift.cli import _DETECT_LINE, main
+from skysift.cli import _DETECT_LINE, _build_parser, main
 from skysift.detector import (
     SufficientStatistics,
     _conditional_error_from_margin,
@@ -452,6 +452,26 @@ def test_error_total_json(tmp_path):
     assert report["miss_given_1"] > 0 and report["miss_given_2"] > 0
 
 
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "payload, overflowing",
+    [
+        ({"kf": 10000}, ["budget_given_2"]),
+        ({"kf": 100000000, "m2": 0.5, "k2": 4.0}, ["budget_given_1", "budget_given_2"]),
+    ],
+)
+def test_error_total_writes_an_overflowing_bound_as_null(tmp_path, capsys, payload, overflowing):
+    """A Chernoff bound past the largest double is null, never Infinity."""
+    assert run("--config", write_config(tmp_path, payload), "error-total") == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    for budget in ("budget_given_1", "budget_given_2"):
+        bound = report[budget]["chernoff_bound"]
+        assert (bound is None) == (budget in overflowing), (budget, bound)
+
+
 def test_error_total_numerical_failure_exit_code(tmp_path):
     cfg = write_config(tmp_path, {"m2": 1.0 + 1e-13, "k2": 1, "prior1": 0.3})
     assert run("--config", cfg, "error-total") == 3
@@ -593,3 +613,37 @@ def test_unknown_subcommand_is_usage_error():
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_reused_parser_carries_no_global_flag_between_calls(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"kf": 5})
+    assert run("--config", cfg, "error-total") == 0
+    assert json.loads(capsys.readouterr().out)["total_error"] != TOTAL_ERROR
+    assert run("error-total") == 0
+    assert json.loads(capsys.readouterr().out)["total_error"] == TOTAL_ERROR
+
+
+def test_reused_parser_carries_no_subcommand_flag_between_calls(tmp_path, capsys):
+    assert run("simulate", "--trials", 3, "--out", tmp_path / "x.csv") == 0
+    assert run("--out-dir", tmp_path / "d", "simulate", "--trials", 3) == 0
+    assert (tmp_path / "d" / "trials.csv").exists()
+
+    csv_path = batch_csv(tmp_path, n_trials=60, seed=4)
+    assert run("fit", "--input", csv_path, "--label", 1) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"1"}
+    assert run("fit", "--input", csv_path) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"1", "2"}
+
+
+def test_reused_parser_recovers_after_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--trials", "x")
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run("--out-dir", tmp_path, "simulate", "--trials", 4) == 0
+    lines = (tmp_path / "trials.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 4 * 20

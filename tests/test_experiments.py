@@ -9,6 +9,7 @@ import skysift as sk
 from skysift import experiments
 from skysift.detector import (
     SufficientStatistics,
+    detect_batch,
     detect_full,
     detect_simplified,
     detector_from_scenario,
@@ -18,10 +19,24 @@ from skysift.errors import ConfigError
 from skysift.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
+    _write_csv,
     horizon_errors,
     run_experiment,
 )
 from skysift.simulator import simulate_batch
+
+from oracles import mc_vs_exact_rows
+
+
+MC_VS_EXACT_COLUMNS = (
+    "n_trials",
+    "empirical_error",
+    "exact_error",
+    "empirical_miss1",
+    "exact_miss1",
+    "empirical_miss2",
+    "exact_miss2",
+)
 
 
 def make_config(tmp_path, name, scenario=None, **kwargs):
@@ -158,15 +173,7 @@ def test_run_mc_vs_exact(tmp_path):
     cfg = make_config(tmp_path, "mc-vs-exact", n_trials=2000, seed=1)
     run_experiment(cfg)
     header, rows = read_csv(cfg.out_dir / "mc_vs_exact.csv")
-    assert header == [
-        "n_trials",
-        "empirical_error",
-        "exact_error",
-        "empirical_miss1",
-        "exact_miss1",
-        "empirical_miss2",
-        "exact_miss2",
-    ]
+    assert header == list(MC_VS_EXACT_COLUMNS)
     counts = [int(r[0]) for r in rows]
     assert counts == sorted(counts)
     assert counts[-1] == 2000
@@ -185,6 +192,25 @@ def test_run_mc_vs_exact(tmp_path):
     final_emp = float(rows[-1][1])
     se = math.sqrt(max(final_emp * (1 - final_emp), 1e-12) / 2000)
     assert abs(final_emp - report.total_error) <= 3 * se
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n_trials", [1, 2, 7, 400, 401, 1001])
+def test_mc_vs_exact_columns_equal_the_per_row_reference(tmp_path, n_trials, seed):
+    """The columnar table is byte for byte the row-by-row one: n // 400
+    with and without a remainder, and blank cells while a class is unseen."""
+    cfg = make_config(tmp_path, "mc-vs-exact", n_trials=n_trials, seed=seed)
+    run_experiment(cfg)
+    batch = simulate_batch(cfg.scenario, n_trials, seed)
+    decisions = detect_batch(detector_from_scenario(cfg.scenario), batch)[0]
+    rows = mc_vs_exact_rows(batch.label, decisions, sk.total_error(cfg.scenario))
+    reference = tmp_path / "reference.csv"
+    _write_csv(reference, MC_VS_EXACT_COLUMNS, rows)
+    table = (cfg.out_dir / "mc_vs_exact.csv").read_bytes()
+    assert table == reference.read_bytes()
+    if n_trials == 1:
+        [row] = read_csv(cfg.out_dir / "mc_vs_exact.csv")[1]
+        assert sorted(cell == "" for cell in (row[3], row[5])) == [False, True], row
 
 
 def test_run_streaming(tmp_path):
