@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .kms import _quadratic_form_from_sums, kms_quadratic_form
+from .kms import _quadratic_form, _quadratic_form_from_sums
 from .model import ClassStatistics, SamplingSpec, Scenario
 from .simulator import MeasurementSeries, TrialBatch
 
@@ -247,7 +247,7 @@ def detect_full(spec: DetectorSpec, y) -> DetectionReport:
     """
     samples = _coerce_samples(y)
     with np.errstate(over="ignore", invalid="ignore"):  # DetectionReport refuses inf and nan
-        form1, form2 = (kms_quadratic_form(st, samples) for st in (spec.stats1, spec.stats2))
+        form1, form2 = (_quadratic_form(st, samples) for st in (spec.stats1, spec.stats2))
         return DetectionReport(form1 - form2, threshold(spec, samples.size))
 
 

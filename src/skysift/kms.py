@@ -59,11 +59,22 @@ def kms_quadratic_form(stats: ClassStatistics, v: np.ndarray) -> float:
     With s0 = sum of squares and s1 = sum of adjacent products, the form is
     ((1 + rho**2) * s0 - rho**2 * (v[0]**2 + v[-1]**2) - 2 * rho * s1)
     divided by alpha * (1 - rho**2).  The n = 1 case collapses to
-    v[0]**2 / alpha because (1 + rho**2) - 2 * rho**2 = 1 - rho**2.
+    v[0]**2 / alpha because (1 + rho**2) - 2 * rho**2 = 1 - rho**2.  A form
+    that overflows is refused.
     """
     v = _check_shape(v)
     if v.ndim != 1:
         raise ConfigError("quadratic form expects a single vector")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        form = _quadratic_form(stats, v)
+    if not math.isfinite(form):
+        raise ConfigError(f"quadratic form overflows to {form}")
+    return form
+
+
+def _quadratic_form(stats: ClassStatistics, v: np.ndarray) -> float:
+    """:func:`kms_quadratic_form` of a checked vector, inf or nan where it
+    overflows."""
     s0 = float(v @ v)
     s1 = float(v[:-1] @ v[1:])
     edge = v[0] * v[0] + v[-1] * v[-1]

@@ -134,8 +134,9 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-# most samples one call simulates: CLI simulate peaks at 252-256 bytes per
-# sample above the import, so 2**23 of them take about 2.1 GB
+# most samples one call simulates: CLI simulate peaks at 34-42 bytes per
+# sample above the import, nearly all of it the batch (the CSV writer's
+# blocks are bounded), so 2**23 of them take about 350 MB
 _SAMPLES_MAX = 1 << 23
 
 
@@ -345,19 +346,220 @@ def simulate_batch(scenario: Scenario, n_trials: int, rng_seed: int) -> TrialBat
     return TrialBatch(labels, samples.ravel(), offsets)
 
 
+# The trial CSV's y column is the repr of each sample: the shortest decimal
+# that reads back to the same double, in Python's layout.  Its digits come
+# from Schubfach (Giulietti 2020, *The Schubfach way to render doubles*; the
+# family of Adams 2018, *Ryu: fast float-to-string conversion*), run in
+# uint64 arithmetic over a block of samples at once.  Every operand of a
+# uint64 array is a uint64 array or np.uint64: numpy 1.x makes a uint64
+# array mixed with a Python int below 0 into float64.
+_ONE, _TWO, _TEN = np.uint64(1), np.uint64(2), np.uint64(10)
+_LOW63 = np.uint64((1 << 63) - 1)
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of 1.0
+_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+_E16 = _POW10[16]
+# the decimal scales 10**k that Schubfach multiplies by, k in [-324, 292]
+_K_MIN, _K_MAX = -324, 292
+
+
+def _flog2pow10(e):
+    """floor(e * log2(10)) for |e| <= 1233 (an int or an int64 array)."""
+    return e * 913_124_641_741 >> 38
+
+
+def _pow10_table() -> tuple:
+    """For each k in [_K_MIN, _K_MAX], g = floor(10**-k * 2**-r) + 1 with the
+    r that puts g in [2**125, 2**126), as its high and low 63-bit halves."""
+    halves = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = _flog2pow10(-k) - 125
+        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        halves.append((g >> 63, g & (1 << 63) - 1))
+    return tuple(np.array(halves, dtype=np.uint64).T.copy())
+
+
+_G_HIGH, _G_LOW = _pow10_table()
+
+
+def _round_to_odd(g_high, g_low, cp):
+    """g * cp / 2**127 for g = g_high * 2**63 + g_low, rounded down, with the
+    lowest bit set where the bits dropped are not all zero (Schubfach's rop)."""
+    low = (g_high * cp >> _ONE) + _mulhi64(g_low, cp)
+    high = _mulhi64(g_high, cp) + (low >> np.uint64(63))
+    return high | ((low & _LOW63) + _LOW63) >> np.uint64(63)
+
+
+def _shortest_decimal(bits: np.ndarray) -> tuple:
+    """(f, e) such that f * 10**e is the shortest decimal that reads back to
+    each positive finite double (given by its bits); among the shortest, the
+    closest, and of two as close, the one with an even f.  These are the
+    digits of ``repr``; f may end in zeros.
+
+    Schubfach as in Giulietti's ``DoubleToDecimal.toDecimal``, with one
+    change: the candidate one digit shorter is tried from s >= 10, where
+    Java, which prints at least two digits, tries it from s >= 100.  So a
+    subnormal needs no rescaling of its own.
+    """
+    biased = (bits >> np.uint64(52)).astype(np.int64)
+    fraction = bits & np.uint64((1 << 52) - 1)
+    c = np.where(biased > 0, fraction | np.uint64(1 << 52), fraction)
+    q = np.maximum(biased, 1) - 1075  # |v| = c * 2**q
+    # a power of two above the smallest normal has a closer neighbour below
+    uneven = (fraction == 0) & (biased > 1)
+    # k = floor(log10(2**q)), or of 3/4 of it where uneven
+    k = (q * 661_971_961_083 - uneven * 274_743_187_321) >> 41
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    g_high, g_low = _G_HIGH[k - _K_MIN], _G_LOW[k - _K_MIN]
+    cb = c << _TWO
+    # 4 * 10**-k times v and the two ends of its rounding interval, rounded to odd
+    ends = np.stack([cb, cb - _ONE - (~uneven).astype(np.uint64), cb + _TWO]) << h
+    vb, vbl, vbr = _round_to_odd(g_high, g_low, ends)
+    odd = c & _ONE  # an odd c excludes the ends, an even one includes them
+    vbl += odd
+    vbr -= odd
+    s = vb >> _TWO
+    sp10 = s // _TEN * _TEN
+    shorter_up = sp10 + _TEN << _TWO <= vbr
+    shorter = (s >= _TEN) & ((vbl <= sp10 << _TWO) != shorter_up)
+    lower_in, upper_in = vbl <= s << _TWO, s + _ONE << _TWO <= vbr
+    middle = s + s + _ONE << _ONE
+    lower_closer = (vb < middle) | (vb == middle) & (s & _ONE == 0)
+    f = s + ~np.where(lower_in != upper_in, lower_in, lower_closer)
+    return np.where(shorter, sp10 + _TEN * shorter_up, f), k
+
+
+def _words(text: bytes) -> np.ndarray:
+    """The text as uint32 words, each holding four of its bytes in memory
+    order, whatever the machine's byte order."""
+    return np.frombuffer(text, dtype=np.uint32)
+
+
+def _chunk_tables() -> tuple:
+    """Tables over the 4-digit chunks 0000 ... 9999: their text, then at
+    10000 + d the digit d and three NULs; their text with the leading zeros
+    NUL, but for the last digit; and at 10000 j + c where the last nonzero
+    digit of c falls among a fraction's 17 digits when c is the (j + 1)-th
+    chunk after the first digit, 0 if c is 0."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    nonzero = digits != 0
+    single = np.arange(48, 58)[:, None] * np.array([1, 0, 0, 0])
+    leading = np.cumsum(nonzero, axis=1) + [0, 0, 0, 1] == 0
+    last = (nonzero * np.arange(1, 5)).max(axis=1)
+    ends = [np.where(last > 0, last + 4 * j + 1, 0) for j in range(4)]
+    text = digits + 48
+    digit_text = np.concatenate([text, single]).astype(np.uint8).tobytes()
+    lead_text = (text * ~leading).astype(np.uint8).tobytes()
+    return _words(digit_text), _words(lead_text), np.concatenate(ends)
+
+
+_DIGITS4, _LEAD4, _FRACTION_END = _chunk_tables()
+_CHUNK_ROWS = np.arange(0, 40000, 10000)[:, None]  # where each j starts in _FRACTION_END
+_KEEP = _words(b"".join((b"\xff" * m).ljust(4, b"\0") for m in range(5)))  # the first m bytes
+_POINT = _words(b"".join(b".000"[:m].ljust(4, b"\0") for m in range(5)))  # point, 0-3 zeros
+_SIGN = _words(b",\0\0\0,-\0\0")
+_LABEL = _words(b"\0\0\0\0,1,\0,2,\0")
+# the exponents e-324 ... e+308 with the line end, as two rows of words;
+# the line end alone at 633
+_EXPONENT = _words(
+    b"".join((b"e%+03d\r\n" % x).ljust(8, b"\0") for x in range(-324, 309))
+    + b"\r\n".ljust(8, b"\0")
+).reshape(634, 2).T.copy()
+# the digits each word of the integer part and of the fraction follows
+_INTEGER_STARTS = np.array([[0], [4], [8], [12]])
+_FRACTION_STARTS = np.array([[0], [1], [5], [9], [13]])
+_SAMPLE_WORDS = 13
+# samples per block of rows.  Alternated writes of 20,000 samples take
+# longest at 2**13 (malloc maps its larger work arrays afresh: about 2,500
+# page faults a write) and least at 2**12; at 10**6 samples 2**14 is about
+# 20% faster than 2**12
+_CSV_BLOCK = 1 << 12
+
+
+def _count_words(x: np.ndarray, width: int) -> np.ndarray:
+    """Integers x >= 0 as ``width`` rows of words of four digits, leading
+    zeros NUL."""
+    words = np.empty((width,) + x.shape, dtype=np.uint32)
+    for j in range(width - 1, -1, -1):
+        high = x // 10000
+        chunk = x - high * 10000
+        lead = _LEAD4[chunk] if j == width - 1 else _LEAD4[chunk] * (x > 0)
+        words[j] = np.where(high > 0, _DIGITS4[chunk], lead)
+        x = high
+    return words
+
+
+def _chunks16(x: np.ndarray) -> np.ndarray:
+    """uint64 x < 10**16 as its four 4-digit chunks, on a new axis before
+    the last."""
+    high = x // _POW10[8]
+    halves = np.stack([high, x - high * _POW10[8]], axis=-2).astype(np.intp)
+    top = halves // 10000
+    return np.stack([top, halves - top * 10000], axis=-2).reshape(x.shape[:-1] + (4, -1))
+
+
+def _sample_words(y: np.ndarray, out: np.ndarray) -> None:
+    """Write ``,`` and the repr of each sample, then CRLF, into the columns
+    of ``out`` (uint32, _SAMPLE_WORDS rows of words), NUL where the text of
+    a sample is shorter.
+
+    The rows: the comma and sign; the integer digits (up to 16); the point
+    and up to three zeros after it; the fraction digits (up to 17, the first
+    one alone in its word); the exponent and line end.
+    """
+    bits = y.view(np.uint64)
+    out[0] = _SIGN[(bits >> np.uint64(63)).astype(np.intp)]
+    magnitude = bits & _LOW63
+    zero = magnitude == 0
+    f, e = _shortest_decimal(np.where(zero, _ONE_BITS, magnitude))
+    n = np.searchsorted(_POW10, f, side="right")  # digits of f
+    digits = f * _POW10[17 - n] * ~zero  # left-aligned in 17 digits
+    point = n + e  # |y| = 0.digits * 10**point
+    sci = (point > 16) | (point < -3)  # where repr writes an exponent
+    lead = np.where(sci, 1, np.clip(point, 0, 16))  # digits before the point
+    fraction = digits % _POW10[17 - lead] * _POW10[lead]  # the rest, left-aligned
+    first = fraction // _E16
+    chunks = _chunks16(np.stack([digits // _TEN * (lead > 0), fraction - first * _E16]))
+    # the fraction ends at its last nonzero digit, fixed notation after one
+    end = np.maximum(_FRACTION_END[chunks[1] + _CHUNK_ROWS].max(axis=0), first > 0)
+    end = np.where(sci, end, np.maximum(end, 1))
+    out[1:5] = _DIGITS4[chunks[0]] & _KEEP[np.clip(np.maximum(lead, 1) - _INTEGER_STARTS, 0, 4)]
+    out[5] = _POINT[np.where(sci, end > 0, 1 - np.minimum(point, 0))]
+    out[6] = _DIGITS4[first.astype(np.intp) + 10000]
+    out[7:11] = _DIGITS4[chunks[1]]
+    out[6:11] &= _KEEP[np.clip(end - _FRACTION_STARTS, 0, 4)]
+    out[11:13] = np.take(_EXPONENT, np.where(sci, point + 323, 633), axis=1)
+
+
 def write_batch_csv(batch: TrialBatch, path) -> None:
     """Write trials as CSV with header ``trial,label,k,y``, one row per sample.
 
     Lines end in CRLF, and ``y`` is the ``repr`` of the sample, which
-    round-trips exactly.
+    round-trips exactly.  Rows are made ``_CSV_BLOCK`` samples at a time:
+    each slot of a row (a word of four bytes, NUL where unused) for the
+    whole block at once, the slots then turned into rows and the NULs
+    dropped.
     """
-    lengths = np.diff(batch.offsets).tolist()
-    ks = [f"{k}," for k in range(max(lengths))]
-    heads = [f"{t},{lab}," for t, lab in enumerate(batch.label.tolist())]
-    keys = [head + k for head, n in zip(heads, lengths) for k in ks[:n]]
-    rows = map(str.__add__, keys, map(repr, batch.samples.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n" + "\r\n".join(rows) + "\r\n")
+    offsets, size = batch.offsets, batch.samples.size
+    trial_width = (len(str(batch.label.size - 1)) + 3) // 4
+    k_width = (len(str(int(np.diff(offsets).max()) - 1)) + 3) // 4
+    head = trial_width + 1 + k_width
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode() + b"\r\n")
+        for lo in range(0, size, _CSV_BLOCK):
+            hi = min(lo + _CSV_BLOCK, size)
+            # the trials first..last-1 have samples in the block
+            first = int(np.searchsorted(offsets, lo, side="right")) - 1
+            last = int(np.searchsorted(offsets, hi))
+            counts = np.diff(np.clip(offsets[first : last + 1], lo, hi))
+            trials = np.empty((trial_width + 1, last - first), dtype=np.uint32)
+            trials[:-1] = _count_words(np.arange(first, last), trial_width)
+            trials[-1] = _LABEL[batch.label[first:last]]
+            slots = np.empty((head + _SAMPLE_WORDS, hi - lo), dtype=np.uint32)
+            slots[: trial_width + 1] = np.repeat(trials, counts, axis=1)
+            k = np.arange(lo, hi) - np.repeat(offsets[first:last], counts)
+            slots[trial_width + 1 : head] = _count_words(k, k_width)
+            _sample_words(batch.samples[lo:hi], slots[head:])
+            fh.write(slots.T.tobytes().translate(None, b"\0"))
 
 
 _CSV_ROW = np.dtype(

@@ -2,8 +2,9 @@
 
 The package never builds an n x n covariance or draws a batch from one
 stream; these reference routines check the O(n) closed forms and the
-per-trial streams against the textbook constructions, and the columnar
-mc-vs-exact table against its row-by-row construction.
+per-trial streams against the textbook constructions, the columnar
+mc-vs-exact table against its row-by-row construction, and the trial CSV
+writer's digit kernel against ``repr`` row by row.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from skysift.error_analysis import QuadFormSpectrum
 from skysift.errors import ConfigError
 from skysift.model import ClassStatistics
-from skysift.simulator import _ar1_from_normals, _standard_normals_from_bits
+from skysift.simulator import CSV_HEADER, _ar1_from_normals, _standard_normals_from_bits
 
 
 def covariance_matrix(stats: ClassStatistics, horizon: int) -> np.ndarray:
@@ -178,3 +179,15 @@ def mc_vs_exact_rows(labels, decisions, report) -> list:
             )
         )
     return rows
+
+
+def write_batch_csv_by_rows(batch, path) -> None:
+    """The trial CSV one row at a time, ``y`` as ``repr`` of the sample: the
+    bytes ``skysift.simulator.write_batch_csv`` must write."""
+    lengths = np.diff(batch.offsets).tolist()
+    ks = [f"{k}," for k in range(max(lengths))]
+    heads = [f"{t},{lab}," for t, lab in enumerate(batch.label.tolist())]
+    keys = [head + k for head, n in zip(heads, lengths) for k in ks[:n]]
+    rows = map(str.__add__, keys, map(repr, batch.samples.tolist()))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n" + "\r\n".join(rows) + "\r\n")

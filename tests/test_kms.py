@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def test_quadratic_form_hand_case():
     assert kms_quadratic_form(m, np.array([1.0, 1.0])) == pytest.approx(
         4.0 / 3.0, rel=1e-15
     )
+
+
+def test_overflowing_quadratic_form_is_refused():
+    """(1.2e154, 0.5) has finite sums but a form past the largest double:
+    refused by name, with no numpy warning first, for either class pair."""
+    y = np.array([1.2e154, 0.5])
+    for m in (sk.ClassStatistics(alpha=1.0, rho=0.5), sk.Scenario.default().stats1()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="quadratic form overflows"):
+                kms_quadratic_form(m, y)
 
 
 def test_logdet_frozen_value():

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import skysift as sk
-from oracles import sample_matrix
+from oracles import sample_matrix, write_batch_csv_by_rows
 from skysift.errors import ConfigError
 from skysift.simulator import (
     CSV_HEADER,
     MeasurementSeries,
     TrialBatch,
+    _CSV_BLOCK,
+    _SAMPLE_WORDS,
     _raw_streams,
+    _sample_words,
     read_batch_csv,
     simulate_batch,
     simulate_trajectory,
@@ -354,3 +357,97 @@ def test_csv_roundtrip_ragged_shuffled_bit_exact(tmp_path):
         for name in ("label", "offsets"):
             np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
         np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+
+
+def _assert_writes_as_by_rows(batch, directory):
+    """write_batch_csv's bytes equal the row-by-row repr oracle's; on a
+    difference, name the first line that differs."""
+    written, expected = directory / "kernel.csv", directory / "by_rows.csv"
+    write_batch_csv(batch, written)
+    write_batch_csv_by_rows(batch, expected)
+    got, want = written.read_bytes(), expected.read_bytes()
+    if got != want:
+        pairs = zip(got.split(b"\r\n"), want.split(b"\r\n"))
+        line, (a, b) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"line {line}: wrote {a!r}, repr gives {b!r}")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS),
+        min_size=1,
+        max_size=40,
+    ),
+    data=st.data(),
+)
+def test_csv_writer_matches_repr_rows(csv_dir, values, data):
+    """Any finite doubles, ±0.0, subnormals and the extremes included, in
+    any split into trials of either label."""
+    n = len(values)
+    cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()))
+    offsets = [0, *sorted(cuts), n]
+    n_trials = len(offsets) - 1
+    labels = data.draw(st.lists(st.sampled_from([1, 2]), min_size=n_trials, max_size=n_trials))
+    _assert_writes_as_by_rows(TrialBatch(labels, values, offsets), csv_dir)
+
+
+def test_csv_writer_digits_equal_repr_in_bulk():
+    """Seeded: the kernel's text for 10**6 random finite bit patterns, every
+    subnormal with a mantissa below 2**18, the powers of 2 and of 10 over
+    the whole range, the smallest normal, the largest double, and both sides
+    of repr's switches to exponent notation at 1e16 and 1e-4, each of
+    either sign, is ``,`` then the repr, then CRLF."""
+    rng = np.random.default_rng(2028)
+    draws = rng.integers(0, 2**64, size=1_001_000, dtype=np.uint64).view(float)
+    random = draws[np.isfinite(draws)][:1_000_000]
+    assert random.size == 1_000_000
+    switches = [1e16, 1e15, 1e-4, 1e-5, 9999999999999998.0, 1e16 + 2, 1.5e-5, 9.5e-5]
+    switches += [np.nextafter(x, d) for x in (1e16, 1e15, 1e-4, 1e-5) for d in (0.0, math.inf)]
+    edges = np.concatenate(
+        [
+            np.arange(1 << 18, dtype=np.uint64).view(float),
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            [float(f"1e{e}") for e in range(-323, 309)],
+            [np.finfo(float).tiny, np.finfo(float).max],
+            switches,
+        ]
+    )
+    samples = np.concatenate([random, edges, -edges])
+    pieces = []
+    for lo in range(0, samples.size, _CSV_BLOCK):
+        block = samples[lo : lo + _CSV_BLOCK]
+        words = np.empty((_SAMPLE_WORDS, block.size), dtype=np.uint32)
+        _sample_words(block, words)
+        pieces.append(words.T.tobytes().translate(None, b"\0"))
+    texts = b"".join(pieces)
+    if texts != ("," + "\r\n,".join(map(repr, samples.tolist())) + "\r\n").encode():
+        got = texts.decode().split("\r\n")
+        i = next(i for i, (text, y) in enumerate(zip(got, samples.tolist())) if text != f",{y!r}")
+        bits = samples[i : i + 1].view(np.uint64)[0]
+        pytest.fail(f"{samples[i]!r} (bits {bits:#x}) written as {got[i]!r}")
+
+
+def test_csv_roundtrip_across_blocks_bit_exact(tmp_path):
+    """A ragged batch of both labels over several writer blocks, with trials
+    longer than a block and trials cut by block ends, is written as the
+    oracle writes it and reads back bit for bit."""
+    rng = np.random.default_rng(11)
+    lengths = [1, 3 * _CSV_BLOCK + 5, 2, _CSV_BLOCK - 1, 7, _CSV_BLOCK, 1, 300]
+    samples = rng.standard_cauchy(sum(lengths)) * 10.0 ** rng.integers(-30, 30, sum(lengths))
+    labels = rng.integers(1, 3, len(lengths))
+    labels[:2] = [1, 2]
+    batch = TrialBatch(labels, samples, np.cumsum([0] + lengths))
+    _assert_writes_as_by_rows(batch, tmp_path)
+    back = read_batch_csv(tmp_path / "kernel.csv")
+    for name in ("label", "offsets"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
+    np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
