@@ -85,6 +85,8 @@ DROP_TOLERANCE = 1e-12
 
 # evaluation noise is kept three orders below the requested accuracy target
 _EVAL_SLACK = 1e-3
+# the finest accuracy target a report is asked to certify; see _check_target
+_TARGET_FLOOR = 1e-15
 
 _DIRECT_CAP = 1 << 15  # longest series summed directly; see cdf_quadratic_form_raw
 _HEAD_MIN = 1 << 12
@@ -502,8 +504,23 @@ class AccuracyBudget:
 
 
 def _check_target(target: float) -> None:
+    """Refuse a target outside (0, 1) or below ``_TARGET_FLOOR``.
+
+    No report can hold a finer target than its own float64 rounding: the
+    total error prior2 * miss_given_2 + prior1 * miss_given_1 is combined in
+    float64, and near its largest value, 1/2, that combination alone rounds
+    by about 2e-16 (three roundings of half an ulp of 1/2 each).  The floor
+    leaves a factor of five above that.  Below it the inversion's own
+    arithmetic gives way before any answer: at 1e-50 to 1e-200 its series
+    cannot reach their tolerances, at 1e-300 the tolerance underflows to 0,
+    and at 1e-310 log(2/target) overflows, so the grid step is 0.
+    """
     if not (0.0 < target < 1.0):
         raise ConfigError(f"target must lie in (0, 1), got {target}")
+    if target < _TARGET_FLOOR:
+        raise ConfigError(
+            f"target {target!r} is below {_TARGET_FLOOR!r}, the finest a float64 report can certify"
+        )
 
 
 def q_sigma_eigenvalues(

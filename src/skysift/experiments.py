@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .detector import (
     _full_statistics,
-    _stream_reports,
+    _stream_trace,
     detect_batch,
     detector_from_scenario,
     threshold,
@@ -212,13 +212,9 @@ def run_streaming(config: ExperimentConfig) -> list:
     trial_idx = int(class2[0])
     detector = detector_from_scenario(config.scenario)
 
-    values = batch.samples.reshape(batch.label.size, -1)[trial_idx].tolist()
-    reports = list(_stream_reports(detector, values))
-    decisions = [r.decision for r in reports]
-    rows = (
-        (k, y, r.statistic, r.threshold, r.decision, r.conditional_error)
-        for k, (y, r) in enumerate(zip(values, reports))
-    )
+    samples = batch.samples.reshape(batch.label.size, -1)[trial_idx]
+    decisions, statistics, thresholds, errors = _stream_trace(detector, samples)
+    rows = zip(range(samples.size), samples.tolist(), statistics, thresholds, decisions, errors)
     csv_path = config.out_dir / "streaming.csv"
     _write_csv(
         csv_path, ("k", "y", "statistic", "z", "decision", "conditional_error"), rows

@@ -287,6 +287,15 @@ def test_fit_refuses_an_overflowing_trial_with_one_line(tmp_path, capsys):
     assert captured.err == "error: label 1: sufficient statistics must be finite\n"
 
 
+def test_fit_names_an_underflowing_sum_of_squares(tmp_path, capsys):
+    csv_path = tmp_path / "tiny.csv"
+    csv_path.write_text("trial,label,k,y\n0,1,0,1e-200\n0,1,1,-1e-200\n", encoding="utf-8")
+    assert run("fit", "--input", csv_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: label 1: the sum of squares is 0; the data cannot be fitted\n"
+
+
 def test_detect_stream_refuses_an_overflowing_statistic(tmp_path, capsys):
     """The samples 1.2e154 and 0.5 have finite sums but an overflowing
     statistic: detect-stream refuses the trial, as detect does, and prints
@@ -534,6 +543,18 @@ def test_accuracy_checked_on_identical_classes(tmp_path, capsys):
     assert run("--accuracy", 2, *argv) == 2
     assert "target must lie in (0, 1), got 2.0" in capsys.readouterr().err
     assert run(*argv) == 0
+
+
+@pytest.mark.parametrize("target", ["1e-310", "1e-300", "1e-50"])
+def test_accuracy_below_the_floor_is_refused(capsys, target):
+    """An accuracy target no float64 report can certify exits 2 with one
+    line naming the floor, not a traceback or an internal series failure."""
+    assert run("--accuracy", target, "error-total") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: target {float(target)!r} is below 1e-15, the finest a float64 report can certify\n"
+    )
 
 
 def test_experiment_subcommand(tmp_path):

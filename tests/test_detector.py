@@ -15,7 +15,7 @@ from skysift.detector import (
     DetectionReport,
     SufficientStatistics,
     _full_statistics,
-    _stream_reports,
+    _stream_trace,
     build_detector,
     detect_batch,
     detect_full,
@@ -346,6 +346,43 @@ def test_dataclass_protocols_are_the_generated_ones():
         dataclasses.replace(spec, lag_coef=0.0)
 
 
+def test_conditional_error_is_taken_on_first_read():
+    """DetectionReport stores conditional_error on its first read.  Before
+    and after that read, asdict, ==, hash, repr, a pickle round trip,
+    replace and frozenness are those of the eager field, and an unknown
+    name is still an AttributeError."""
+    read = DetectionReport(1.5, -0.5)
+    assert read.conditional_error == 0.2689414213699951
+    assert list(vars(read)) == ["statistic", "threshold", "decision", "margin", "conditional_error"]
+    protocols = {
+        "asdict": asdict,
+        "repr": repr,
+        "hash": hash,
+        "pickle": lambda r: pickle.loads(pickle.dumps(r)),
+        "replace": lambda r: dataclasses.replace(r, threshold=3.0),
+        "eq": lambda r: r == read and read == r and r != DetectionReport(1.5, 0.5),
+    }
+    for name, protocol in protocols.items():
+        unread = DetectionReport(1.5, -0.5)
+        assert "conditional_error" not in vars(unread)
+        assert protocol(unread) == protocol(read), name
+        for report in (unread, read):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.conditional_error = 0.5
+    unread = DetectionReport(1.5, -0.5)
+    copy = pickle.loads(pickle.dumps(unread))
+    assert list(vars(copy)) == ["statistic", "threshold", "decision", "margin"]
+    assert copy.conditional_error == read.conditional_error
+    assert dataclasses.replace(unread, threshold=3.0).conditional_error == (
+        math.exp(-0.75) / (1.0 + math.exp(-0.75))
+    )
+    for report in (unread, read):
+        assert not hasattr(report, "conditional_errors")
+        with pytest.raises(AttributeError, match="conditional_errors"):
+            report.conditional_errors
+    assert hasattr(unread, "conditional_error")
+
+
 def test_exact_tie_decides_class_one():
     # identical classes with equal priors: statistic and threshold are both 0
     st = sk.ClassStatistics(alpha=0.5, rho=0.5)
@@ -475,11 +512,64 @@ def test_an_overflowing_statistic_is_refused_on_every_path(default_detector):
         with pytest.raises(ConfigError, match="decision statistic overflows"):
             detect_full(default_detector, y)
         with pytest.raises(ConfigError, match="decision statistic overflows"):
-            list(_stream_reports(default_detector, y.tolist()))
+            _stream_trace(default_detector, y)
         with pytest.raises(ConfigError, match="trial 0: decision statistic overflows"):
             detect_batch(default_detector, sk.TrialBatch([1], y, [0, 2]))
         with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
             SufficientStatistics.from_series(np.array([1e200, 0.5]))
+
+
+def stream_oracle(spec, values) -> list:
+    """(decision, statistic, threshold, conditional_error) after each value,
+    read off per-sample stream_update + detect_simplified objects."""
+    state, rows = None, []
+    for y in values:
+        state = stream_update(state, y)
+        report = detect_simplified(spec, state)
+        rows.append((report.decision, report.statistic, report.threshold, report.conditional_error))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stats1=_CLASS,
+    stats2=_CLASS,
+    prior1=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+    n=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_stream_trace_equals_the_per_sample_fold(stats1, stats2, prior1, n, seed, scale):
+    """Each row of the prefix-fold trace equals the stream_update +
+    detect_simplified objects of its prefix bit for bit (repr tells -0.0
+    from 0.0), the conditional error included."""
+    spec = sk.DetectorSpec(stats1, stats2, prior1, 20)
+    samples = scale * np.random.default_rng(seed).normal(size=n)
+    traced = list(zip(*_stream_trace(spec, samples)))
+    assert repr(traced) == repr(stream_oracle(spec, samples.tolist()))
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.2e154, 0.5), "decision statistic overflows"),
+        ((1e200, 0.5), "sufficient statistics must be finite"),
+        ((0.5, 1.2e154), "decision statistic overflows"),
+        ((0.5, 0.25, 1e200), "sufficient statistics must be finite"),
+    ],
+)
+def test_stream_trace_refuses_as_the_per_sample_fold(default_detector, values, message):
+    """The trace refuses the first prefix the stream refuses, with the
+    message of the first check that prefix fails: (1e200, 0.5) fails both
+    the finiteness of its sums and its statistic at k = 0, and the sums come
+    first.  No numpy warning is printed."""
+    with pytest.raises(ConfigError, match=message):
+        stream_oracle(default_detector, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as refused:
+            _stream_trace(default_detector, np.array(values))
+    assert str(refused.value) == message
 
 
 def test_fit_recovers_parameters(default_scenario):
@@ -520,8 +610,10 @@ def test_fitted_detector_close_to_true_detector(default_scenario):
 def test_fit_rejects_degenerate_inputs():
     with pytest.raises(ConfigError):
         fit_class_statistics([np.array([1.0])])  # one sample total
-    with pytest.raises(ConfigError):
-        fit_class_statistics([np.zeros(10)])
+    # all-zero data, or samples such as 1e-200 whose squares underflow
+    for series in ([np.zeros(10)], [np.full(5, 1e-200)], [np.zeros(4), np.array([1e-170, -1e-170])]):
+        with pytest.raises(ConfigError, match="^the sum of squares is 0; the data cannot be fitted$"):
+            fit_class_statistics(series)
     with pytest.raises(ConfigError):
         fit_class_statistics([np.array([1.0]), np.array([2.0])])  # no lag pairs
 

@@ -1467,6 +1467,32 @@ def test_total_error_degenerate_path():
             total_error(s, target)
 
 
+@pytest.mark.parametrize("target", [1e-310, 1e-300, 1e-50, math.nextafter(1e-15, 0.0)])
+def test_targets_below_the_floor_are_refused(target):
+    """No float64 report certifies a target under 1e-15: each entry point
+    refuses it with one ConfigError naming the floor, where 1e-310 used to
+    divide by a zero grid step and 1e-300 to 1e-50 failed inside the series."""
+    s = sk.Scenario.default()
+    spectrum = q_sigma_eigenvalues(s.stats1(), s.stats2(), 20, 1)
+    message = f"target {target!r} is below 1e-15, the finest a float64 report can certify"
+    with pytest.raises(ConfigError) as refused:
+        total_error(s, target)
+    assert str(refused.value) == message
+    with pytest.raises(ConfigError, match="is below 1e-15"):
+        accuracy_budget(spectrum, 0.0, target)
+    with pytest.raises(ConfigError, match="is below 1e-15"):
+        AccuracyBudget(target, 0.1, 10, 1.0, 1.0, 0.5, 20)
+
+
+def test_the_floor_target_is_certified():
+    """At the floor itself the default pair's report runs and agrees with
+    its 1e-10 report to within the two targets."""
+    s = sk.Scenario.default()
+    at_floor = total_error(s, 1e-15)
+    assert at_floor.budget_given_1.target == 1e-15
+    assert abs(at_floor.total_error - total_error(s, 1e-10).total_error) <= 1e-10 + 1e-15
+
+
 def test_near_identical_classes_fail_loudly():
     # classes that differ by 1e-13 relative: no honest answer at the default
     # target, so the computation must refuse rather than fabricate one; the
