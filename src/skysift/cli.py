@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .detector import (
-    _conditional_errors,
+    _conditional_error_from_margin,
     _fit_batch,
-    _stream_trace,
+    _stream_reports,
     detect_batch,
     detector_from_scenario,
 )
@@ -127,7 +127,7 @@ _STREAM_LINE = '{"trial": %d, "k": %d, "y": %r, ' + _DECISION
 def _cmd_detect(scenario: Scenario, args) -> None:
     batch = read_batch_csv(args.input)
     decisions, statistics, thresholds = detect_batch(detector_from_scenario(scenario), batch)
-    errors = _conditional_errors(statistics, thresholds)
+    errors = [_conditional_error_from_margin(z - s) for s, z in zip(statistics, thresholds)]
     rows = zip(range(batch.label.size), decisions, statistics, thresholds, errors)
     lines = [_DETECT_LINE % row for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
@@ -140,13 +140,16 @@ def _cmd_detect_stream(scenario: Scenario, args) -> None:
         raise ConfigError(f"trial {args.trial} out of range; batch has {n_trials} trials")
     detector = detector_from_scenario(scenario)
     lo, hi = batch.offsets[args.trial : args.trial + 2].tolist()
-    samples = batch.samples[lo:hi]
+    values = batch.samples[lo:hi].tolist()
     try:
-        trace = _stream_trace(detector, samples)
+        lines = [
+            _STREAM_LINE
+            % (args.trial, k, y, r.decision, r.statistic, r.threshold,
+               _conditional_error_from_margin(r.margin))
+            for k, (y, r) in enumerate(zip(values, _stream_reports(detector, values)))
+        ]
     except ConfigError as exc:
         raise ConfigError(f"trial {args.trial}: {exc}") from exc
-    rows = zip(samples.tolist(), *trace)
-    lines = [_STREAM_LINE % (args.trial, k, *row) for k, row in enumerate(rows)]
     _emit("\n".join(lines) + "\n", args.out)
 
 

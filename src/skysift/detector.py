@@ -100,10 +100,8 @@ class SufficientStatistics:
     count: int
 
     def __init__(self, sum_sq: float, sum_lag: float, first: float, last: float, count: int):
-        # the checks run on the arguments, then the fields go straight into
-        # the instance dict: a generated frozen __init__ makes one
-        # object.__setattr__ per field, and on CPython 3.11 keyed writes beat
-        # both a keyword __dict__.update and assigning a dict literal
+        # the checks run on the arguments, then one write stores the fields:
+        # a generated frozen __init__ makes one object.__setattr__ per field
         if count < 1:
             raise ConfigError(f"count must be >= 1, got {count}")
         if not (
@@ -119,12 +117,7 @@ class SufficientStatistics:
             raise ConfigError("sum_sq smaller than a boundary square")
         if abs(sum_lag) > sum_sq:
             raise ConfigError("adjacent-lag sum exceeds the energy sum")
-        fields = self.__dict__
-        fields["sum_sq"] = sum_sq
-        fields["sum_lag"] = sum_lag
-        fields["first"] = first
-        fields["last"] = last
-        fields["count"] = count
+        self.__dict__.update(sum_sq=sum_sq, sum_lag=sum_lag, first=first, last=last, count=count)
 
     @classmethod
     def from_series(cls, samples) -> "SufficientStatistics":
@@ -135,20 +128,14 @@ class SufficientStatistics:
         return cls(float(sum_sq), float(sum_lag), first, last, samples.size)
 
 
-def _prefix_sums(samples: np.ndarray):
-    """Energy sum(y**2) and lag-1 sum(y[i]*y[i+1]) of every prefix along the
-    last axis; cumsum adds left to right from the same 0.0 as stream_update,
-    so entry k is bit-identical to the fold of samples 0..k."""
+def _running_sums(samples: np.ndarray):
+    """Energy sum(y**2) and lag-1 sum(y[i]*y[i+1]) along the last axis; cumsum
+    adds left to right from the same 0.0 as stream_update, so bit-identical."""
     lag = np.zeros_like(samples)
     with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse inf and nan
         lag[..., 1:] = samples[..., :-1] * samples[..., 1:]
-        return np.cumsum(samples * samples, axis=-1), np.cumsum(lag, axis=-1)
-
-
-def _running_sums(samples: np.ndarray):
-    """The whole-series sums: the last column of ``_prefix_sums``."""
-    sum_sq, sum_lag = _prefix_sums(samples)
-    return sum_sq[..., -1], sum_lag[..., -1]
+        sum_sq = np.cumsum(samples * samples, axis=-1)[..., -1]
+        return sum_sq, np.cumsum(lag, axis=-1)[..., -1]
 
 
 def stream_update(
@@ -164,6 +151,15 @@ def stream_update(
         y_next,
         state.count + 1,
     )
+
+
+def _stream_reports(spec: DetectorSpec, values):
+    """The running decision of one streamed series: ``detect_simplified``
+    after each value of ``values`` is folded in by ``stream_update``."""
+    state = None
+    for y in values:
+        state = stream_update(state, y)
+        yield detect_simplified(spec, state)
 
 
 @dataclass(frozen=True, init=False)
@@ -186,11 +182,12 @@ class DetectionReport:
     def __init__(self, statistic: float, threshold: float):
         if not math.isfinite(statistic):
             raise ConfigError("decision statistic overflows")
-        fields = self.__dict__  # as SufficientStatistics.__init__
-        fields["statistic"] = statistic
-        fields["threshold"] = threshold
-        fields["decision"] = 1 if statistic <= threshold else 2
-        fields["margin"] = threshold - statistic
+        self.__dict__.update(
+            statistic=statistic,
+            threshold=threshold,
+            decision=1 if statistic <= threshold else 2,
+            margin=threshold - statistic,
+        )
 
     def __getattr__(self, name):
         # reached only while conditional_error is not yet taken
@@ -241,11 +238,6 @@ def threshold(spec: DetectorSpec, horizon: int | None = None) -> float:
     n = spec.horizon if horizon is None else horizon
     if n < 1:
         raise ConfigError(f"horizon must be >= 1, got {n}")
-    return _threshold_at(spec, n)
-
-
-def _threshold_at(spec: DetectorSpec, n):
-    """``threshold`` at a checked length, or elementwise at an int array of them."""
     # the two log differences are taken once, by DetectorSpec
     return 2.0 * spec.log_prior_ratio + n * spec._log_alpha_ratio + (n - 1) * spec._log_rho_ratio
 
@@ -274,7 +266,7 @@ def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> Detect
         + spec.lag_coef * stats.sum_lag
         + spec.edge_coef * (first * first + last * last)
     )
-    return DetectionReport(statistic, _threshold_at(spec, stats.count))  # count >= 1
+    return DetectionReport(statistic, threshold(spec, stats.count))
 
 
 def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
@@ -301,53 +293,10 @@ def detect_batch(spec: DetectorSpec, batch: TrialBatch) -> tuple:
     return decisions.tolist(), statistics.tolist(), thresholds.tolist()
 
 
-def _stream_trace(spec: DetectorSpec, samples: np.ndarray) -> tuple:
-    """The running decision of one streamed series, as four lists in sample
-    order: decisions, statistics, thresholds and conditional errors.
-
-    Entry k equals that field of ``detect_simplified`` on the
-    ``stream_update`` fold of samples 0..k bit for bit: the sums are one
-    prefix fold, the statistic and threshold take the same operations in the
-    same order, and the conditional error is the report's own function of
-    the margin.  The first prefix the stream would refuse is refused here,
-    with the message of the first check it fails.
-    """
-    sum_sq, sum_lag = _prefix_sums(samples)
-    first = samples[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        squares = samples * samples
-        statistics = (
-            spec.energy_coef * sum_sq
-            + spec.lag_coef * sum_lag
-            + spec.edge_coef * (first * first + squares)
-        )
-        # SufficientStatistics' checks in order, then DetectionReport's; a
-        # non-finite sample makes its prefix's sum_sq non-finite
-        refusals = (
-            (~(np.isfinite(sum_sq) & np.isfinite(sum_lag)), "sufficient statistics must be finite"),
-            ((sum_sq < first * first) | (sum_sq < squares), "sum_sq smaller than a boundary square"),
-            (np.abs(sum_lag) > sum_sq, "adjacent-lag sum exceeds the energy sum"),
-            (~np.isfinite(statistics), "decision statistic overflows"),
-        )
-    refused = np.logical_or.reduce([mask for mask, _ in refusals])
-    if refused.any():
-        k = np.argmax(refused)
-        raise ConfigError(next(message for mask, message in refusals if mask[k]))
-    thresholds = _threshold_at(spec, np.arange(1, samples.size + 1))
-    decisions = np.where(statistics <= thresholds, 1, 2)  # as DetectionReport
-    statistics, thresholds = statistics.tolist(), thresholds.tolist()
-    return decisions.tolist(), statistics, thresholds, _conditional_errors(statistics, thresholds)
-
-
 def _conditional_error_from_margin(margin: float) -> float:
     # exp of a non-positive argument cannot overflow; 0.5 exactly at margin 0
     odds = math.exp(-0.5 * abs(margin))
     return odds / (1.0 + odds)
-
-
-def _conditional_errors(statistics: list, thresholds: list) -> list:
-    """``DetectionReport.conditional_error`` of each (statistic, threshold) pair."""
-    return [_conditional_error_from_margin(z - s) for s, z in zip(statistics, thresholds)]
 
 
 def _full_statistics(spec: DetectorSpec, samples: np.ndarray) -> np.ndarray:

@@ -19,13 +19,14 @@ import numpy as np
 
 from . import __version__
 from .detector import (
+    _conditional_error_from_margin,
     _full_statistics,
-    _stream_trace,
+    _stream_reports,
     detect_batch,
     detector_from_scenario,
     threshold,
 )
-from .error_analysis import error_surface, total_error
+from .error_analysis import _check_target, error_surface, total_error
 from .errors import ConfigError
 from .model import Scenario
 from .simulator import simulate_batch
@@ -78,6 +79,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
         if not isinstance(self.accuracy, numbers.Real) or not (0.0 < self.accuracy < 1.0):
             raise ConfigError(f"accuracy must be a number in (0, 1), got {self.accuracy!r}")
+        _check_target(self.accuracy)  # the floor every report holds, before any run
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     def trials(self) -> int:
@@ -212,9 +214,13 @@ def run_streaming(config: ExperimentConfig) -> list:
     trial_idx = int(class2[0])
     detector = detector_from_scenario(config.scenario)
 
-    samples = batch.samples.reshape(batch.label.size, -1)[trial_idx]
-    decisions, statistics, thresholds, errors = _stream_trace(detector, samples)
-    rows = zip(range(samples.size), samples.tolist(), statistics, thresholds, decisions, errors)
+    values = batch.samples.reshape(batch.label.size, -1)[trial_idx].tolist()
+    reports = list(_stream_reports(detector, values))
+    decisions = [r.decision for r in reports]
+    rows = (
+        (k, y, r.statistic, r.threshold, r.decision, _conditional_error_from_margin(r.margin))
+        for k, (y, r) in enumerate(zip(values, reports))
+    )
     csv_path = config.out_dir / "streaming.csv"
     _write_csv(
         csv_path, ("k", "y", "statistic", "z", "decision", "conditional_error"), rows

@@ -557,6 +557,20 @@ def test_accuracy_below_the_floor_is_refused(capsys, target):
     )
 
 
+@pytest.mark.parametrize("name", ["scatter", "streaming", "mc-vs-exact"])
+def test_experiment_refuses_a_target_below_the_floor_before_any_run(tmp_path, capsys, name):
+    """Every experiment refuses the target up front with the same line, and
+    writes no output or manifest holding it."""
+    argv = ("--accuracy", "1e-310", "--out-dir", tmp_path, "experiment", name, "--trials", 50)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: target 1e-310 is below 1e-15, the finest a float64 report can certify\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_subcommand(tmp_path):
     assert (
         run("--out-dir", tmp_path, "--seed", 5, "experiment", "scatter", "--trials", 40)

@@ -15,7 +15,7 @@ from skysift.detector import (
     DetectionReport,
     SufficientStatistics,
     _full_statistics,
-    _stream_trace,
+    _stream_reports,
     build_detector,
     detect_batch,
     detect_full,
@@ -512,64 +512,11 @@ def test_an_overflowing_statistic_is_refused_on_every_path(default_detector):
         with pytest.raises(ConfigError, match="decision statistic overflows"):
             detect_full(default_detector, y)
         with pytest.raises(ConfigError, match="decision statistic overflows"):
-            _stream_trace(default_detector, y)
+            list(_stream_reports(default_detector, y.tolist()))
         with pytest.raises(ConfigError, match="trial 0: decision statistic overflows"):
             detect_batch(default_detector, sk.TrialBatch([1], y, [0, 2]))
         with pytest.raises(ConfigError, match="sufficient statistics must be finite"):
             SufficientStatistics.from_series(np.array([1e200, 0.5]))
-
-
-def stream_oracle(spec, values) -> list:
-    """(decision, statistic, threshold, conditional_error) after each value,
-    read off per-sample stream_update + detect_simplified objects."""
-    state, rows = None, []
-    for y in values:
-        state = stream_update(state, y)
-        report = detect_simplified(spec, state)
-        rows.append((report.decision, report.statistic, report.threshold, report.conditional_error))
-    return rows
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    stats1=_CLASS,
-    stats2=_CLASS,
-    prior1=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
-    n=st.integers(1, 2000),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.floats(1e-3, 1e3),
-)
-def test_stream_trace_equals_the_per_sample_fold(stats1, stats2, prior1, n, seed, scale):
-    """Each row of the prefix-fold trace equals the stream_update +
-    detect_simplified objects of its prefix bit for bit (repr tells -0.0
-    from 0.0), the conditional error included."""
-    spec = sk.DetectorSpec(stats1, stats2, prior1, 20)
-    samples = scale * np.random.default_rng(seed).normal(size=n)
-    traced = list(zip(*_stream_trace(spec, samples)))
-    assert repr(traced) == repr(stream_oracle(spec, samples.tolist()))
-
-
-@pytest.mark.parametrize(
-    "values, message",
-    [
-        ((1.2e154, 0.5), "decision statistic overflows"),
-        ((1e200, 0.5), "sufficient statistics must be finite"),
-        ((0.5, 1.2e154), "decision statistic overflows"),
-        ((0.5, 0.25, 1e200), "sufficient statistics must be finite"),
-    ],
-)
-def test_stream_trace_refuses_as_the_per_sample_fold(default_detector, values, message):
-    """The trace refuses the first prefix the stream refuses, with the
-    message of the first check that prefix fails: (1e200, 0.5) fails both
-    the finiteness of its sums and its statistic at k = 0, and the sums come
-    first.  No numpy warning is printed."""
-    with pytest.raises(ConfigError, match=message):
-        stream_oracle(default_detector, values)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConfigError) as refused:
-            _stream_trace(default_detector, np.array(values))
-    assert str(refused.value) == message
 
 
 def test_fit_recovers_parameters(default_scenario):
