@@ -2,8 +2,8 @@
 
 Global flags select the model config (JSON with keys m1, k1, m2, k2, q, T,
 kf, prior1; built-in defaults otherwise), the seed, the output directory,
-and the accuracy target.  Exit codes: 0 success, 2 configuration problem,
-3 numerical-accuracy failure.
+and the accuracy target.  Exit codes: 0 success, 2 configuration problem
+or an output that cannot be written, 3 numerical-accuracy failure.
 """
 
 import argparse
@@ -144,8 +144,7 @@ def _cmd_detect_stream(scenario: Scenario, args) -> None:
     try:
         lines = [
             _STREAM_LINE
-            % (args.trial, k, y, r.decision, r.statistic, r.threshold,
-               _conditional_error_from_margin(r.margin))
+            % (args.trial, k, y, r.decision, r.statistic, r.threshold, r.conditional_error)
             for k, (y, r) in enumerate(zip(values, _stream_reports(detector, values)))
         ]
     except ConfigError as exc:
@@ -231,6 +230,9 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](scenario, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

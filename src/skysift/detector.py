@@ -12,11 +12,12 @@ all provided and agree to rounding; the equivalence is enforced by tests.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .kms import _quadratic_form, _quadratic_form_from_sums
+from .kms import _quadratic_form_from_sums
 from .model import ClassStatistics, SamplingSpec, Scenario
 from .simulator import MeasurementSeries, TrialBatch
 
@@ -177,7 +178,9 @@ class DetectionReport:
     statistic: float
     threshold: float
     margin: float = field(init=False)
-    conditional_error: float = field(init=False)
+    conditional_error: float = field(
+        init=False, default=cached_property(lambda self: _conditional_error_from_margin(self.margin))
+    )
 
     def __init__(self, statistic: float, threshold: float):
         if not math.isfinite(statistic):
@@ -188,14 +191,6 @@ class DetectionReport:
             decision=1 if statistic <= threshold else 2,
             margin=threshold - statistic,
         )
-
-    def __getattr__(self, name):
-        # reached only while conditional_error is not yet taken
-        if name != "conditional_error":
-            raise AttributeError(name)
-        error = _conditional_error_from_margin(self.margin)
-        self.__dict__["conditional_error"] = error
-        return error
 
 
 def build_detector(
@@ -254,8 +249,8 @@ def detect_full(spec: DetectorSpec, y) -> DetectionReport:
     """
     samples = _coerce_samples(y)
     with np.errstate(over="ignore", invalid="ignore"):  # DetectionReport refuses inf and nan
-        form1, form2 = (_quadratic_form(st, samples) for st in (spec.stats1, spec.stats2))
-        return DetectionReport(form1 - form2, threshold(spec, samples.size))
+        statistic = _full_statistics(spec, samples[None, :])[0]
+    return DetectionReport(statistic, threshold(spec, samples.size))
 
 
 def detect_simplified(spec: DetectorSpec, stats: SufficientStatistics) -> DetectionReport:
@@ -300,8 +295,9 @@ def _conditional_error_from_margin(margin: float) -> float:
 
 
 def _full_statistics(spec: DetectorSpec, samples: np.ndarray) -> np.ndarray:
-    """``detect_full`` statistic of each row of a (trials, n) matrix, bit for
-    bit: the stacked matmul runs the same BLAS dot per row as ``v @ v``."""
+    """The full-form statistic of each row of a (trials, n) matrix, the
+    difference of the two ``kms_quadratic_form`` values bit for bit: the
+    stacked matmul runs the same BLAS dot per row as ``v @ v``."""
     rows = samples[:, None, :]
     s0 = np.matmul(rows, samples[:, :, None])[:, 0, 0]
     s1 = np.matmul(rows[..., :-1], samples[:, 1:, None])[:, 0, 0]

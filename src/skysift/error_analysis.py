@@ -209,29 +209,27 @@ class _KmsPair:
         self.a1, self.r1 = stats1.alpha, stats1.rho
         self.a2, self.r2 = stats2.alpha, stats2.rho
         self.n = n
-        self._eigenvalues = None
         self._at = {}  # m -> (lam_1, lam_2) at theta_m
 
+    @cached_property
     def eigenvalues(self) -> tuple:
         """Both hypotheses' eigenvalues, ascending and read-only."""
-        if self._eigenvalues is None:
-            a1, r1, a2, r2, n = self.a1, self.r1, self.a2, self.r2, self.n
-            if n > _EIGENVALUES_MAX:
-                raise NumericalError(f"horizon {n} exceeds the eigenvalue-array limit 2**24")
-            if r1 == r2 or n == 1:
-                inverse_gap = (a2 - a1) / a1 / a2
-                eigs = [np.full(n, a_h * inverse_gap) for a_h in (a1, a2)]
+        a1, r1, a2, r2, n = self.a1, self.r1, self.a2, self.r2, self.n
+        if n > _EIGENVALUES_MAX:
+            raise NumericalError(f"horizon {n} exceeds the eigenvalue-array limit 2**24")
+        if r1 == r2 or n == 1:
+            inverse_gap = (a2 - a1) / a1 / a2
+            eigs = [np.full(n, a_h * inverse_gap) for a_h in (a1, a2)]
+        else:
+            if n < _ANGLE_ARRAY_MIN:
+                angles = np.array([_eigen_angle(r1, r2, n, m) for m in range(1, n + 1)])
             else:
-                if n < _ANGLE_ARRAY_MIN:
-                    angles = np.array([_eigen_angle(r1, r2, n, m) for m in range(1, n + 1)])
-                else:
-                    angles = _eigen_angles(r1, r2, n)
-                half_sin = np.sin(0.5 * angles)
-                eigs = [np.sort(lam) for lam in _symbols(a1, r1, a2, r2, half_sin * half_sin)]
-            for lam in eigs:
-                lam.flags.writeable = False
-            self._eigenvalues = tuple(eigs)
-        return self._eigenvalues
+                angles = _eigen_angles(r1, r2, n)
+            half_sin = np.sin(0.5 * angles)
+            eigs = [np.sort(lam) for lam in _symbols(a1, r1, a2, r2, half_sin * half_sin)]
+        for lam in eigs:
+            lam.flags.writeable = False
+        return tuple(eigs)
 
     def symbols_at(self, m: int) -> tuple:
         """(lam_1, lam_2) at theta_m, bit for bit as in the eigenvalue arrays."""
@@ -249,7 +247,11 @@ class _KmsSpectrum(QuadFormSpectrum):
     alpha_h * (1/alpha1 - 1/alpha2)) for the eigenvalue symbol lam(theta) of
     q_sigma_eigenvalues are what its closed forms, _log_phi and _log_mgf, need."""
 
-    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(
+        init=False,
+        repr=False,
+        default=cached_property(lambda self: self.pair.eigenvalues[self.hypothesis - 1]),
+    )
     pair: _KmsPair
     hypothesis: int
     rho: float
@@ -257,14 +259,6 @@ class _KmsSpectrum(QuadFormSpectrum):
 
     def __post_init__(self):
         pass  # _spectra checked the inputs; the eigenvalues come later
-
-    def __getattr__(self, name):
-        # reached only while the eigenvalues are not built
-        if name != "eigenvalues":
-            raise AttributeError(name)
-        eigenvalues = self.pair.eigenvalues()[self.hypothesis - 1]
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        return eigenvalues
 
     @property
     def horizon(self) -> int:
@@ -452,15 +446,32 @@ class _KmsSpectrum(QuadFormSpectrum):
             y = 2.0 * (1.0 - p) * math.sqrt(w * (1.0 - w))  # (1 - P) sin(theta*)
             x = corner - 2.0 * (1.0 + p) * w
             g = (n - 1) * 2.0 * math.asin(math.sqrt(w)) + 2.0 * math.atan2(y, x)
-            j = min(max(int(g / math.pi), 1), n - 1)
-            while j > 1 and not on_first_side(j):
-                j -= 1
-            while j < n - 1 and on_first_side(j + 1):
-                j += 1
+            j = _last_true(on_first_side, int(g / math.pi), 1, n - 1)
         abs_min = min(abs(pair.symbols_at(m)[h]) for m in (j, j + 1) if 1 <= m <= n)
         if abs_min < DROP_TOLERANCE * abs_max:
             return None
         return abs_max, abs_min, (min(first, last), max(first, last))
+
+
+def _last_true(pred, guess: int, lo: int, hi: int) -> int:
+    """The last m in [lo, hi] where pred, true up to some index and false
+    after, holds; pred(lo) is taken as true and pred(hi + 1) as false, so
+    neither is called.  The search leaves ``guess`` by doubling steps, then
+    bisects the step that crosses: O(log |error|) calls of pred, and two
+    where ``guess`` is right (one where it is an end)."""
+    yes = min(max(guess, lo), hi)
+    step = 1
+    if yes > lo and not pred(yes):
+        no = yes
+        while (yes := max(no - step, lo)) > lo and not pred(yes):
+            no, step = yes, 2 * step
+    else:
+        while (no := min(yes + step, hi + 1)) <= hi and pred(no):
+            yes, step = no, 2 * step
+    while no - yes > 1:
+        mid = (yes + no) // 2
+        yes, no = (mid, no) if pred(mid) else (yes, mid)
+    return yes
 
 
 @dataclass(frozen=True)
@@ -607,7 +618,7 @@ def _spectra(stats1: ClassStatistics, stats2: ClassStatistics, horizon: int):
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     pair = _KmsPair(stats1, stats2, horizon)
     if horizon < _CLOSED_FORM_MIN:
-        return tuple(QuadFormSpectrum(eigs) for eigs in pair.eigenvalues())
+        return tuple(QuadFormSpectrum(eigs) for eigs in pair.eigenvalues)
     a1, r1, a2, r2 = pair.a1, pair.r1, pair.a2, pair.r2
     inverse_gap = (a2 - a1) / a1 / a2
     at_0, at_pi = _symbols(a1, r1, a2, r2, 0.0), _symbols(a1, r1, a2, r2, 1.0)

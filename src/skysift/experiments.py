@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .detector import (
-    _conditional_error_from_margin,
     _full_statistics,
     _stream_reports,
     detect_batch,
@@ -77,9 +76,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.n_trials is not None and (not _is_integer(self.n_trials) or self.n_trials < 1):
             raise ConfigError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
-        if not isinstance(self.accuracy, numbers.Real) or not (0.0 < self.accuracy < 1.0):
+        if not isinstance(self.accuracy, numbers.Real):
             raise ConfigError(f"accuracy must be a number in (0, 1), got {self.accuracy!r}")
-        _check_target(self.accuracy)  # the floor every report holds, before any run
+        _check_target(self.accuracy)  # the range and floor every report holds, before any run
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
     def trials(self) -> int:
@@ -218,7 +217,7 @@ def run_streaming(config: ExperimentConfig) -> list:
     reports = list(_stream_reports(detector, values))
     decisions = [r.decision for r in reports]
     rows = (
-        (k, y, r.statistic, r.threshold, r.decision, _conditional_error_from_margin(r.margin))
+        (k, y, r.statistic, r.threshold, r.decision, r.conditional_error)
         for k, (y, r) in enumerate(zip(values, reports))
     )
     csv_path = config.out_dir / "streaming.csv"

@@ -66,19 +66,11 @@ def kms_quadratic_form(stats: ClassStatistics, v: np.ndarray) -> float:
     if v.ndim != 1:
         raise ConfigError("quadratic form expects a single vector")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        form = _quadratic_form(stats, v)
+        edge = v[0] * v[0] + v[-1] * v[-1]
+        form = _quadratic_form_from_sums(stats, float(v @ v), float(v[:-1] @ v[1:]), edge)
     if not math.isfinite(form):
         raise ConfigError(f"quadratic form overflows to {form}")
     return form
-
-
-def _quadratic_form(stats: ClassStatistics, v: np.ndarray) -> float:
-    """:func:`kms_quadratic_form` of a checked vector, inf or nan where it
-    overflows."""
-    s0 = float(v @ v)
-    s1 = float(v[:-1] @ v[1:])
-    edge = v[0] * v[0] + v[-1] * v[-1]
-    return _quadratic_form_from_sums(stats, s0, s1, edge)
 
 
 def _quadratic_form_from_sums(stats: ClassStatistics, s0, s1, edge):

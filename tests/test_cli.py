@@ -453,6 +453,31 @@ def test_unreadable_input_exits_2(tmp_path, capsys, command, source):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["detect", "--input", "{csv}", "--out", "{dir}"], "{dir}"),
+        (["detect-stream", "--input", "{csv}", "--out", "{dir}"], "{dir}"),
+        (["fit", "--input", "{csv}", "--out", "{dir}"], "{dir}"),
+        (["error-surface", "--gain-ratios", "1,2", "--mass-ratios", "1", "--out", "{dir}"], "{dir}"),
+        (["error-total", "--out", "{file}/x.json"], "{file}"),
+        (["--out-dir", "{file}", "simulate", "--trials", "5"], "{file}"),
+        (["--out-dir", "{file}", "experiment", "scatter", "--trials", "20"], "{file}"),
+    ],
+    ids=["detect", "detect-stream", "fit", "error-surface", "error-total", "simulate", "scatter"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
+    """An output path that is a directory, or that lies under a file, is
+    refused with exit 2 and one error line naming it."""
+    paths = {"csv": batch_csv(tmp_path), "dir": tmp_path / "out", "file": tmp_path / "plain"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("", encoding="utf-8")
+    assert run(*(arg.format(**paths) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert target.format(**paths) in err
+
+
 def test_error_total_json(tmp_path):
     out = tmp_path / "report.json"
     assert run("error-total", "--out", out) == 0

@@ -26,6 +26,7 @@ from skysift.detector import (
     threshold,
 )
 from skysift.errors import ConfigError
+from skysift.kms import kms_quadratic_form
 from skysift.simulator import MeasurementSeries, simulate_batch
 
 # Frozen oracle values for the default scenario, cross-checked at build time
@@ -471,6 +472,17 @@ def test_full_statistics_bit_identical_to_detect_full(default_detector, horizon)
     got = _full_statistics(default_detector, samples)
     expected = np.array([detect_full(default_detector, row).statistic for row in samples])
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 20, 1000])
+def test_detect_full_is_the_difference_of_the_public_forms(default_detector, horizon):
+    """detect_full's one kernel, _full_statistics, rounds each quadratic form
+    exactly as kms_quadratic_form does."""
+    rng = np.random.default_rng(100 + horizon)
+    stats = (default_detector.stats1, default_detector.stats2)
+    for row in rng.normal(size=(40, horizon)) * rng.uniform(0.1, 10.0, size=(40, 1)):
+        form1, form2 = (kms_quadratic_form(st, row) for st in stats)
+        assert detect_full(default_detector, row).statistic == form1 - form2
 
 
 def test_detect_batch_equals_detect_simplified_per_trial(default_detector):

@@ -504,7 +504,7 @@ def test_log_mgf_matches_eigen_sum_on_every_rung(kf):
             s = sk.Scenario.from_dict({"kf": kf, "m2": m, "k2": g})
             spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
             summaries = [sp._summary for sp in spectra]
-            assert spectra[0].pair._eigenvalues is None  # the closed-form path
+            assert "eigenvalues" not in vars(spectra[0].pair)  # the closed-form path
             for sp, summary in zip(spectra, summaries):
                 t = 1.0 / (4.0 * summary.lambda_abs_max)
                 for sign in (1, -1):
@@ -587,7 +587,7 @@ def test_budget_summary_reads_the_smallest_kept_lam_of_a_flat_symbol():
                 mp.setattr(error_analysis, "DROP_TOLERANCE", tolerance)
                 spectra = error_analysis._spectra(st1, st2, horizon)
                 summaries = [sp._summary for sp in spectra]
-                assert spectra[0].pair._eigenvalues is None, (st1, st2, horizon)
+                assert "eigenvalues" not in vars(spectra[0].pair), (st1, st2, horizon)
                 for sp, got in zip(spectra, summaries):
                     kept = sp.kept()
                     assert got.kept_order == kept.size
@@ -605,7 +605,7 @@ def test_monotone_summaries_solve_only_the_end_angles(kf, cell):
     for sp in spectra:
         sp._summary
     assert set(spectra[0].pair._at) == {1, kf}
-    assert spectra[0].pair._eigenvalues is None
+    assert "eigenvalues" not in vars(spectra[0].pair)
 
 
 @pytest.mark.parametrize("kf", [10**8, 10**20])
@@ -619,7 +619,7 @@ def test_flat_end_past_the_array_limit_reports_without_an_array(kf):
     spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
     for sp in spectra:
         sp._summary
-    assert spectra[0].pair._eigenvalues is None
+    assert "eigenvalues" not in vars(spectra[0].pair)
 
 
 def test_q_sigma_eigenvalues_past_the_array_limit_is_refused(default_scenario):
@@ -636,7 +636,7 @@ def test_long_horizon_without_a_flat_end_still_reports():
     spectra = error_analysis._spectra(s.stats1(), s.stats2(), 10**8)
     for sp in spectra:
         sp._summary
-    assert spectra[0].pair._eigenvalues is None
+    assert "eigenvalues" not in vars(spectra[0].pair)
 
 
 def test_dropped_crossing_neighbour_past_the_array_limit_is_refused():
@@ -650,9 +650,46 @@ def test_dropped_crossing_neighbour_past_the_array_limit_is_refused():
     spectra = error_analysis._spectra(s.stats1(), s.stats2(), 10**12)
     with pytest.raises(NumericalError, match=r"2\*\*24"):
         spectra[0]._summary
-    assert spectra[0].pair._eigenvalues is None
+    assert "eigenvalues" not in vars(spectra[0].pair)
     s = sk.Scenario.from_dict({"kf": 10**8, "m2": 4.0, "k2": 0.25})
     assert 0.0 <= total_error(s).total_error <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 10**12, 10**30])
+@pytest.mark.parametrize("error", [0, 1, -1, 1000, -1000, 10**20, -(10**20)])
+def test_crossing_search_takes_logarithmically_many_calls(n, error):
+    """_last_true on a predicate that holds up to ``last``: from a guess off
+    by ``error`` it returns the last index in [1, n - 1] where the predicate
+    holds (1 if none does), never calls it at 1 or n, and calls it at most
+    2 log2|error| + 2 times; two times where the guess is right."""
+    for last in sorted({0, 1, 2, n // 3, n - 2, n - 1}):
+        calls = []
+
+        def pred(m):
+            calls.append(m)
+            return m <= last
+
+        got = error_analysis._last_true(pred, last + error, 1, n - 1)
+        assert got == min(max(last, 1), n - 1), (last, error)
+        assert all(1 < m < n for m in calls), (last, error)
+        assert len(calls) <= 2 * abs(error).bit_length() + 2, (last, error, len(calls))
+        if error == 0 and 1 < last < n - 1:
+            assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kf", [10**24, 10**50, 10**300])
+def test_crossing_far_from_its_float_estimate_is_found_at_once(kf):
+    """The cell (mass 0.5, gain 4) changes sign inside the spectrum.  At
+    kf 1e24 to 1e300 the float estimate of the crossing index is off by up
+    to about 1e-16 of it: about 1e8 indices at kf 1e24, one angle solve
+    each for a one-step walk, O(log) solves for the crossing search.  A
+    neighbour of the crossing is dropped there, so the report is refused
+    past 2**24 eigenvalues."""
+    s = sk.Scenario.from_dict({"kf": kf, "m2": 0.5, "k2": 4.0})
+    started = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"2\*\*24"):
+        total_error(s)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_degenerate_closed_form_summary_reads_the_eigenvalues(monkeypatch):
@@ -662,7 +699,7 @@ def test_degenerate_closed_form_summary_reads_the_eigenvalues(monkeypatch):
     s = sk.Scenario.from_dict({"kf": 200})
     spectra = error_analysis._spectra(s.stats1(), s.stats2(), 200)
     summaries = [sp._summary for sp in spectra]
-    assert spectra[0].pair._eigenvalues is not None
+    assert "eigenvalues" in vars(spectra[0].pair)
     for sp, got in zip(spectra, summaries):
         assert got == error_analysis._eigen_summary(sp.kept())
 
@@ -698,7 +735,7 @@ def test_surface_grid_summaries_build_no_eigenvalues(kf):
             spectra = error_analysis._spectra(s.stats1(), s.stats2(), kf)
             for sp in spectra:
                 sp._summary
-            assert spectra[0].pair._eigenvalues is None, (m2, k2)
+            assert "eigenvalues" not in vars(spectra[0].pair), (m2, k2)
 
 
 def assert_log_phi_matches_eigen_sum(alpha1, rho1, alpha2, rho2, horizon):
