@@ -109,16 +109,14 @@ def _dispatch(s: float, a: int, b: int, f: float, tol: float):
     if f < _EM_MAX_FREQ:
         return "EM", *_euler_maclaurin_sum(s, a, b, f, tol)
     # slow phase at the low end only: push the start index up to where
-    # summation by parts converges, summing the short gap directly.  Every
-    # phase f*x in the gap stays below 50*f/|q-1| <= 25*pi, so float64 is
-    # exact enough.
+    # summation by parts converges, summing the short gap directly, and let
+    # the range left pick direct-mp or SBP.  Every phase f*x in the gap
+    # stays below 50*f/|q-1| <= 25*pi, so float64 is exact enough.
     a2 = min(int(math.ceil(_SBP_MIN_PHASE / gap)), b)
     x = np.arange(a, a2, dtype=float) + 0.5
     head = complex(np.sum(x ** (-s) * np.exp(-1j * f * x)))
-    if b - a2 <= _DIRECT_MAX:
-        return "bridge+direct-mp", head + _direct_sum_mp(s, a2, b, f), None
-    value, halt = _sbp_sum(s, a2, b, f, tol)
-    return "bridge+SBP", head + value, halt
+    branch, value, halt = _dispatch(s, a2, b, f, tol)
+    return "bridge+" + branch, head + value, halt
 
 
 def _direct_sum_mp(s: float, a: int, b: int, f: float) -> complex:

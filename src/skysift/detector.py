@@ -12,7 +12,6 @@ all provided and agree to rounding; the equivalence is enforced by tests.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -170,16 +169,16 @@ class DetectionReport:
     probability that the decision is wrong.  A statistic that overflows is
     refused.
 
-    ``conditional_error`` is taken on its first read, since a streamed
-    decision never reads it; ``asdict``, ``==``, ``hash``, ``repr``, pickle
-    and ``replace`` read every field and so see the same values either way."""
+    ``conditional_error`` is derived from ``margin`` on every read and never
+    stored, since a streamed decision never reads it; ``asdict``, ``==``,
+    ``hash``, ``repr``, pickle and ``replace`` read it like any field."""
 
     decision: int = field(init=False)
     statistic: float
     threshold: float
     margin: float = field(init=False)
     conditional_error: float = field(
-        init=False, default=cached_property(lambda self: _conditional_error_from_margin(self.margin))
+        init=False, default=property(lambda self: _conditional_error_from_margin(self.margin))
     )
 
     def __init__(self, statistic: float, threshold: float):

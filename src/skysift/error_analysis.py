@@ -206,36 +206,49 @@ class _KmsPair:
     angle solve, the symbol at a single angle from one scalar solve."""
 
     def __init__(self, stats1: ClassStatistics, stats2: ClassStatistics, n: int):
-        self.a1, self.r1 = stats1.alpha, stats1.rho
-        self.a2, self.r2 = stats2.alpha, stats2.rho
+        a1, a2 = stats1.alpha, stats2.alpha
+        self.a1, self.r1 = a1, stats1.rho
+        self.a2, self.r2 = a2, stats2.rho
         self.n = n
+        # 1/alpha1 - 1/alpha2; differencing the alphas first is exact when they are close
+        self.inverse_gap = (a2 - a1) / a1 / a2
         self._at = {}  # m -> (lam_1, lam_2) at theta_m
 
     @cached_property
     def eigenvalues(self) -> tuple:
         """Both hypotheses' eigenvalues, ascending and read-only."""
-        a1, r1, a2, r2, n = self.a1, self.r1, self.a2, self.r2, self.n
+        r1, r2, n = self.r1, self.r2, self.n
         if n > _EIGENVALUES_MAX:
             raise NumericalError(f"horizon {n} exceeds the eigenvalue-array limit 2**24")
         if r1 == r2 or n == 1:
-            inverse_gap = (a2 - a1) / a1 / a2
-            eigs = [np.full(n, a_h * inverse_gap) for a_h in (a1, a2)]
+            eigs = [np.full(n, a_h * self.inverse_gap) for a_h in (self.a1, self.a2)]
         else:
             if n < _ANGLE_ARRAY_MIN:
                 angles = np.array([_eigen_angle(r1, r2, n, m) for m in range(1, n + 1)])
             else:
                 angles = _eigen_angles(r1, r2, n)
             half_sin = np.sin(0.5 * angles)
-            eigs = [np.sort(lam) for lam in _symbols(a1, r1, a2, r2, half_sin * half_sin)]
+            eigs = [np.sort(lam) for lam in self.symbols(half_sin * half_sin)]
         for lam in eigs:
             lam.flags.writeable = False
         return tuple(eigs)
+
+    def symbols(self, w):
+        """lam(theta) of both hypotheses (see q_sigma_eigenvalues), w = sin(theta/2)**2."""
+        a1, r1, a2, r2 = self.a1, self.r1, self.a2, self.r2
+        x = (1.0 - r1) * (1.0 - r2) - 2.0 * (1.0 + r1 * r2) * w
+        u1 = _inverse_symbol(r1, w)
+        u2 = _inverse_symbol(r2, w)
+        d = -2.0 * (r1 - r2) * x / ((1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2))
+        u_lo = u1 if a1 <= a2 else u2
+        gap = d / max(a1, a2) + u_lo * self.inverse_gap
+        return a1 / u1 * gap, a2 / u2 * gap
 
     def symbols_at(self, m: int) -> tuple:
         """(lam_1, lam_2) at theta_m, bit for bit as in the eigenvalue arrays."""
         if m not in self._at:
             half_sin = float(np.sin(0.5 * _eigen_angle(self.r1, self.r2, self.n, m)))
-            self._at[m] = _symbols(self.a1, self.r1, self.a2, self.r2, half_sin * half_sin)
+            self._at[m] = self.symbols(half_sin * half_sin)
         return self._at[m]
 
 
@@ -399,10 +412,10 @@ class _KmsSpectrum(QuadFormSpectrum):
 
         Rounding.  Each extreme is the computed symbol at the angle that
         monotonicity names, within about 16 eps max|lam| of the exact one
-        (_symbols takes ~12 operations, each eps/2).  Where rounding, not the
-        symbol, orders neighbouring eigenvalues (a flat symbol or a flat
-        end), the extremes may differ from the array's by up to twice that,
-        32 eps max|lam|, and the array's is no closer to the true extreme;
+        (_KmsPair.symbols takes ~12 operations, each eps/2).  Where rounding,
+        not the symbol, orders neighbouring eigenvalues (a flat symbol or a
+        flat end), the extremes may differ from the array's by up to twice
+        that, 32 eps max|lam|, and the array's is no closer to the true extreme;
         elsewhere they are equal.  The budget reads min |lam| only as a
         lower bound on the geometric mean in Imhof's bound, as the eigen
         path reads G."""
@@ -442,10 +455,8 @@ class _KmsSpectrum(QuadFormSpectrum):
             lam_0, lam_pi, _ = self.symbol
             at_0 = lam_0 * ((1.0 - rho) / (1.0 + rho)) ** 2
             w = min(max(at_0 / (at_0 - lam_pi), 0.0), 1.0)
-            p, corner = pair.r1 * pair.r2, (1.0 - pair.r1) * (1.0 - pair.r2)
-            y = 2.0 * (1.0 - p) * math.sqrt(w * (1.0 - w))  # (1 - P) sin(theta*)
-            x = corner - 2.0 * (1.0 + p) * w
-            g = (n - 1) * 2.0 * math.asin(math.sqrt(w)) + 2.0 * math.atan2(y, x)
+            theta = 2.0 * math.asin(math.sqrt(w))
+            g = _angle_residual(theta, pair.r1, pair.r2, n, 0.0, float)[0]
             j = _last_true(on_first_side, int(g / math.pi), 1, n - 1)
         abs_min = min(abs(pair.symbols_at(m)[h]) for m in (j, j + 1) if 1 <= m <= n)
         if abs_min < DROP_TOLERANCE * abs_max:
@@ -619,26 +630,11 @@ def _spectra(stats1: ClassStatistics, stats2: ClassStatistics, horizon: int):
     pair = _KmsPair(stats1, stats2, horizon)
     if horizon < _CLOSED_FORM_MIN:
         return tuple(QuadFormSpectrum(eigs) for eigs in pair.eigenvalues)
-    a1, r1, a2, r2 = pair.a1, pair.r1, pair.a2, pair.r2
-    inverse_gap = (a2 - a1) / a1 / a2
-    at_0, at_pi = _symbols(a1, r1, a2, r2, 0.0), _symbols(a1, r1, a2, r2, 1.0)
+    at_0, at_pi = pair.symbols(0.0), pair.symbols(1.0)
     return tuple(
-        _KmsSpectrum(pair, h + 1, rho, (at_0[h], at_pi[h], a_h * inverse_gap))
-        for h, (a_h, rho) in enumerate(((a1, r1), (a2, r2)))
+        _KmsSpectrum(pair, h + 1, rho, (at_0[h], at_pi[h], a_h * pair.inverse_gap))
+        for h, (a_h, rho) in enumerate(((pair.a1, pair.r1), (pair.a2, pair.r2)))
     )
-
-
-def _symbols(a1, r1, a2, r2, w):
-    """lam(theta) of both hypotheses (see q_sigma_eigenvalues), w = sin(theta/2)**2."""
-    # 1/alpha1 - 1/alpha2; differencing the alphas first is exact when they are close
-    inverse_gap = (a2 - a1) / a1 / a2
-    x = (1.0 - r1) * (1.0 - r2) - 2.0 * (1.0 + r1 * r2) * w
-    u1 = _inverse_symbol(r1, w)
-    u2 = _inverse_symbol(r2, w)
-    d = -2.0 * (r1 - r2) * x / ((1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2))
-    u_lo = u1 if a1 <= a2 else u2
-    gap = d / max(a1, a2) + u_lo * inverse_gap
-    return a1 / u1 * gap, a2 / u2 * gap
 
 
 def _inverse_symbol(rho: float, w: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 A matrix with entries alpha * rho**|i-j| has a tridiagonal inverse, so
 solves and quadratic forms cost O(n) with no factorization; (alpha, rho)
 come from ``ClassStatistics``.
-The detector path relies on these closed forms exclusively; dense matrices
-exist only in the tests' oracles.
+The detector and the error analysis use only these closed forms; the dense
+:func:`kms_cholesky_factor` serves the tests' oracles and the benchmark.
 """
 
 import math

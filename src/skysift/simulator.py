@@ -98,17 +98,6 @@ class TrialBatch:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_trials(cls, trials) -> "TrialBatch":
-        """Batch of ``(label, MeasurementSeries)`` pairs."""
-        pairs = tuple(trials)
-        if not all(isinstance(series, MeasurementSeries) for _, series in pairs):
-            raise ConfigError("each trial must carry a MeasurementSeries")
-        samples = [series.samples for _, series in pairs]
-        offsets = np.cumsum([0] + [s.size for s in samples])
-        samples = np.concatenate(samples or [[]])
-        return cls([label for label, _ in pairs], samples, offsets)
-
     def labels(self) -> np.ndarray:
         return self.label
 

@@ -125,11 +125,31 @@ def gil_pelaez_mp(eigenvalues, z, dps=30):
         return float(mpmath.mpf(1) / 2 - mpmath.quad(f, points) / mpmath.pi)
 
 
-def quad_form_cdf_mp(eigenvalues, z, dps=30):
-    """P(Z <= z) for Z = sum_j lam_j chi2_1 at dps digits: a scaled chi2_k
-    for k equal lam, the branch-cut integrals below 20 kept eigenvalues,
-    Gil-Pelaez from 20 on."""
+class OracleError(ArithmeticError):
+    """Two working precisions of an mpmath oracle never agreed."""
+
+
+def quad_form_cdf_mp(eigenvalues, z, tol, max_dps=90):
+    """P(Z <= z) for Z = sum_j lam_j chi2_1, to within ``tol``: evaluated at
+    30 and 50 digits, then 20 more at a time up to ``max_dps`` while the
+    last two disagree by more than ``tol``; the higher one is returned, and
+    OracleError raised if no two agree.  Tanh-sinh across close branch
+    points carries no error estimate: on the 19 eigenvalues within 0.5% of
+    each other of kf 19 (mass 5.77, gain 5.36), hypothesis 2, 30 digits err
+    by 1.8e-12 where 50 and 70 agree."""
     eigs = [float(e) for e in eigenvalues if e != 0.0]
+    low = _quad_form_cdf_at(eigs, z, 30)
+    for dps in range(50, max_dps + 1, 20):
+        high = _quad_form_cdf_at(eigs, z, dps)
+        if abs(high - low) <= tol:
+            return high
+        low = high
+    raise OracleError(f"no two precisions up to {max_dps} digits agree within {tol:g}")
+
+
+def _quad_form_cdf_at(eigs, z, dps):
+    """P(Z <= z) at dps digits: a scaled chi2_k for k equal lam, the
+    branch-cut integrals below 20 kept eigenvalues, Gil-Pelaez from 20 on."""
     k = len(eigs)
     if all(e == eigs[0] for e in eigs):
         with mpmath.workdps(dps):

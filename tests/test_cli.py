@@ -15,12 +15,7 @@ from skysift.detector import (
     fit_class_statistics,
 )
 from skysift.model import Scenario
-from skysift.simulator import (
-    MeasurementSeries,
-    TrialBatch,
-    simulate_batch,
-    write_batch_csv,
-)
+from skysift.simulator import TrialBatch, simulate_batch, write_batch_csv
 
 TOTAL_ERROR = 0.08114205841905656  # defaults, accuracy 1e-6
 
@@ -241,22 +236,19 @@ def test_oversized_simulation_exits_2_with_one_line(tmp_path, capsys, command):
 def test_detect_ragged_trials(tmp_path):
     rng = np.random.default_rng(5)
     lengths = (3, 5, 5, 3, 5)
-    trials = tuple(
-        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n)))
-        for i, n in enumerate(lengths)
-    )
+    samples = [rng.normal(size=n) for n in lengths]
+    labels = [1 + i % 2 for i in range(len(lengths))]
     csv_path = tmp_path / "ragged.csv"
     out = tmp_path / "decisions.jsonl"
-    write_batch_csv(TrialBatch.from_trials(trials), csv_path)
+    batch = TrialBatch(labels, np.concatenate(samples), np.cumsum((0,) + lengths))
+    write_batch_csv(batch, csv_path)
     assert run("detect", "--input", csv_path, "--out", out) == 0
 
     records = [json.loads(line) for line in out.read_text().splitlines()]
     detector = detector_from_scenario(Scenario.default())
     assert [r["trial"] for r in records] == list(range(len(lengths)))
-    for record, (_, series) in zip(records, trials):
-        report = detect_simplified(
-            detector, SufficientStatistics.from_series(series.samples)
-        )
+    for record, trial in zip(records, samples):
+        report = detect_simplified(detector, SufficientStatistics.from_series(trial))
         assert record["decision"] == report.decision
         assert record["statistic"] == report.statistic
         assert record["z"] == report.threshold
@@ -420,7 +412,10 @@ def test_fit_single_class_flag(tmp_path):
 
 def test_fit_missing_label_fails(tmp_path):
     full = simulate_batch(Scenario.default(), 40, 13)
-    only1 = TrialBatch.from_trials((lab, s) for lab, s in full.trials if lab == 1)
+    ones = full.label == 1
+    kept = full.samples.reshape(full.label.size, -1)[ones]
+    offsets = np.arange(kept.shape[0] + 1) * kept.shape[1]
+    only1 = TrialBatch(full.label[ones], kept.ravel(), offsets)
     csv_path = tmp_path / "one_class.csv"
     write_batch_csv(only1, csv_path)
     assert run("fit", "--input", csv_path, "--label", 2) == 2

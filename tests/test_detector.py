@@ -27,7 +27,7 @@ from skysift.detector import (
 )
 from skysift.errors import ConfigError
 from skysift.kms import kms_quadratic_form
-from skysift.simulator import MeasurementSeries, simulate_batch
+from skysift.simulator import simulate_batch
 
 # Frozen oracle values for the default scenario, cross-checked at build time
 # against dense inverse-covariance matrices.
@@ -86,6 +86,13 @@ def test_swapping_classes_negates_coefficients(default_scenario):
     assert rev.lag_coef == -fwd.lag_coef
     assert rev.edge_coef == -fwd.edge_coef
     assert threshold(rev) == pytest.approx(-threshold(fwd), rel=1e-14)
+
+
+def test_detector_spec_refuses_a_coefficient_that_overflows(default_scenario):
+    # alpha * (1 - rho**2) = 2.2e-316 makes the common scale 1/(...) inf
+    tiny = sk.ClassStatistics(alpha=1e-300, rho=1.0 - 2.0**-52)
+    with pytest.raises(ConfigError, match="energy_coef must be finite"):
+        sk.DetectorSpec(tiny, default_scenario.stats2(), 0.5, 10)
 
 
 def test_threshold_frozen_and_logdet_consistent(default_detector):
@@ -313,13 +320,7 @@ def test_dataclass_protocols_are_the_generated_ones():
         "horizon": 20,
     }
     assert list(vars(stats)) == ["sum_sq", "sum_lag", "first", "last", "count"]
-    assert list(vars(report)) == [
-        "statistic",
-        "threshold",
-        "decision",
-        "margin",
-        "conditional_error",
-    ]
+    assert list(vars(report)) == ["statistic", "threshold", "decision", "margin"]
     for value in (stats, report, spec):
         names = [f.name for f in dataclasses.fields(value)]
         assert hash(value) == hash(tuple(getattr(value, name) for name in names))
@@ -348,13 +349,13 @@ def test_dataclass_protocols_are_the_generated_ones():
 
 
 def test_conditional_error_is_taken_on_first_read():
-    """DetectionReport stores conditional_error on its first read.  Before
-    and after that read, asdict, ==, hash, repr, a pickle round trip,
-    replace and frozenness are those of the eager field, and an unknown
-    name is still an AttributeError."""
+    """DetectionReport derives conditional_error on each read and stores
+    nothing.  Before and after that read, asdict, ==, hash, repr, a pickle
+    round trip, replace and frozenness are those of the eager field, and an
+    unknown name is still an AttributeError."""
     read = DetectionReport(1.5, -0.5)
     assert read.conditional_error == 0.2689414213699951
-    assert list(vars(read)) == ["statistic", "threshold", "decision", "margin", "conditional_error"]
+    assert list(vars(read)) == ["statistic", "threshold", "decision", "margin"]
     protocols = {
         "asdict": asdict,
         "repr": repr,
@@ -490,25 +491,22 @@ def test_detect_batch_equals_detect_simplified_per_trial(default_detector):
     plain Python number, in trial order."""
     rng = np.random.default_rng(12)
     lengths = (1, 4, 7, 4, 1, 20, 2)
-    trials = tuple(
-        (1 + i % 2, MeasurementSeries(samples=rng.normal(size=n) * 2.0**i))
-        for i, n in enumerate(lengths)
-    )
-    columns = detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
+    samples = [rng.normal(size=n) * 2.0**i for i, n in enumerate(lengths)]
+    labels = [1 + i % 2 for i in range(len(lengths))]
+    batch = sk.TrialBatch(labels, np.concatenate(samples), np.cumsum((0,) + lengths))
+    columns = detect_batch(default_detector, batch)
     assert [len(c) for c in columns] == [len(lengths)] * 3
-    for row, (_, series) in zip(zip(*columns), trials):
-        report = detect_simplified(
-            default_detector, SufficientStatistics.from_series(series.samples)
-        )
+    for row, trial in zip(zip(*columns), samples):
+        report = detect_simplified(default_detector, SufficientStatistics.from_series(trial))
         assert row == (report.decision, report.statistic, report.threshold)
         assert [type(v) for v in row] == [int, float, float]
 
 
 def test_detect_batch_refuses_an_overflowing_trial(default_detector):
-    trials = [(1, MeasurementSeries(samples=np.ones(3)))] * 2
-    trials.append((2, MeasurementSeries(samples=np.full(5, 1e200))))
+    samples = np.concatenate([np.ones(6), np.full(5, 1e200)])
+    batch = sk.TrialBatch([1, 1, 2], samples, [0, 3, 6, 11])
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="trial 2"):
-        detect_batch(default_detector, sk.TrialBatch.from_trials(trials))
+        detect_batch(default_detector, batch)
 
 
 def test_an_overflowing_statistic_is_refused_on_every_path(default_detector):

@@ -18,6 +18,7 @@ from scipy.stats import chi2
 
 import skysift as sk
 from oracles import (
+    OracleError,
     characteristic_function,
     cut_integrals_mp,
     gil_pelaez_mp,
@@ -384,6 +385,15 @@ def test_angle_solve_cap_raises(monkeypatch, default_scenario):
         q_sigma_eigenvalues(st1, st2, 20, hypothesis=1)
 
 
+def test_scalar_angle_solve_cap_raises(monkeypatch, default_scenario):
+    """Below _ANGLE_ARRAY_MIN each eigen-angle takes its own scalar solve,
+    which refuses as the vector solve does."""
+    monkeypatch.setattr(error_analysis, "_NEWTON_MAX_ITER", 1)
+    st1, st2 = default_scenario.stats1(), default_scenario.stats2()
+    with pytest.raises(NumericalError, match="did not converge in 1 steps"):
+        error_analysis._eigen_angle(st1.rho, st2.rho, 5, 2)
+
+
 def test_phi_arrays_blocks_match_per_eigenvalue_loop(monkeypatch, default_scenario):
     """The blocked accumulation equals the one-eigenvalue-at-a-time loop up
     to summation order, whatever the block shape."""
@@ -520,6 +530,16 @@ def test_log_mgf_matches_eigen_sum_on_every_rung(kf):
     assert rungs >= 100
 
 
+def test_log_mgf_declines_a_zero_factor(default_scenario):
+    """Where 1 - 2s lam(0) = 0, w = s_0 s_pi = 0 leaves the closed form 0/0:
+    _log_mgf returns None, and a neighbouring s still evaluates."""
+    spectrum = error_analysis._spectra(default_scenario.stats1(), default_scenario.stats2(), 60)[0]
+    _, lam_pi, lam_c = spectrum.symbol
+    flat = error_analysis._KmsSpectrum(spectrum.pair, 1, spectrum.rho, (0.5, lam_pi, lam_c))
+    assert flat._log_mgf(1.0) is None
+    assert math.isfinite(flat._log_mgf(0.5))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     alpha1=_ALPHAS,
@@ -555,8 +575,8 @@ def test_budget_summary_finds_dropped_runs(alpha1, rho1, alpha2, rho2, horizon):
 
 def assert_smallest_kept_lam(summary, kept):
     """The summary's smallest kept |lam| against the array's: within
-    32 eps max|lam|, twice one _symbols value's rounding, where rounding,
-    not the symbol, orders neighbouring eigenvalues (see _summary)."""
+    32 eps max|lam|, twice one _KmsPair.symbols value's rounding, where
+    rounding, not the symbol, orders neighbouring eigenvalues (see _summary)."""
     size = np.abs(kept)
     gap = abs(summary.lambda_abs_min - float(np.min(size)))
     assert gap <= 32.0 * np.finfo(float).eps * float(np.max(size)), gap
@@ -1028,6 +1048,12 @@ def test_budget_tightens_with_target(default_scenario):
     assert tight.n_terms > loose.n_terms
 
 
+@pytest.mark.parametrize("lambda_abs_max", [0.0, -1.0, math.inf, math.nan])
+def test_budget_refuses_a_bad_lambda_abs_max(lambda_abs_max):
+    with pytest.raises(ConfigError, match="lambda_abs_max must be positive and finite"):
+        AccuracyBudget(1e-6, 0.1, 10, 1.0, lambda_abs_max, 0.5, 1)
+
+
 def test_budget_refinement_scales_grid(default_scenario):
     sp1, _ = spectra_for(default_scenario)
     z = threshold(detector_from_scenario(default_scenario))
@@ -1122,6 +1148,39 @@ def test_head_tail_split_matches_direct_summation():
     direct = _direct_partial_sum(sp, z, budget.grid_step, budget.n_terms)
     split = _series_fallback(sp, z, budget, tol)
     assert abs(direct - split) <= 1e-9
+
+
+def test_tail_sum_skips_orders_whose_coefficient_is_zero():
+    """For eigenvalues +-1 every odd order of the tail expansion cancels to
+    0 and is skipped; the tail still matches the direct sum of its terms."""
+    kept, z, delta = np.array([-1.0, 1.0]), 0.3, 1.0
+    _, g = error_analysis._tail_series_coefficients(kept, error_analysis._TAIL_MAX_ORDER)
+    assert g[1] == 0.0
+    tail = error_analysis._tail_sum(kept, z, delta, 10_000, 20_000, 1e-12)
+    sp = QuadFormSpectrum(eigenvalues=kept)
+    direct = _direct_partial_sum(sp, z, delta, 20_000) - _direct_partial_sum(sp, z, delta, 9_999)
+    assert abs(tail - direct) <= 1e-12
+
+
+def test_tail_sum_refuses_an_expansion_that_does_not_converge():
+    """A tail that starts at u = 0.025, where the expansion parameter
+    1/(2 |lam| u) is 20, grows with each order."""
+    with pytest.raises(NumericalError, match="did not converge within 17 orders"):
+        error_analysis._tail_sum(np.array([1.0]), 0.0, 0.01, 2, 100, 1e-6)
+
+
+def test_series_fallback_drops_a_negligible_tail(monkeypatch):
+    """Where the tail would start past _HEAD_MAX but |phi| there bounds the
+    rest of the series within the tolerance, the head alone is summed.  The
+    cap is lowered, so that the head is 4,096 terms, not 2**26."""
+    monkeypatch.setattr(error_analysis, "_HEAD_MAX", 1 << 12)
+    sp = QuadFormSpectrum(eigenvalues=np.array([1.0, 2.0, -1.5]))
+    z, delta, n_terms = 0.4, 0.05, 20_000
+    budget = AccuracyBudget(1e-3, delta, n_terms, 1.0, 2.0, 1e-6, 3)
+    assert _head_len(budget.lambda_abs_min, delta) > 1 << 12
+    series = _series_fallback(sp, z, budget, 1e-3)
+    assert series == _direct_partial_sum(sp, z, delta, 1 << 12)
+    assert abs(series - _direct_partial_sum(sp, z, delta, n_terms)) <= 1e-3
 
 
 def series_cdf(monkeypatch, sp, z, budget, direct_cap):
@@ -1628,9 +1687,27 @@ def test_certify_short_reports_land_within_the_target_of_a_30_digit_oracle():
         if s.sampling.horizon == 2:
             z = threshold(detector_from_scenario(s))
             for sp, want in zip(spectra_for(s), (cdf1, cdf2)):
-                assert quad_form_cdf_mp(sp.kept(), z) == pytest.approx(want, abs=1e-15)
+                assert quad_form_cdf_mp(sp.kept(), z, 1e-15) == pytest.approx(want, abs=1e-15)
         reports += 1
     assert reports == len(cdfs) // 2 == 36
+
+
+def test_oracle_raises_its_precision_on_a_clustered_spectrum():
+    """kf 19 (mass 5.77, gain 5.36), hypothesis 2: 19 eigenvalues within
+    0.5% of each other.  The cut integrals at 30 digits give the CDF as
+    1.8952198970709867e-07 and at 50 as 1.895201572075664e-07, so the
+    oracle refuses to stop at 50 digits, and past them it agrees with
+    total_error within its 1e-12 target."""
+    s = sk.Scenario.from_dict({"kf": 19, "m2": 5.77, "k2": 5.36})
+    z = threshold(detector_from_scenario(s))
+    kept = spectra_for(s)[1].kept()
+    size = np.abs(kept)
+    assert kept.size == 19 and size.max() / size.min() < 1.005
+    with pytest.raises(OracleError, match="50 digits"):
+        quad_form_cdf_mp(kept, z, 1e-15, max_dps=50)
+    cdf = quad_form_cdf_mp(kept, z, 1e-15)
+    assert cdf == pytest.approx(1.895201572075664e-07, abs=1e-15)
+    assert abs(total_error(s, 1e-12).miss_given_2 - cdf) <= 1e-12
 
 
 def test_cut_integrals_match_the_frozen_power_sum_tail():
@@ -1654,6 +1731,33 @@ def test_equal_eigenvalues_take_the_chi2_closed_form(k, eigenvalue):
         dist = chi2(k)
         want = dist.cdf(z / eigenvalue) if eigenvalue > 0 else dist.sf(z / eigenvalue)
         assert _cut_cdf(sp, z, 1e-9) == (pytest.approx(want, abs=1e-14), 0.0)
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, z, tol",
+    [
+        # a finite cut whose end is another branch point: no ellipse fits
+        ([1.0, 0.5, 0.5], 1.0, 1e-10),
+        # one 1e-10 away: the cap of Gauss-Chebyshev nodes cannot meet tol
+        ([1.0, 0.5, 0.5 - 1e-10], 1.0, 1e-10),
+        # z = 0: the last cut's integrand has no e^(-xz) decay, so no
+        # trapezoid span makes its dropped end small enough
+        ([1.0, -1.0], 0.0, 1e-12),
+    ],
+)
+def test_cut_cdf_declines_what_its_bounds_cannot_certify(eigenvalues, z, tol, caplog):
+    with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
+        assert _cut_cdf(QuadFormSpectrum(eigenvalues=np.array(eigenvalues)), z, tol) is None
+    assert caplog.records[-1].getMessage().endswith("series fallback")
+
+
+def test_semi_infinite_rule_refuses_a_repeated_last_branch_point():
+    """_cut_cdf never reaches this refusal: a repeated last branch point is
+    also the end of the finite cut before it, which refuses first."""
+    refusal = error_analysis._semi_infinite_rule(
+        np.array([0.5]), np.array([1.0]), 1.0, np.array([1.0, 0.0]), np.array([1.0]), 1e-6
+    )
+    assert refusal == (math.inf, None, None)
 
 
 @pytest.mark.parametrize("prior1", [0.2, 0.8])

@@ -78,6 +78,16 @@ def test_low_start_moderate_frequency_bridges_to_sbp():
     assert abs(value - brute_np(s, a, b, f)) <= 1e-9
 
 
+def test_low_start_short_range_bridges_to_direct_mp(caplog):
+    # the start is pushed up to 50/|q-1| = 102, and the 49 terms left are
+    # too few for summation by parts
+    s, a, b, f = 1.6, 0, 150, 0.5
+    with caplog.at_level(logging.DEBUG, logger="skysift._powersum"):
+        value = pinned_power_sum(s, a, b, f, 1e-15)
+    assert caplog.records[-1].getMessage().endswith(": bridge+direct-mp")
+    assert abs(value - brute_mp(s, a, b, f)) <= 1e-15
+
+
 def test_split_additivity_across_branches():
     s, f = 1.9, 0.02
     tol = 1e-13

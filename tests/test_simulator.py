@@ -260,13 +260,10 @@ def test_measurement_series_validation():
 
 
 def test_trial_batch_validation():
-    series = MeasurementSeries(samples=np.array([1.0]))
     with pytest.raises(ConfigError):
-        TrialBatch.from_trials(())
+        TrialBatch([], [], [0])
     with pytest.raises(ConfigError):
-        TrialBatch.from_trials(((3, series),))
-    with pytest.raises(ConfigError):
-        TrialBatch.from_trials(((1, np.array([1.0])),))
+        TrialBatch([3], [1.0], [0, 1])
 
 
 def _batch_arrays(**changes):
@@ -322,17 +319,17 @@ def test_trials_accessor_agrees_with_arrays_and_round_trips():
             series.samples, batch.samples[batch.offsets[i] : batch.offsets[i + 1]]
         )
 
-    back = TrialBatch.from_trials(batch.trials)
+    rows = np.concatenate([series.samples for _, series in batch.trials])
+    back = TrialBatch([label for label, _ in batch.trials], rows, batch.offsets)
     for name in ("label", "samples", "offsets"):
         np.testing.assert_array_equal(getattr(back, name), getattr(batch, name))
 
     rng = np.random.default_rng(2)
-    ragged = [(1 + i % 2, MeasurementSeries(rng.normal(size=n))) for i, n in enumerate((3, 1, 4))]
-    batch = TrialBatch.from_trials(ragged)
-    assert batch.offsets.tolist() == [0, 3, 4, 8]
-    for (la, sa), (lb, sb) in zip(ragged, batch.trials):
+    ragged = [rng.normal(size=n) for n in (3, 1, 4)]
+    batch = TrialBatch([1, 2, 1], np.concatenate(ragged), [0, 3, 4, 8])
+    for la, sa, (lb, sb) in zip([1, 2, 1], ragged, batch.trials):
         assert la == lb
-        np.testing.assert_array_equal(sa.samples, sb.samples)
+        np.testing.assert_array_equal(sa, sb.samples)
 
 
 def test_csv_roundtrip_ragged_shuffled_bit_exact(tmp_path):
