@@ -309,11 +309,8 @@ def _full_statistics(spec: DetectorSpec, samples: np.ndarray) -> np.ndarray:
 
 def _length_groups(batch: TrialBatch):
     """Yield (trial indices, (trials, n) samples) for each distinct trial
-    length n; a batch of one length yields a reshape view of its samples."""
+    length n, gathered from the batch's flat samples."""
     starts, lengths = batch.offsets[:-1], np.diff(batch.offsets)
-    if (lengths == lengths[0]).all():
-        yield np.arange(lengths.size), batch.samples.reshape(lengths.size, -1)
-        return
     for n in np.unique(lengths).tolist():
         trials = np.flatnonzero(lengths == n)
         yield trials, batch.samples[starts[trials, None] + np.arange(n)]

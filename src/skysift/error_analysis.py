@@ -8,8 +8,9 @@ function by a truncated Fourier-type series controlled by two knobs, so the
 combined error stays below a requested target: the grid step (resolution
 error), from Chernoff bounds on the aliases (Davies 1973), and the term
 count N (truncation error), from Imhof's (1961) product bound prod_j
-(2 N delta |lam_j|)^(-1/2) on the remainder, which ends each series at the
-geometric mean of the kept |eigenvalues| rather than at the smallest (see
+(2 N delta |lam_j|)^(-1/2) on the remainder, which below kf 50 ends each
+series at the geometric mean of the kept |eigenvalues| rather than at the
+smallest; from kf 50 on, the O(1) budget ends it at the smallest (see
 accuracy_budget).
 
 Evaluating the truncated series is its own numerical problem: at kept orders
@@ -1113,8 +1114,6 @@ def _semi_infinite_rule(lam, ends, y, sing, coef, tol):
     else:
         return math.exp(log_tail), None, None
     d = np.sqrt((b - sing) / scale)
-    if not np.min(d) > 0.0:  # a repeated last branch point
-        return math.inf, None, None
     a = float(np.min(d)) * _FRACTIONS
     log_m = log_c + yl * a * a + math.log(math.pi) - np.sum(np.log(d[:, None] - a), axis=0)
     for n in _NODE_COUNTS:

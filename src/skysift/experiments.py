@@ -27,7 +27,7 @@ from .detector import (
 )
 from .error_analysis import _check_target, error_surface, total_error
 from .errors import ConfigError
-from .model import Scenario
+from .model import Scenario, _read_json
 from .simulator import simulate_batch
 
 __all__ = [
@@ -93,11 +93,8 @@ class ExperimentConfig:
     def from_manifest(cls, path, out_dir) -> "ExperimentConfig":
         """Rebuild the config recorded in a manifest, for bit-identical re-runs;
         its ``config`` must hold exactly the keys that ``to_dict`` writes."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                snapshot = json.load(fh)["config"]
-        except (OSError, ValueError, LookupError, TypeError) as exc:
-            raise ConfigError(f"cannot read a config from manifest {path}: {exc!r}") from exc
+        manifest = _read_json(path, "manifest")
+        snapshot = manifest.get("config") if isinstance(manifest, dict) else None
         keys = sorted(f.name for f in fields(cls) if f.name != "out_dir")
         if not isinstance(snapshot, dict) or sorted(snapshot) != keys:
             raise ConfigError(f"manifest {path}: config must hold exactly the keys {keys}")

@@ -27,6 +27,17 @@ __all__ = [
 ]
 
 
+def _read_json(path, what: str):
+    """The JSON value in the UTF-8 file ``path``.  A file that cannot be
+    opened, decoded or parsed, or that nests too deep to parse, is refused
+    with one ``ConfigError`` naming ``what`` and the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class IntruderParams:
     """Mass and feedback gain of one intruder class (consistent, unit-free);
@@ -207,14 +218,7 @@ class Scenario:
 
     @classmethod
     def from_json(cls, path: str | os.PathLike) -> "Scenario":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config"))
 
     @classmethod
     def default(cls) -> "Scenario":

@@ -63,8 +63,14 @@ def characteristic_function(spectrum: QuadFormSpectrum, omega: float) -> complex
     return complex(value[0])
 
 
-def cut_integrals_mp(eigenvalues, z, dps=30):
-    """P(Z <= z) from the branch-cut integrals of _cut_cdf by mpmath.quad.
+def cut_integrals_mp(eigenvalues, z, tol, max_dps=90):
+    """P(Z <= z) from the branch-cut integrals of _cut_cdf by mpmath.quad,
+    to within ``tol`` by the precision rule of :func:`quad_form_cdf_mp`."""
+    return _agreed(lambda dps: _cut_integrals_at(eigenvalues, z, dps), tol, max_dps)
+
+
+def _cut_integrals_at(eigenvalues, z, dps):
+    """The branch-cut integrals of _cut_cdf by mpmath.quad at dps digits.
 
     Each cut is integrated without its end singularities, as _cut_cdf does:
     x = c + h cos(t) on a finite cut [c - h, c + h], x = b + s**2 on the
@@ -96,7 +102,13 @@ def cut_integrals_mp(eigenvalues, z, dps=30):
         return float(1 - upper if z >= 0 else upper)
 
 
-def gil_pelaez_mp(eigenvalues, z, dps=30):
+def gil_pelaez_mp(eigenvalues, z, tol, max_dps=90):
+    """P(Z <= z) by Gil-Pelaez's inversion, to within ``tol`` by the
+    precision rule of :func:`quad_form_cdf_mp`."""
+    return _agreed(lambda dps: _gil_pelaez_at(eigenvalues, z, dps), tol, max_dps)
+
+
+def _gil_pelaez_at(eigenvalues, z, dps):
     """P(Z <= z) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^(-iuz)] du/u (Gil-Pelaez
     1951) by mpmath.quad at dps digits.  The integral stops at the U where
     the remainder bound (2/(pi k)) prod_j (2U|lam_j|)^(-1/2) is 1e-20, and is
@@ -138,9 +150,16 @@ def quad_form_cdf_mp(eigenvalues, z, tol, max_dps=90):
     each other of kf 19 (mass 5.77, gain 5.36), hypothesis 2, 30 digits err
     by 1.8e-12 where 50 and 70 agree."""
     eigs = [float(e) for e in eigenvalues if e != 0.0]
-    low = _quad_form_cdf_at(eigs, z, 30)
+    return _agreed(lambda dps: _quad_form_cdf_at(eigs, z, dps), tol, max_dps)
+
+
+def _agreed(evaluate, tol, max_dps):
+    """evaluate(dps) at 30 and 50 digits, then 20 more at a time up to
+    ``max_dps`` while the last two disagree by more than ``tol``: the
+    higher one, or OracleError if no two agree."""
+    low = evaluate(30)
     for dps in range(50, max_dps + 1, 20):
-        high = _quad_form_cdf_at(eigs, z, dps)
+        high = evaluate(dps)
         if abs(high - low) <= tol:
             return high
         low = high
@@ -159,8 +178,8 @@ def _quad_form_cdf_at(eigs, z, dps):
             below = mpmath.gammainc(mpmath.mpf(k) / 2, 0, x, regularized=True)
             return float(below if eigs[0] > 0 else 1 - below)
     if k < 20:
-        return cut_integrals_mp(eigs, z, dps)
-    return gil_pelaez_mp(eigs, z, dps)
+        return _cut_integrals_at(eigs, z, dps)
+    return _gil_pelaez_at(eigs, z, dps)
 
 
 def mc_vs_exact_rows(labels, decisions, report) -> list:

@@ -577,6 +577,21 @@ def test_accuracy_below_the_floor_is_refused(capsys, target):
     )
 
 
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000, b"{not json"], ids=["not_utf8", "deep", "invalid"]
+)
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, content):
+    """A config that is not UTF-8, nests too deep to parse or is not JSON
+    exits 2 with one line naming the file, not a traceback."""
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run("--config", path, "error-total") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config {path}: "), captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", ["scatter", "streaming", "mc-vs-exact"])
 def test_experiment_refuses_a_target_below_the_floor_before_any_run(tmp_path, capsys, name):
     """Every experiment refuses the target up front with the same line, and

@@ -1646,18 +1646,21 @@ def routed_to_cuts(monkeypatch, scenarios):
 def test_cut_integrals_match_a_30_digit_quadrature(monkeypatch):
     """Every certify-short CDF that would need the series tail: the float64
     rules land within their certified bound of mpmath's tanh-sinh quadrature
-    of the same integrals (1e-14 more for rounding the closed forms).  The
-    quadrature itself agrees with Gil-Pelaez's to 1e-12 on hypothesis 2 of
-    the cell (mass 0.25, gain 0.5) at kf 20, whose branch points crowd."""
+    of the same integrals (1e-14 more for rounding the closed forms), taken
+    at 30 digits and more until two precisions agree to a thousandth of
+    that.  The quadrature itself agrees with Gil-Pelaez's to 1e-12 on
+    hypothesis 2 of the cell (mass 0.25, gain 0.5) at kf 20, whose branch
+    points crowd."""
     calls = routed_to_cuts(monkeypatch, CERTIFY_SHORT)
     assert len(calls) == 30
     for sp, z, (cdf, bound) in calls:
         assert bound <= 1e-9
-        assert abs(cdf - cut_integrals_mp(sp.eigenvalues, z)) <= bound + 1e-14, (sp.eigenvalues, z)
+        want = cut_integrals_mp(sp.eigenvalues, z, 1e-3 * (bound + 1e-14))
+        assert abs(cdf - want) <= bound + 1e-14, (sp.eigenvalues, z)
     s = sk.Scenario.from_dict({"kf": 20, "m2": 0.25, "k2": 0.5})
     z = threshold(detector_from_scenario(s))
     eigs = spectra_for(s)[1].eigenvalues
-    assert abs(cut_integrals_mp(eigs, z) - gil_pelaez_mp(eigs, z)) <= 1e-12
+    assert abs(cut_integrals_mp(eigs, z, 1e-15) - gil_pelaez_mp(eigs, z, 1e-15)) <= 1e-12
 
 
 def test_certify_short_reports_land_within_the_target_of_a_30_digit_oracle():
@@ -1710,6 +1713,26 @@ def test_oracle_raises_its_precision_on_a_clustered_spectrum():
     assert abs(total_error(s, 1e-12).miss_given_2 - cdf) <= 1e-12
 
 
+def test_seeded_reports_lie_within_their_target_of_the_oracle():
+    """Twelve seeded scenarios (kf 1-19, class-2/class-1 mass and gain ratios
+    log-uniform on 0.1-10, prior1 0.5 or uniform on (0.05, 0.95), a target
+    of 1e-6, 1e-8 or 1e-10): each total_error lies within its target of the
+    priors' mix of both CDFs from quad_form_cdf_mp, taken to a thousandth
+    of the target."""
+    rng = np.random.default_rng(1)
+    for _ in range(12):
+        m2, k2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+        prior1 = 0.5 if rng.random() < 0.5 else float(rng.uniform(0.05, 0.95))
+        overrides = {"kf": int(rng.integers(1, 20)), "m2": m2, "k2": k2, "prior1": prior1}
+        s, target = sk.Scenario.from_dict(overrides), float(rng.choice([1e-6, 1e-8, 1e-10]))
+        report = total_error(s, target)
+        assert not report.degenerate
+        z = threshold(detector_from_scenario(s))
+        cdf1, cdf2 = (quad_form_cdf_mp(sp.kept(), z, 1e-3 * target) for sp in spectra_for(s))
+        truth = report.prior2 * cdf2 + report.prior1 * (1.0 - cdf1)
+        assert abs(report.total_error - truth) <= target, (overrides, target)
+
+
 def test_cut_integrals_match_the_frozen_power_sum_tail():
     """The CDFs of certify-short at kf <= 3 and of the surface grid at kf 1-8,
     prior1 0.2/0.5/0.8, that took the head + power-sum tail split, as that
@@ -1751,13 +1774,24 @@ def test_cut_cdf_declines_what_its_bounds_cannot_certify(eigenvalues, z, tol, ca
     assert caplog.records[-1].getMessage().endswith("series fallback")
 
 
-def test_semi_infinite_rule_refuses_a_repeated_last_branch_point():
-    """_cut_cdf never reaches this refusal: a repeated last branch point is
-    also the end of the finite cut before it, which refuses first."""
-    refusal = error_analysis._semi_infinite_rule(
-        np.array([0.5]), np.array([1.0]), 1.0, np.array([1.0, 0.0]), np.array([1.0]), 1e-6
-    )
-    assert refusal == (math.inf, None, None)
+@pytest.mark.parametrize(
+    "eigenvalues, z",
+    [([1.0, 0.5, 0.5], 0.3), ([1.0, 0.5, 0.5, -2.0], 0.3), ([-1.0, -0.5, -0.5], -0.3)],
+)
+def test_cut_cdf_refuses_a_repeated_last_branch_point_at_the_cut_before_it(
+    eigenvalues, z, monkeypatch, caplog
+):
+    """A repeated last branch point is also the upper end of the finite cut
+    before it, whose ellipse cannot clear it: _cut_cdf refuses there and
+    never builds the last cut's trapezoid rule."""
+
+    def unreached(*args):
+        raise AssertionError("_semi_infinite_rule reached")
+
+    monkeypatch.setattr(error_analysis, "_semi_infinite_rule", unreached)
+    with caplog.at_level(logging.DEBUG, logger="skysift.error_analysis"):
+        assert _cut_cdf(QuadFormSpectrum(eigenvalues=np.array(eigenvalues)), z, 1e-6) is None
+    assert caplog.records[-1].getMessage().startswith("cut 0 bound inf above")
 
 
 @pytest.mark.parametrize("prior1", [0.2, 0.8])
@@ -1824,12 +1858,12 @@ def test_threshold_near_zero_at_the_default_target():
     """The default pair at kf 3 with prior1 0.775618399260971 puts the
     threshold at -4.4e-16.  Both semi-infinite cut bounds miss their share
     there, so both CDFs take the head + power-sum tail fallback; the report
-    lands within its target of the 30-digit cut integrals."""
+    lands within its target of the cut integrals by mpmath, taken to 1e-9."""
     s = sk.Scenario.from_dict({"kf": 3, "prior1": 0.775618399260971})
     z = threshold(detector_from_scenario(s))
     assert -1e-15 < z < 0.0
     report = total_error(s)
-    cdf1, cdf2 = (cut_integrals_mp(sp.eigenvalues, z) for sp in spectra_for(s))
+    cdf1, cdf2 = (cut_integrals_mp(sp.eigenvalues, z, 1e-9) for sp in spectra_for(s))
     want = report.prior2 * cdf2 + report.prior1 * (1.0 - cdf1)
     assert abs(report.total_error - want) <= 1e-6
 

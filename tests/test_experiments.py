@@ -169,6 +169,14 @@ def test_unreadable_manifest_is_refused(tmp_path, text):
         ExperimentConfig.from_manifest(path, tmp_path / "rerun")
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "deep"])
+def test_manifest_that_cannot_be_decoded_is_refused(tmp_path, content):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="cannot read manifest .*manifest.json"):
+        ExperimentConfig.from_manifest(path, tmp_path / "rerun")
+
+
 def test_run_mc_vs_exact(tmp_path):
     cfg = make_config(tmp_path, "mc-vs-exact", n_trials=2000, seed=1)
     run_experiment(cfg)
